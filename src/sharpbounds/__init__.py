@@ -39,12 +39,7 @@ from .features import (
     load_table,
     save_table,
 )
-from .fitting import (
-    FitResult,
-    SharpBoundingFunction,
-    evaluate_bound,
-    fit_linear_bound,
-)
+from .fitting import FitResult, SharpBoundingFunction, fit_linear_bound
 from .graph6 import parse_graph6, read_graph6_file, to_graph6, write_graph6_file
 from .graphs import (
     Graph,
@@ -81,9 +76,9 @@ __all__ = [
     "ConfigError", "CorpusError", "UndefinedInvariantError",
     "UnsupportedSizeError", "build_table", "complete", "complete_bipartite",
     "conjecture_from_record", "conjecture_to_record", "corpus_digest",
-    "cycle", "dalmatian_filter", "domination_number", "evaluate_bound",
-    "evaluate_predicates", "find_counterexample", "fit_linear_bound",
-    "forcing_closure", "generality_filter", "generate", "graph_names",
+    "cycle", "dalmatian_filter", "domination_number", "evaluate_predicates",
+    "find_counterexample", "fit_linear_bound", "forcing_closure",
+    "generality_filter", "generate", "graph_names",
     "independence_number", "independent_domination_number",
     "load_or_build_table", "load_table", "matching_number",
     "min_maximal_matching", "named_graph", "parse_graph6", "path", "petersen",

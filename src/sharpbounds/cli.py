@@ -93,6 +93,14 @@ def _merged_option(args, config: dict, key: str, default):
     return default
 
 
+def _int_option(args, config: dict, key: str, default: int) -> int:
+    value = _merged_option(args, config, key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _cmd_conjecture(args) -> int:
     config = _parse_config_file(args.config) if args.config else {}
 
@@ -110,10 +118,10 @@ def _cmd_conjecture(args) -> int:
     engine_config = engine.EngineConfig(
         targets=tuple(_split_names(str(raw_targets))),
         directions=tuple(directions),
-        max_hypothesis_size=int(_merged_option(args, config, "max_hypothesis_size", 2)),
-        min_support=int(_merged_option(args, config, "min_support", 5)),
+        max_hypothesis_size=_int_option(args, config, "max_hypothesis_size", 2),
+        min_support=_int_option(args, config, "min_support", 5),
         filters=_FILTER_CHOICES[filters_name],
-        top_k=int(_merged_option(args, config, "top_k", 10)),
+        top_k=_int_option(args, config, "top_k", 10),
     )
     output_format = str(_merged_option(args, config, "format", "text"))
     if output_format not in ("text", "structured"):
@@ -223,10 +231,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SharpboundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SharpboundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

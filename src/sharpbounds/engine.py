@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
-from .features import FeatureTable, Hypothesis
+from .features import FeatureTable, Hypothesis, corpus_labels
 from .fitting import LOWER, UPPER, SharpBoundingFunction, fit_linear_bound
 from .graphs import Graph
 from .invariants import DISPLAY_SYMBOLS
@@ -108,20 +108,19 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
         if target not in table.numeric:
             raise ConfigError(f"target {target!r} is not a numeric column")
 
-    hypotheses = enumerate_hypotheses(table, config.max_hypothesis_size)
+    supports = [(h, table.support(h))
+                for h in enumerate_hypotheses(table, config.max_hypothesis_size)]
     out: list[Conjecture] = []
     for target in sorted(config.targets):
         for direction in sorted(config.directions):
             for other in sorted(table.numeric):
                 if other == target:
                     continue
-                for h in hypotheses:
-                    rows = table.select_rows(h, x=other, y=target)
+                for h, support in supports:
+                    rows = table.select_rows(support, x=other, y=target)
                     if len(rows) < config.min_support:
                         continue
                     fit = fit_linear_bound(rows, direction)
-                    if fit is None:
-                        continue
                     conj = Conjecture(
                         target=target,
                         other=other,
@@ -130,20 +129,21 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
                         bound=fit.function,
                         touch_set=frozenset(table.labels[i] for i in fit.touch_set),
                         touch_number=fit.touch_number,
-                        support_size=len(table.support(h)),
+                        support_size=len(support),
                     )
-                    _self_check(conj, table)
+                    _self_check(conj, rows, table.labels)
                     out.append(conj)
     return out
 
 
-def _self_check(conj: Conjecture, table: FeatureTable) -> None:
+def _self_check(conj: Conjecture, rows: Sequence[tuple[int, int, int]],
+                labels: Sequence[str]) -> None:
     # Defense in depth against fitter regressions: re-verify the inequality
-    # on every hypothesis row with both values present.
-    for x, y, i in table.select_rows(conj.hypothesis, conj.other, conj.target):
+    # on every fitted row.
+    for x, y, i in rows:
         if not conj.bound.holds(x, y):
             raise AssertionError(
-                f"generated conjecture violated on row {table.labels[i]}: "
+                f"generated conjecture violated on row {labels[i]}: "
                 f"{conj.statement}")
 
 
@@ -159,18 +159,18 @@ def generality_filter(conjectures: Sequence[Conjecture], table: FeatureTable
     a conjecture whose support is a strict subset of another's is removed;
     among equal supports the lexicographically smallest hypothesis stays.
     """
-    supports: dict[int, frozenset[str]] = {}
+    supports = {h: frozenset(table.support(h))
+                for h in dict.fromkeys(c.hypothesis for c in conjectures)}
     groups: dict[tuple, list[int]] = {}
     for idx, c in enumerate(conjectures):
-        supports[idx] = frozenset(table.labels[i] for i in table.support(c.hypothesis))
         groups.setdefault(c.bound_key(), []).append(idx)
 
     keep: set[int] = set()
     for members in groups.values():
         # equal supports: keep one representative, smallest hypothesis wins
-        by_support: dict[frozenset[str], int] = {}
+        by_support: dict[frozenset[int], int] = {}
         for idx in members:
-            sup = supports[idx]
+            sup = supports[conjectures[idx].hypothesis]
             cur = by_support.get(sup)
             if cur is None or conjectures[idx].hypothesis.key < conjectures[cur].hypothesis.key:
                 by_support[sup] = idx
@@ -289,16 +289,8 @@ def find_counterexample(c: Conjecture, corpus: Sequence[Graph],
         if name not in predicates:
             raise ConfigError(f"unknown predicate {name!r}")
 
-    for pos, g in enumerate(corpus, 1):
-        if not all(predicates[name](g) for name in c.hypothesis.key):
-            continue
-        try:
-            y = invariants[c.target](g)
-            x = invariants[c.other](g)
-        except UndefinedInvariantError:
-            continue
+    for x, y, label in _hypothesis_points(c, corpus, invariants, predicates):
         if not c.bound.holds(x, y):
-            label = g.label if g.label else f"g{pos}"
             return (label, Fraction(y), c.bound.evaluate(x))
     return None
 
@@ -307,8 +299,15 @@ def touch_count_on(c: Conjecture, corpus: Sequence[Graph],
                    invariants: dict[str, Callable[[Graph], int]],
                    predicates: dict[str, Callable[[Graph], bool]]) -> int:
     """How many hypothesis-satisfying corpus graphs attain equality."""
-    count = 0
-    for g in corpus:
+    return sum(1 for x, y, _ in _hypothesis_points(c, corpus, invariants, predicates)
+               if c.bound.touches(x, y))
+
+
+def _hypothesis_points(c: Conjecture, corpus: Sequence[Graph],
+                       invariants: dict[str, Callable[[Graph], int]],
+                       predicates: dict[str, Callable[[Graph], bool]]):
+    # Lazily yields (x, y, label) per hypothesis graph with both values defined.
+    for label, g in zip(corpus_labels(corpus), corpus):
         if not all(predicates[name](g) for name in c.hypothesis.key):
             continue
         try:
@@ -316,9 +315,7 @@ def touch_count_on(c: Conjecture, corpus: Sequence[Graph],
             x = invariants[c.other](g)
         except UndefinedInvariantError:
             continue
-        if c.bound.touches(x, y):
-            count += 1
-    return count
+        yield x, y, label
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +362,12 @@ def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> None:
 
 
 def read_export(path: str | Path) -> list[dict]:
-    """Raw records; callers decide how to treat malformed entries."""
+    """Raw records; a line that is not JSON raises ConfigError at path:line."""
     records = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.strip():
-            records.append(json.loads(line))
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc.msg}") from None
     return records

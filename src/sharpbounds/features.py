@@ -35,9 +35,6 @@ class Hypothesis:
         """Sorted name tuple; the canonical identity and sort key."""
         return tuple(sorted(self.predicates))
 
-    def describe(self) -> str:
-        return " and ".join(self.key) if self.predicates else "all objects"
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Hypothesis({list(self.key)!r})"
 
@@ -77,17 +74,23 @@ class FeatureTable:
         cols = [self.boolean[name] for name in h.key]
         return tuple(i for i in range(self.n_rows) if all(col[i] for col in cols))
 
-    def select_rows(self, h: Hypothesis, x: str, y: str
+    def select_rows(self, support: Sequence[int], x: str, y: str
                     ) -> list[tuple[int, int, int]]:
-        """Rows satisfying ``h`` with both values present, as (x, y, row index)."""
+        """Rows of ``support`` (row indices, as :meth:`support` returns) with
+        both values present, as (x, y, row index)."""
         if x == y:
             raise ConfigError("x and y columns must differ")
         for name in (x, y):
             if name not in self.numeric:
                 raise ConfigError(f"unknown numeric column {name!r}")
         xs, ys = self.numeric[x], self.numeric[y]
-        return [(xs[i], ys[i], i) for i in self.support(h)
+        return [(xs[i], ys[i], i) for i in support
                 if xs[i] is not None and ys[i] is not None]
+
+
+def corpus_labels(corpus: Sequence[Graph]) -> tuple[str, ...]:
+    """Each graph's label, or ``g<position>`` (from 1) for unlabeled graphs."""
+    return tuple(g.label if g.label else f"g{i}" for i, g in enumerate(corpus, 1))
 
 
 def build_table(corpus: Sequence[Graph],
@@ -96,7 +99,7 @@ def build_table(corpus: Sequence[Graph],
                 ) -> FeatureTable:
     """Evaluate both registries on every corpus graph.
 
-    Graphs without labels are named ``g<position>``. An invariant that raises
+    Rows are named by :func:`corpus_labels`. An invariant that raises
     :class:`UndefinedInvariantError` leaves a missing cell.
     """
     if not corpus:
@@ -104,7 +107,6 @@ def build_table(corpus: Sequence[Graph],
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
 
-    labels = tuple(g.label if g.label else f"g{i}" for i, g in enumerate(corpus, 1))
     numeric: dict[str, tuple[Optional[int], ...]] = {}
     for name, fn in invariants.items():
         cells = []
@@ -116,7 +118,7 @@ def build_table(corpus: Sequence[Graph],
         numeric[name] = tuple(cells)
     boolean = {name: tuple(fn(g) for g in corpus)
                for name, fn in predicates.items()}
-    return FeatureTable(labels, numeric, boolean)
+    return FeatureTable(corpus_labels(corpus), numeric, boolean)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +192,9 @@ def load_or_build_table(corpus: Sequence[Graph],
                         ) -> FeatureTable:
     """Build the feature table, reusing a digest-keyed TSV cache when possible.
 
-    A cached file is reused only when it carries every requested column; a
-    narrower cache is rebuilt and overwritten.
+    A cached file is reused only when it carries every requested column and
+    exactly the corpus labels; a narrower or truncated cache is rebuilt and
+    overwritten.
     """
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
@@ -206,7 +209,7 @@ def load_or_build_table(corpus: Sequence[Graph],
             table = load_table(path, list(invariants), list(predicates))
         except (ConfigError, ValueError):
             table = None
-        if table is not None \
+        if table is not None and table.labels == corpus_labels(corpus) \
                 and set(table.numeric) >= set(invariants) \
                 and set(table.boolean) >= set(predicates):
             return table

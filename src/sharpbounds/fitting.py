@@ -8,7 +8,8 @@ intercept against the point cloud: any feasible line can be translated to a
 tight one without losing touches, and a tight line touching two or more
 points must use a pairwise slope, so the enumeration is exhaustive.
 
-All arithmetic is exact. There is no tolerance anywhere; a touch means the
+Coordinates are ints or Fractions, used as given with no coercion; all
+arithmetic is exact. There is no tolerance anywhere; a touch means the
 rational values are equal.
 """
 
@@ -25,7 +26,8 @@ LOWER = "lower"
 
 @dataclass(frozen=True)
 class SharpBoundingFunction:
-    """An affine bound y <= m*x + b (upper) or y >= m*x + b (lower)."""
+    """An affine bound y <= m*x + b (upper) or y >= m*x + b (lower), evaluated
+    exactly at int or Fraction coordinates, which are used without coercion."""
 
     slope: Fraction
     intercept: Fraction
@@ -37,20 +39,15 @@ class SharpBoundingFunction:
 
     def evaluate(self, x) -> Fraction:
         """Exact value m*x + b at a rational x."""
-        return self.slope * Fraction(x) + self.intercept
+        return self.slope * x + self.intercept
 
     def holds(self, x, y) -> bool:
         """Whether (x, y) satisfies the bound exactly."""
         rhs = self.evaluate(x)
-        return Fraction(y) <= rhs if self.direction == UPPER else Fraction(y) >= rhs
+        return y <= rhs if self.direction == UPPER else y >= rhs
 
     def touches(self, x, y) -> bool:
-        return Fraction(y) == self.evaluate(x)
-
-
-def evaluate_bound(f: SharpBoundingFunction, x) -> Fraction:
-    """Module-level alias for :meth:`SharpBoundingFunction.evaluate`."""
-    return f.evaluate(x)
+        return y == self.evaluate(x)
 
 
 @dataclass(frozen=True)
@@ -89,12 +86,10 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
 
     # Scale to integer coordinates: slopes are unchanged, intercepts and
     # slacks scale uniformly by L, so comparisons are unaffected.
-    xs = [Fraction(p[0]) for p in points]
-    ys = [Fraction(p[1]) for p in points]
     ids = [p[2] for p in points]
-    scale = lcm(*[v.denominator for v in xs + ys]) if points else 1
-    xi = [int(v * scale) for v in xs]
-    yi = [int(v * scale) for v in ys]
+    scale = lcm(*(v.denominator for p in points for v in p[:2]))
+    xi = [int(p[0] * scale) for p in points]
+    yi = [int(p[1] * scale) for p in points]
     npts = len(points)
     upper = direction == UPPER
 

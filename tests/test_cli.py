@@ -246,6 +246,31 @@ def test_verify_unknown_property_continues(tmp_path, capsys):
     assert out[1].startswith("HOLDS")
 
 
+def test_verify_malformed_export_line_is_config_error(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record()], export)
+    export.write_text(export.read_text() + '{"target": \n')
+    code = main(["verify", str(export), str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{export}:2:" in captured.err
+
+
+@pytest.mark.parametrize("key", ["min_support", "top_k", "max_hypothesis_size"])
+def test_conjecture_non_integer_config_value(tmp_path, capsys, key):
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {corpus}\ntargets = alpha\n{key} = five\n")
+    code = main(["conjecture", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert key in captured.err and "five" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # reproducibility (subprocess level)
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from sharpbounds import (
     Conjecture,
     EngineConfig,
     FeatureTable,
+    FitResult,
     Hypothesis,
     SharpBoundingFunction,
     build_table,
@@ -18,6 +19,7 @@ from sharpbounds import (
     conjecture_to_record,
     cycle,
     dalmatian_filter,
+    engine,
     find_counterexample,
     generality_filter,
     generate,
@@ -104,7 +106,8 @@ def test_generate_respects_min_support():
     out = generate(table, config)
     assert out
     for c in out:
-        assert len(table.select_rows(c.hypothesis, c.other, c.target)) >= 4
+        support = table.support(c.hypothesis)
+        assert len(table.select_rows(support, c.other, c.target)) >= 4
     # cubic selects two graphs only, below the support gate
     assert all("cubic" not in c.hypothesis.predicates for c in out)
 
@@ -113,6 +116,22 @@ def test_generate_validates_target():
     table = build_table([complete(4), cycle(5)])
     config = EngineConfig(targets=("connected",), min_support=1)
     with pytest.raises(ConfigError):
+        generate(table, config)
+
+
+def test_generate_self_check_names_violated_row(monkeypatch):
+    # a fitter regression that undercuts the largest y by one must be caught
+    def bad_fit(points, direction):
+        top = max(y for _, y, _ in points)
+        touched = frozenset(i for _, y, i in points if y == top - 1)
+        bound = SharpBoundingFunction(Fraction(0), Fraction(top - 1), direction)
+        return FitResult(bound, touched, len(touched))
+
+    monkeypatch.setattr(engine, "fit_linear_bound", bad_fit)
+    table = build_table([complete(3), complete(4), cycle(5)])
+    config = EngineConfig(targets=("order",), directions=("upper",),
+                          max_hypothesis_size=0, min_support=1)
+    with pytest.raises(AssertionError, match="violated on row C5: "):
         generate(table, config)
 
 

@@ -68,20 +68,20 @@ def test_support_and_select_rows():
     assert table.support(Hypothesis({"connected", "cubic"})) == (0,)
     assert table.support(Hypothesis({"bipartite"})) == (2, 3)
 
-    rows = table.select_rows(Hypothesis(), "matching_number",
+    rows = table.select_rows(table.support(Hypothesis()), "matching_number",
                              "independence_number")
     assert rows == [(2, 1, 0), (2, 2, 1), (3, 3, 2), (0, 1, 3)]
 
     # K1 has no total domination value, so its row is dropped
-    rows = table.select_rows(Hypothesis(), "total_domination_number",
-                             "independence_number")
+    rows = table.select_rows(table.support(Hypothesis()),
+                             "total_domination_number", "independence_number")
     assert [r[2] for r in rows] == [0, 1, 2]
 
 
 def test_select_rows_bipartite_keeps_even_cycle_only():
     table = build_table([cycle(5), cycle(6)], small_registry(),
                         standard_predicates())
-    rows = table.select_rows(Hypothesis({"bipartite"}), "order",
+    rows = table.select_rows(table.support(Hypothesis({"bipartite"})), "order",
                              "independence_number")
     assert rows == [(6, 3, 1)]
 
@@ -89,9 +89,10 @@ def test_select_rows_bipartite_keeps_even_cycle_only():
 def test_select_rows_validation():
     table = build_table([complete(4)], small_registry(), standard_predicates())
     with pytest.raises(ConfigError):
-        table.select_rows(Hypothesis(), "order", "order")
+        table.select_rows(table.support(Hypothesis()), "order", "order")
     with pytest.raises(ConfigError):
-        table.select_rows(Hypothesis(), "order", "chromatic_number")
+        table.select_rows(table.support(Hypothesis()), "order",
+                          "chromatic_number")
     with pytest.raises(ConfigError):
         table.support(Hypothesis({"planar"}))
 
@@ -151,6 +152,12 @@ def test_cache_reuse_and_rebuild(tmp_path):
     wider = dict(inv, size=standard_invariants()["size"])
     rebuilt = load_or_build_table(corpus, tmp_path, wider, pred)
     assert "size" in rebuilt.numeric
+    assert load_table(cached[0], list(wider), list(pred)) == rebuilt
+
+    # a cache cut at a line boundary is stale: rebuilt, not read as shorter
+    lines = cached[0].read_text().splitlines(keepends=True)
+    cached[0].write_text("".join(lines[:2]))
+    assert load_or_build_table(corpus, tmp_path, wider, pred) == rebuilt
     assert load_table(cached[0], list(wider), list(pred)) == rebuilt
 
     # a different corpus gets its own cache file

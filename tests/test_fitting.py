@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpbounds import SharpBoundingFunction, evaluate_bound, fit_linear_bound
+from sharpbounds import SharpBoundingFunction, fit_linear_bound
 
 import oracles
 
@@ -52,13 +52,13 @@ def test_direction_validated():
 
 def test_evaluate_bound_exact():
     f = SharpBoundingFunction(Fraction(1), Fraction(0), "upper")
-    assert evaluate_bound(f, 7) == 7
+    assert f.evaluate(7) == 7
     f = SharpBoundingFunction(Fraction(3, 2), Fraction(0), "upper")
-    assert evaluate_bound(f, 2) == 3
+    assert f.evaluate(2) == 3
     f = SharpBoundingFunction(Fraction(0), Fraction(2), "upper")
-    assert evaluate_bound(f, 100) == 2
+    assert f.evaluate(100) == 2
     f = SharpBoundingFunction(Fraction(1, 3), Fraction(1, 6), "upper")
-    assert evaluate_bound(f, Fraction(1, 2)) == Fraction(1, 3)
+    assert f.evaluate(Fraction(1, 2)) == Fraction(1, 3)
 
 
 def test_fractional_coordinates():
@@ -121,3 +121,8 @@ def test_mirror_symmetry(points, direction):
     assert mirrored.function.slope == -r.function.slope
     assert mirrored.function.intercept == -r.function.intercept
     assert mirrored.touch_set == r.touch_set
+    # holds/touches take Fraction coordinates as they are
+    for i, (x, y) in enumerate(points):
+        assert r.function.holds(x, y) and mirrored.function.holds(x, -y)
+        assert r.function.touches(x, y) == (i in r.touch_set)
+        assert mirrored.function.touches(x, -y) == (i in r.touch_set)
