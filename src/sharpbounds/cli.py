@@ -4,7 +4,8 @@ Subcommands: ``invariants`` (inspect the feature table), ``conjecture``
 (run the full generation pipeline), ``verify`` (check an exported conjecture
 list against a corpus). Identical configuration and corpus produce byte
 identical output. Exit codes: 0 success, 1 a verify run found a
-counterexample, 2 configuration or parse error.
+counterexample, 2 configuration or parse error, including an export record
+that ``verify`` could not check (the other records are still checked).
 """
 
 from __future__ import annotations
@@ -163,14 +164,15 @@ def _cmd_verify(args) -> int:
     invariants = standard_invariants()
     predicates = standard_predicates()
 
-    failed = False
-    for record in engine.read_export(args.export):
+    failed = errored = False
+    for lineno, record in engine.read_numbered_export(args.export):
         try:
             conj = engine.conjecture_from_record(record)
             counterexample = engine.find_counterexample(
                 conj, corpus, invariants, predicates)
         except (SharpboundsError, KeyError, TypeError, ValueError) as exc:
-            print(f"ERROR {exc}")
+            print(f"ERROR {args.export}:{lineno}: {exc}")
+            errored = True
             continue
         if counterexample is None:
             touches = engine.touch_count_on(conj, corpus, invariants, predicates)
@@ -179,6 +181,8 @@ def _cmd_verify(args) -> int:
             label, lhs, rhs = counterexample
             print(f"COUNTEREXAMPLE {label} lhs={lhs} rhs={rhs} {conj.statement}")
             failed = True
+    if errored:
+        return 2
     return 1 if failed else 0
 
 

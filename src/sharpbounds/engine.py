@@ -12,14 +12,15 @@ touch-number order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
-from .features import FeatureTable, Hypothesis, corpus_labels
+from .features import FeatureTable, Hypothesis, corpus_labels, write_text_atomic
 from .fitting import LOWER, UPPER, SharpBoundingFunction, fit_linear_bound
 from .graphs import Graph
 from .invariants import DISPLAY_SYMBOLS
@@ -102,7 +103,10 @@ def enumerate_hypotheses(table: FeatureTable, max_size: int) -> list[Hypothesis]
 def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
     """Run the full fitting sweep; returns the unfiltered conjecture list.
 
-    Output order and content are a pure function of table and config.
+    For each (target, direction, other property), rows are selected, fitted
+    and self-checked once per distinct hypothesis support, and the fit is
+    emitted for every hypothesis with that support. Output order and content
+    are a pure function of table and config.
     """
     for target in config.targets:
         if target not in table.numeric:
@@ -116,7 +120,15 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
             for other in sorted(table.numeric):
                 if other == target:
                     continue
+                # support -> its conjecture, or None below min_support
+                fits: dict[tuple[int, ...], Optional[Conjecture]] = {}
                 for h, support in supports:
+                    if support in fits:
+                        shared = fits[support]
+                        if shared is not None:
+                            out.append(replace(shared, hypothesis=h))
+                        continue
+                    fits[support] = None
                     rows = table.select_rows(support, x=other, y=target)
                     if len(rows) < config.min_support:
                         continue
@@ -132,6 +144,7 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
                         support_size=len(support),
                     )
                     _self_check(conj, rows, table.labels)
+                    fits[support] = conj
                     out.append(conj)
     return out
 
@@ -139,9 +152,16 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
 def _self_check(conj: Conjecture, rows: Sequence[tuple[int, int, int]],
                 labels: Sequence[str]) -> None:
     # Defense in depth against fitter regressions: re-verify the inequality
-    # on every fitted row.
+    # on every fitted row, in integers. With slope M/D and intercept B/D over
+    # a common denominator D > 0, y <= m*x + b iff y*D <= M*x + B.
+    m, b = conj.bound.slope, conj.bound.intercept
+    d = lcm(m.denominator, b.denominator)
+    mn = m.numerator * (d // m.denominator)
+    bn = b.numerator * (d // b.denominator)
+    upper = conj.direction == UPPER
     for x, y, i in rows:
-        if not conj.bound.holds(x, y):
+        lhs, rhs = y * d, mn * x + bn
+        if (lhs > rhs) if upper else (lhs < rhs):
             raise AssertionError(
                 f"generated conjecture violated on row {labels[i]}: "
                 f"{conj.statement}")
@@ -338,36 +358,55 @@ def conjecture_to_record(c: Conjecture) -> dict:
 
 
 def conjecture_from_record(record: dict) -> Conjecture:
-    bound = SharpBoundingFunction(
-        Fraction(*record["slope"]),
-        Fraction(*record["intercept"]),
-        record["direction"],
-    )
-    return Conjecture(
-        target=record["target"],
-        other=record["other"],
-        direction=record["direction"],
-        hypothesis=Hypothesis(record["hypothesis"]),
-        bound=bound,
-        touch_set=frozenset(record["touch_set"]),
-        touch_number=record["touch_number"],
-        support_size=record["support_size"],
-    )
+    """Rebuild a conjecture from an export record.
+
+    Raises :class:`ConfigError` when the record is not a well-formed object
+    (a missing field, a zero denominator, an unknown direction, ...).
+    """
+    try:
+        bound = SharpBoundingFunction(
+            Fraction(*record["slope"]),
+            Fraction(*record["intercept"]),
+            record["direction"],
+        )
+        return Conjecture(
+            target=record["target"],
+            other=record["other"],
+            direction=record["direction"],
+            hypothesis=Hypothesis(record["hypothesis"]),
+            bound=bound,
+            touch_set=frozenset(record["touch_set"]),
+            touch_number=record["touch_number"],
+            support_size=record["support_size"],
+        )
+    except KeyError as exc:
+        raise ConfigError(f"record lacks the {exc.args[0]!r} field") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed record: {exc}") from None
 
 
 def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> None:
+    """Write one JSON record per line, atomically (see :func:`write_text_atomic`)."""
     lines = [json.dumps(conjecture_to_record(c), ensure_ascii=False)
              for c in conjectures]
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    write_text_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def read_export(path: str | Path) -> list[dict]:
     """Raw records; a line that is not JSON raises ConfigError at path:line."""
+    return [record for _, record in read_numbered_export(path)]
+
+
+def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:
+    """(line number, raw record) for every non-blank line, numbered from 1.
+
+    A line that is not JSON raises ConfigError at path:line.
+    """
     records = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.strip():
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc.msg}") from None
     return records

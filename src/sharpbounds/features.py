@@ -10,6 +10,7 @@ exact solvers are the expensive part of a run.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -143,7 +144,24 @@ def save_table(table: FeatureTable, path: str | Path) -> None:
         for name in table.boolean:
             cells.append("true" if table.boolean[name][i] else "false")
         lines.append("\t".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path``. If anything fails the temporary file is removed, so
+    ``path`` keeps its old content and nothing else is left behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_table(path: str | Path,

@@ -2,22 +2,34 @@
 
 Given points (x_i, y_i) and a direction, the fitter returns a line
 y <= m*x + b (or >=) that is feasible on every point, touches at least one
-point exactly, and touches as many points as any feasible line does. The
-search enumerates every pairwise slope plus slope zero and tightens the
-intercept against the point cloud: any feasible line can be translated to a
-tight one without losing touches, and a tight line touching two or more
-points must use a pairwise slope, so the enumeration is exhaustive.
+point exactly, and touches as many points as any feasible line does. A lower
+bound on y is fitted as an upper bound on -y and mirrored back.
 
-Coordinates are ints or Fractions, used as given with no coercion; all
-arithmetic is exact. There is no tolerance anywhere; a touch means the
-rational values are equal.
+Only the highest point above each distinct x can touch a feasible line, and
+the candidate slopes are those of the edges of the upper convex hull of these
+points (Andrew's monotone chain), plus slope zero. This loses nothing: any
+feasible line can be translated to a tight one without losing touches; a
+tight feasible line touching two or more distinct points contains a hull
+edge; and when there are at least two distinct x values, a tight line
+touching a single distinct point touches a hull vertex, so the line through
+an edge at that vertex touches strictly more points. With a single distinct
+x only slope zero is a candidate. Each candidate's intercept is read off a
+hull point, its total slack follows from the coordinate sums, and its touches
+are counted among the highest points.
+
+Coordinates are ints or Fractions. Fractions are scaled once to a common
+integer grid, which leaves slopes and every comparison unchanged, so the
+search runs in integers; only the returned bound and the tie-break key use
+Fractions. There is no tolerance anywhere; a touch means the rational values
+are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 UPPER = "upper"
@@ -84,44 +96,64 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     if not points:
         return None
 
-    # Scale to integer coordinates: slopes are unchanged, intercepts and
-    # slacks scale uniformly by L, so comparisons are unaffected.
-    ids = [p[2] for p in points]
-    scale = lcm(*(v.denominator for p in points for v in p[:2]))
-    xi = [int(p[0] * scale) for p in points]
-    yi = [int(p[1] * scale) for p in points]
-    npts = len(points)
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    scale = 1
+    if {*map(type, xs), *map(type, ys)} != {int}:
+        # Scale to integer coordinates: slopes are unchanged, intercepts and
+        # slacks scale uniformly by L, so comparisons are unaffected.
+        scale = lcm(*(v.denominator for v in chain(xs, ys)))
+        xs = [int(v * scale) for v in xs]
+        ys = [int(v * scale) for v in ys]
     upper = direction == UPPER
+    if not upper:
+        # y >= m*x + b iff -y <= -m*x - b, with the same slack: fit the
+        # mirror as an upper bound, where the sign tie-break prefers the
+        # smaller slope, i.e. the larger one once negated back.
+        ys = [-y for y in ys]
 
-    # Candidate slopes: all pairwise slopes over distinct coordinates, plus 0.
-    slopes: set[tuple[int, int]] = {(0, 1)}
-    distinct = sorted(set(zip(xi, yi)))
-    for a in range(len(distinct)):
-        x1, y1 = distinct[a]
-        for b in range(a + 1, len(distinct)):
-            x2, y2 = distinct[b]
-            if x1 == x2:
-                continue
-            f = Fraction(y2 - y1, x2 - x1)
-            slopes.add((f.numerator, f.denominator))
+    # Highest y above each distinct x, with the number of points there.
+    top: dict[int, list[int]] = {}
+    for x, y in zip(xs, ys):
+        cur = top.get(x)
+        if cur is None or y > cur[0]:
+            top[x] = [y, 1]
+        elif y == cur[0]:
+            cur[1] += 1
+    highest = [(x, y, k) for x, (y, k) in sorted(top.items())]
 
+    # Upper hull, left to right, without collinear middle vertices.
+    hull: list[tuple[int, int]] = []
+    for x, y, _ in highest:
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
+
+    # Candidate slope p/q (q > 0) -> tight intercept numerator b, so that
+    # q*y - p*x <= b on every point with equality exactly at the touches.
+    candidates = {(0, 1): max(y for _, y in hull)}
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        g = gcd(y2 - y1, x2 - x1)
+        p, q = (y2 - y1) // g, (x2 - x1) // g
+        candidates[(p, q)] = q * y1 - p * x1
+
+    npts, sum_x, sum_y = len(xs), sum(xs), sum(ys)
     best_key = None
     best = None
-    sign = 1 if upper else -1
-    for p, q in sorted(slopes):
-        # s_i = q*y_i - p*x_i; the tight intercept is max(s)/q (upper) or
-        # min(s)/q (lower), and a point touches iff s_i equals that extreme.
-        s = [q * yi[k] - p * xi[k] for k in range(npts)]
-        b_num = max(s) if upper else min(s)
-        touched = [k for k in range(npts) if s[k] == b_num]
-        slack = Fraction(sign * (npts * b_num - sum(s)), q)
+    for (p, q), b in candidates.items():
+        touches = sum(k for x, y, k in highest if q * y - p * x == b)
+        slack = Fraction(npts * b - q * sum_y + p * sum_x, q)
         m = Fraction(p, q)
-        key = (-len(touched), slack, abs(m), m if upper else -m)
+        key = (-touches, slack, abs(m), m)
         if best_key is None or key < best_key:
             best_key = key
-            best = (m, Fraction(b_num, q * scale), touched)
+            best = (p, q, b)
 
-    m, b, touched = best
-    fn = SharpBoundingFunction(m, b, direction)
-    touch_ids = frozenset(ids[k] for k in touched)
+    p, q, b = best
+    touch_ids = frozenset(i for x, y, i in zip(xs, ys, (pt[2] for pt in points))
+                          if q * y - p * x == b)
+    if not upper:
+        p, b = -p, -b
+    fn = SharpBoundingFunction(Fraction(p, q), Fraction(b, q * scale), direction)
     return FitResult(fn, touch_ids, len(touch_ids))

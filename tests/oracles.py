@@ -7,6 +7,9 @@ eight to ten vertices.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+
+from sharpbounds.fitting import LOWER, UPPER, FitResult, SharpBoundingFunction
 
 
 def _vertex_sets(g, k):
@@ -144,3 +147,70 @@ def oracle_best_touch(points, direction):
             continue
         best = max(best, sum(1 for y, v in values if y == v))
     return best
+
+
+def oracle_fit(points, direction):
+    """The pairwise-slope fitter that ``fit_linear_bound`` replaced.
+
+    Every pairwise slope over distinct points, plus zero, is tried against
+    every point. Same contract and tie-break as the production fitter:
+    fit the touch-maximal sharp linear bound over ``points``.
+
+    Parameters
+    ----------
+    points : sequence of (x, y, id)
+        Coordinates may be ints or Fractions; ids are opaque and become the
+        touch set. Returns ``None`` on empty input.
+    direction : "upper" or "lower"
+
+    Ties on touch number are broken by smallest total slack, then smallest
+    |slope|; a final sign tie prefers the smaller slope for upper bounds and
+    the larger for lower bounds, which makes fitting mirror-symmetric under
+    negating y and flipping the direction.
+    """
+    if direction not in (UPPER, LOWER):
+        raise ValueError(f"direction must be {UPPER!r} or {LOWER!r}")
+    if not points:
+        return None
+
+    # Scale to integer coordinates: slopes are unchanged, intercepts and
+    # slacks scale uniformly by L, so comparisons are unaffected.
+    ids = [p[2] for p in points]
+    scale = lcm(*(v.denominator for p in points for v in p[:2]))
+    xi = [int(p[0] * scale) for p in points]
+    yi = [int(p[1] * scale) for p in points]
+    npts = len(points)
+    upper = direction == UPPER
+
+    # Candidate slopes: all pairwise slopes over distinct coordinates, plus 0.
+    slopes: set[tuple[int, int]] = {(0, 1)}
+    distinct = sorted(set(zip(xi, yi)))
+    for a in range(len(distinct)):
+        x1, y1 = distinct[a]
+        for b in range(a + 1, len(distinct)):
+            x2, y2 = distinct[b]
+            if x1 == x2:
+                continue
+            f = Fraction(y2 - y1, x2 - x1)
+            slopes.add((f.numerator, f.denominator))
+
+    best_key = None
+    best = None
+    sign = 1 if upper else -1
+    for p, q in sorted(slopes):
+        # s_i = q*y_i - p*x_i; the tight intercept is max(s)/q (upper) or
+        # min(s)/q (lower), and a point touches iff s_i equals that extreme.
+        s = [q * yi[k] - p * xi[k] for k in range(npts)]
+        b_num = max(s) if upper else min(s)
+        touched = [k for k in range(npts) if s[k] == b_num]
+        slack = Fraction(sign * (npts * b_num - sum(s)), q)
+        m = Fraction(p, q)
+        key = (-len(touched), slack, abs(m), m if upper else -m)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (m, Fraction(b_num, q * scale), touched)
+
+    m, b, touched = best
+    fn = SharpBoundingFunction(m, b, direction)
+    touch_ids = frozenset(ids[k] for k in touched)
+    return FitResult(fn, touch_ids, len(touch_ids))

@@ -241,7 +241,7 @@ def test_verify_unknown_property_continues(tmp_path, capsys):
     write_export([bad, good], export)
     code = main(["verify", str(export), str(corpus)])
     out = capsys.readouterr().out.splitlines()
-    assert code == 0
+    assert code == 2
     assert out[0].startswith("ERROR")
     assert out[1].startswith("HOLDS")
 
@@ -257,6 +257,43 @@ def test_verify_malformed_export_line_is_config_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert f"{export}:2:" in captured.err
+
+
+def test_verify_zero_denominator_is_an_error_line(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4), cycle(5)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="matching_number")], export)
+    record = json.loads(export.read_text())
+    export.write_text(json.dumps(dict(record, slope=[1, 0])) + "\n")
+    code = main(["verify", str(export), str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out.startswith(f"ERROR {export}:1: ")
+    assert captured.err == ""
+
+
+def test_verify_bad_records_exit_2_and_others_still_checked(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4), star(3)], corpus)
+    export = tmp_path / "records.jsonl"
+    # alpha <= order holds; alpha <= min degree fails on the star
+    write_export([conjecture_record(other="order"), conjecture_record()], export)
+    good, false_claim = export.read_text().splitlines()
+    record = json.loads(good)
+    bad = [dict(record, other="girth"), dict(record, direction="sideways"),
+           {k: v for k, v in record.items() if k != "other"}, [1, 2],
+           dict(record, other=record["target"])]
+    lines = [json.dumps(r) for r in bad] + ["", good, false_claim]
+    export.write_text("\n".join(lines) + "\n")
+    code = main(["verify", str(export), str(corpus)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2  # an unchecked record outranks a counterexample
+    assert [line.split(" ", 2)[:2] for line in out[:5]] == \
+        [["ERROR", f"{export}:{n}:"] for n in range(1, 6)]
+    assert out[5].startswith("HOLDS")
+    assert out[6].startswith("COUNTEREXAMPLE c#2 ")
+    assert len(out) == 7
 
 
 @pytest.mark.parametrize("key", ["min_support", "top_k", "max_hypothesis_size"])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from sharpbounds import (
     dalmatian_filter,
     engine,
     find_counterexample,
+    fit_linear_bound,
     generality_filter,
     generate,
     path,
@@ -133,6 +135,37 @@ def test_generate_self_check_names_violated_row(monkeypatch):
                           max_hypothesis_size=0, min_support=1)
     with pytest.raises(AssertionError, match="violated on row C5: "):
         generate(table, config)
+
+
+def test_generate_fits_once_per_distinct_support(monkeypatch):
+    # "always" holds on every row, so it shares the empty hypothesis's
+    # support; "even" and "always and even" share a second one
+    table = FeatureTable(
+        labels=("a", "b", "c", "d", "e", "f"),
+        numeric={"x": (1, 2, 3, 4, 5, 6), "y": (2, 3, 3, 5, 4, 7)},
+        boolean={"always": (True,) * 6,
+                 "even": (False, True, False, True, False, True)})
+    calls = []
+
+    def counting_fit(points, direction):
+        calls.append(tuple(points))
+        return fit_linear_bound(points, direction)
+
+    monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
+    config = EngineConfig(targets=("y",), directions=("upper",),
+                          max_hypothesis_size=2, min_support=3)
+    out = generate(table, config)
+    assert len(calls) == 2 == len(set(calls))
+    assert [c.hypothesis.key for c in out] == \
+        [(), ("always",), ("even",), ("always", "even")]
+
+    (plain,) = generate(table, replace(config, max_hypothesis_size=0))
+    assert len(calls) == 3
+    assert out[0] == plain
+    assert out[1] == replace(plain, hypothesis=Hypothesis({"always"}))
+    assert out[2].support_size == 3
+    assert out[2].touch_set == frozenset({"b", "d", "f"})
+    assert out[3] == replace(out[2], hypothesis=Hypothesis({"always", "even"}))
 
 
 def test_generated_conjectures_hold_and_touch(random_suite):

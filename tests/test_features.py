@@ -1,18 +1,23 @@
+from pathlib import Path
+
 import pytest
 
 from sharpbounds import (
     ConfigError,
+    EngineConfig,
     Hypothesis,
     build_table,
     complete,
     corpus_digest,
     cycle,
+    generate,
     load_or_build_table,
     load_table,
     path,
     save_table,
     standard_invariants,
     standard_predicates,
+    write_export,
 )
 
 
@@ -163,3 +168,40 @@ def test_cache_reuse_and_rebuild(tmp_path):
     # a different corpus gets its own cache file
     load_or_build_table([path(3)], tmp_path, inv, pred)
     assert len(list(tmp_path.glob("*.tsv"))) == 2
+
+
+@pytest.mark.parametrize("writer", ["save_table", "write_export"])
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
+                                                         writer):
+    table = build_table([complete(4), cycle(5)], small_registry(),
+                        standard_predicates())
+    conjectures = generate(table, EngineConfig(targets=("order",),
+                                               min_support=1))
+    target = tmp_path / "out"
+    target.write_text("old content\n")
+
+    def disk_full(self, text, *args, **kwargs):
+        # half the text reaches the disk, then the write fails
+        with open(self, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        if writer == "save_table":
+            save_table(table, target)
+        else:
+            write_export(conjectures, target)
+    monkeypatch.undo()
+    assert target.read_text() == "old content\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    # the same write succeeds once the disk has room, still leaving one file
+    if writer == "save_table":
+        save_table(table, target)
+        assert load_table(target, list(small_registry()),
+                          list(standard_predicates())) == table
+    else:
+        write_export(conjectures, target)
+        assert len(target.read_text().splitlines()) == len(conjectures)
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sharpbounds import SharpBoundingFunction, fit_linear_bound
@@ -126,3 +126,33 @@ def test_mirror_symmetry(points, direction):
         assert r.function.holds(x, y) and mirrored.function.holds(x, -y)
         assert r.function.touches(x, y) == (i in r.touch_set)
         assert mirrored.function.touches(x, -y) == (i in r.touch_set)
+
+
+@st.composite
+def differential_inputs(draw):
+    """Points with negative ints and Fractions, repeats, and one-x clouds."""
+    coordinate = st.one_of(
+        st.integers(-8, 8),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    points = draw(st.lists(st.tuples(coordinate, coordinate),
+                           min_size=1, max_size=10))
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    if draw(st.booleans()):
+        points = [(points[0][0], y) for _, y in points]
+    return [(x, y, i) for i, (x, y) in enumerate(points)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(differential_inputs())
+@example([(3, -2, 0)])
+@example([(Fraction(1, 2), 4, 0), (Fraction(1, 2), -1, 1), (Fraction(1, 2), 4, 2)])
+@example([(1, 1, 0), (1, 1, 1), (2, 2, 2), (2, 2, 3), (3, 1, 4)])
+def test_matches_pairwise_slope_oracle(points):
+    # the hull-edge fitter must reproduce the pairwise-slope search exactly
+    for direction in ("upper", "lower"):
+        got = fit_linear_bound(points, direction)
+        want = oracles.oracle_fit(points, direction)
+        assert (got.function.slope, got.function.intercept,
+                got.function.direction, got.touch_set, got.touch_number) == \
+            (want.function.slope, want.function.intercept,
+             want.function.direction, want.touch_set, want.touch_number)
