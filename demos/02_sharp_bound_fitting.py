@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """How the exact bound fitter picks the line touching the most points.
 
+Each point is (x, y, rows): a coordinate pair and the bitmask of the rows
+(graphs) that sit there, so bit i stands for row i. A point counts once per
+row it holds, and the fit reports the rows it touches as one mask.
+
 Run from the repository root:  python3 demos/02_sharp_bound_fitting.py
 """
 
@@ -9,10 +13,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sharpbounds import fit_linear_bound
+from sharpbounds import fit_linear_bound, mask_rows
+
+
+def rows(mask):
+    return list(mask_rows(mask))
+
 
 print("== a perfectly linear cloud ==")
-points = [(1, 1, "a"), (2, 2, "b"), (3, 3, "c")]
+points = [(1, 1, 1 << 0), (2, 2, 1 << 1), (3, 3, 1 << 2)]
 result = fit_linear_bound(points, "upper")
 print(f"points {[(x, y) for x, y, _ in points]}")
 print(f"upper bound: y <= {result.function.slope}*x + {result.function.intercept}"
@@ -20,23 +29,33 @@ print(f"upper bound: y <= {result.function.slope}*x + {result.function.intercept
 
 print()
 print("== ties break toward the flattest line ==")
-points = [(1, 2, "a"), (2, 2, "b"), (3, 1, "c")]
+points = [(1, 2, 1 << 0), (2, 2, 1 << 1), (3, 1, 1 << 2)]
 result = fit_linear_bound(points, "upper")
 print(f"points {[(x, y) for x, y, _ in points]}")
 print(f"upper bound: y <= {result.function.slope}*x + {result.function.intercept}"
-      f"   touch set {sorted(result.touch_set)}")
+      f"   touched rows {rows(result.touched)}")
 
 print()
 print("== lower bounds work the same way ==")
-points = [(1, 1, "a"), (2, 3, "b"), (3, 4, "c")]
+points = [(1, 1, 1 << 0), (2, 3, 1 << 1), (3, 4, 1 << 2)]
 result = fit_linear_bound(points, "lower")
 print(f"points {[(x, y) for x, y, _ in points]}")
 print(f"lower bound: y >= {result.function.slope}*x + {result.function.intercept}"
-      f"   touch set {sorted(result.touch_set)}")
+      f"   touched rows {rows(result.touched)}")
+
+print()
+print("== rows sharing a point all count: weight is the popcount of rows ==")
+# rows 0-2 sit at (0, 0); both hull edges touch two points, the left one
+# touches four rows and wins
+points = [(0, 0, 0b111), (1, 2, 1 << 3), (3, 3, 1 << 4)]
+result = fit_linear_bound(points, "upper")
+print(f"points {[(x, y, rows(r)) for x, y, r in points]}")
+print(f"upper bound: y <= {result.function.slope}*x + {result.function.intercept}"
+      f"   touched rows {rows(result.touched)} ({result.touch_number} of 5)")
 
 print()
 print("== everything is exact rational arithmetic ==")
-points = [(2, 3, "a"), (4, 6, "b"), (6, 9, "c"), (3, 4, "d")]
+points = [(2, 3, 1 << 0), (4, 6, 1 << 1), (6, 9, 1 << 2), (3, 4, 1 << 3)]
 result = fit_linear_bound(points, "upper")
 fn = result.function
 print(f"points {[(x, y) for x, y, _ in points]}")

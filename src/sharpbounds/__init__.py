@@ -37,6 +37,7 @@ from .features import (
     corpus_digest,
     load_or_build_table,
     load_table,
+    mask_rows,
     save_table,
 )
 from .fitting import FitResult, SharpBoundingFunction, fit_linear_bound
@@ -80,7 +81,7 @@ __all__ = [
     "find_counterexample", "fit_linear_bound", "forcing_closure",
     "generality_filter", "generate", "graph_names",
     "independence_number", "independent_domination_number",
-    "load_or_build_table", "load_table", "matching_number",
+    "load_or_build_table", "load_table", "mask_rows", "matching_number",
     "min_maximal_matching", "named_graph", "parse_graph6", "path", "petersen",
     "prism", "read_export", "read_graph6_file", "render_conjecture",
     "resolve_column", "run_pipeline", "save_table", "sort_conjectures",

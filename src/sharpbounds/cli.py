@@ -11,6 +11,7 @@ that ``verify`` could not check (the other records are still checked).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -34,8 +35,12 @@ def _split_names(raw: str) -> list[str]:
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text") from None
     options = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -190,7 +195,9 @@ def _cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sharpbounds",
         description="Discover sharp linear inequalities between graph invariants.")

@@ -2,11 +2,13 @@
 
 The generation loop sweeps every (target, direction, other property,
 hypothesis) combination, fits the touch-maximal sharp bound on the selected
-rows, and keeps every fit that touches at least one object. Filtering then
-removes conjectures that are strictly less general than an identical bound
-(generality filter) or that touch no object untouched by an earlier accepted
-conjecture (Dalmatian filter). Conjectures are presented in non-increasing
-touch-number order.
+rows, and keeps every fit that touches at least one object. Row sets are
+``int`` bitmasks throughout (see :mod:`sharpbounds.features`): a
+hypothesis's support, the rows behind each grouped point, and the rows a fit
+touches. Filtering then removes conjectures that are strictly less general
+than an identical bound (generality filter) or that touch no object
+untouched by an earlier accepted conjecture (Dalmatian filter). Conjectures
+are presented in non-increasing touch-number order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
-from .features import FeatureTable, Hypothesis, corpus_labels, write_text_atomic
+from .features import (FeatureTable, Hypothesis, corpus_labels, mask_rows,
+                       write_text_atomic)
 from .fitting import LOWER, UPPER, SharpBoundingFunction, fit_linear_bound
 from .graphs import Graph
 from .invariants import DISPLAY_SYMBOLS
@@ -57,8 +60,12 @@ class Conjecture:
         return render_conjecture(self)
 
     def bound_key(self) -> tuple:
+        """Identity of the bound: both properties, the direction, and the
+        slope and intercept as (numerator, denominator) integers, which hash
+        far faster than Fractions and are equal exactly when they are."""
+        m, b = self.bound.slope, self.bound.intercept
         return (self.target, self.other, self.direction,
-                self.bound.slope, self.bound.intercept)
+                m.numerator, m.denominator, b.numerator, b.denominator)
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,11 @@ class EngineConfig:
         for d in self.directions:
             if d not in (UPPER, LOWER):
                 raise ConfigError(f"unknown direction {d!r}")
+        # a repeated name would emit every conjecture of it twice
+        for kind, names in (("target", self.targets), ("direction", self.directions)):
+            for name in names:
+                if names.count(name) > 1:
+                    raise ConfigError(f"{kind} {name!r} is given more than once")
         if self.max_hypothesis_size < 0:
             raise ConfigError("max_hypothesis_size must be >= 0")
         if self.min_support < 1:
@@ -103,10 +115,13 @@ def enumerate_hypotheses(table: FeatureTable, max_size: int) -> list[Hypothesis]
 def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
     """Run the full fitting sweep; returns the unfiltered conjecture list.
 
-    For each (target, direction, other property), rows are selected, fitted
-    and self-checked once per distinct hypothesis support, and the fit is
-    emitted for every hypothesis with that support. Output order and content
-    are a pure function of table and config.
+    For each (target, other property), rows are selected once per distinct
+    hypothesis support and fitted in every direction from that one
+    selection; the fits are emitted for every hypothesis with that support.
+    Within a target, fits are memoised by (direction, grouped points), so
+    columns that agree on the selected rows share one fit and one
+    self-check. Output is ordered by target, direction, other property and
+    hypothesis, and is a pure function of table and config.
     """
     for target in config.targets:
         if target not in table.numeric:
@@ -114,57 +129,74 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
 
     supports = [(h, table.support(h))
                 for h in enumerate_hypotheses(table, config.max_hypothesis_size)]
+    directions = sorted(config.directions)
+    labels = table.labels
     out: list[Conjecture] = []
     for target in sorted(config.targets):
-        for direction in sorted(config.directions):
-            for other in sorted(table.numeric):
-                if other == target:
+        by_direction: dict[str, list[Conjecture]] = {d: [] for d in directions}
+        # (direction, points) -> (bound, touch labels), for this target only
+        memo: dict[tuple, tuple[SharpBoundingFunction, frozenset[str]]] = {}
+        for other in sorted(table.numeric):
+            if other == target:
+                continue
+            # support -> its conjectures, one per direction (none below
+            # min_support), re-emitted for every hypothesis sharing it
+            fits: dict[int, list[Conjecture]] = {}
+            for h, support in supports:
+                shared = fits.get(support)
+                if shared is not None:
+                    for c in shared:
+                        by_direction[c.direction].append(replace(c, hypothesis=h))
                     continue
-                # support -> its conjecture, or None below min_support
-                fits: dict[tuple[int, ...], Optional[Conjecture]] = {}
-                for h, support in supports:
-                    if support in fits:
-                        shared = fits[support]
-                        if shared is not None:
-                            out.append(replace(shared, hypothesis=h))
-                        continue
-                    fits[support] = None
-                    rows = table.select_rows(support, x=other, y=target)
-                    if len(rows) < config.min_support:
-                        continue
-                    fit = fit_linear_bound(rows, direction)
+                fits[support] = fitted = []
+                points = table.select_rows(support, x=other, y=target)
+                if sum(rows.bit_count() for _, _, rows in points) < config.min_support:
+                    continue
+                for direction in directions:
+                    key = (direction, points)
+                    first = key not in memo
+                    if first:
+                        fit = fit_linear_bound(points, direction)
+                        memo[key] = (fit.function, frozenset(
+                            labels[i] for i in mask_rows(fit.touched)))
+                    bound, touch_set = memo[key]
                     conj = Conjecture(
                         target=target,
                         other=other,
                         direction=direction,
                         hypothesis=h,
-                        bound=fit.function,
-                        touch_set=frozenset(table.labels[i] for i in fit.touch_set),
-                        touch_number=fit.touch_number,
-                        support_size=len(support),
+                        bound=bound,
+                        touch_set=touch_set,
+                        touch_number=len(touch_set),
+                        support_size=support.bit_count(),
                     )
-                    _self_check(conj, rows, table.labels)
-                    fits[support] = conj
-                    out.append(conj)
+                    if first:
+                        _self_check(conj, points, labels)
+                    fitted.append(conj)
+                    by_direction[direction].append(conj)
+        for direction in directions:
+            out.extend(by_direction[direction])
     return out
 
 
-def _self_check(conj: Conjecture, rows: Sequence[tuple[int, int, int]],
+def _self_check(conj: Conjecture, points: Sequence[tuple[int, int, int]],
                 labels: Sequence[str]) -> None:
     # Defense in depth against fitter regressions: re-verify the inequality
-    # on every fitted row, in integers. With slope M/D and intercept B/D over
-    # a common denominator D > 0, y <= m*x + b iff y*D <= M*x + B.
+    # on every fitted point, in integers. With slope M/D and intercept B/D
+    # over a common denominator D > 0, y <= m*x + b iff y*D <= M*x + B.
+    # Points come ordered by their lowest row, so the first violating point
+    # holds the lowest violating row.
     m, b = conj.bound.slope, conj.bound.intercept
     d = lcm(m.denominator, b.denominator)
     mn = m.numerator * (d // m.denominator)
     bn = b.numerator * (d // b.denominator)
     upper = conj.direction == UPPER
-    for x, y, i in rows:
+    for x, y, rows in points:
         lhs, rhs = y * d, mn * x + bn
         if (lhs > rhs) if upper else (lhs < rhs):
             raise AssertionError(
-                f"generated conjecture violated on row {labels[i]}: "
-                f"{conj.statement}")
+                f"generated conjecture violated on row "
+                f"{labels[next(mask_rows(rows))]}: {conj.statement}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,24 +211,23 @@ def generality_filter(conjectures: Sequence[Conjecture], table: FeatureTable
     a conjecture whose support is a strict subset of another's is removed;
     among equal supports the lexicographically smallest hypothesis stays.
     """
-    supports = {h: frozenset(table.support(h))
+    supports = {h: table.support(h)
                 for h in dict.fromkeys(c.hypothesis for c in conjectures)}
-    groups: dict[tuple, list[int]] = {}
+    # bound -> support -> index of its representative; among equal supports
+    # the smallest hypothesis wins
+    groups: dict[tuple, dict[int, int]] = {}
     for idx, c in enumerate(conjectures):
-        groups.setdefault(c.bound_key(), []).append(idx)
+        by_support = groups.setdefault(c.bound_key(), {})
+        sup = supports[c.hypothesis]
+        cur = by_support.get(sup)
+        if cur is None or c.hypothesis.key < conjectures[cur].hypothesis.key:
+            by_support[sup] = idx
 
     keep: set[int] = set()
-    for members in groups.values():
-        # equal supports: keep one representative, smallest hypothesis wins
-        by_support: dict[frozenset[int], int] = {}
-        for idx in members:
-            sup = supports[conjectures[idx].hypothesis]
-            cur = by_support.get(sup)
-            if cur is None or conjectures[idx].hypothesis.key < conjectures[cur].hypothesis.key:
-                by_support[sup] = idx
+    for by_support in groups.values():
         # strict subsets of any other support are removed
         for sup, idx in by_support.items():
-            if not any(sup < other_sup for other_sup in by_support if other_sup != sup):
+            if not any(sup & other == sup and sup != other for other in by_support):
                 keep.add(idx)
     return [c for i, c in enumerate(conjectures) if i in keep]
 
@@ -400,10 +431,15 @@ def read_export(path: str | Path) -> list[dict]:
 def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:
     """(line number, raw record) for every non-blank line, numbered from 1.
 
-    A line that is not JSON raises ConfigError at path:line.
+    A line that is not JSON raises ConfigError at path:line, and a file
+    that is not UTF-8 text raises ConfigError naming the path.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read export {path}: not UTF-8 text") from None
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if line.strip():
             try:
                 records.append((lineno, json.loads(line)))

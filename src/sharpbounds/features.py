@@ -5,15 +5,22 @@ columns (cells may be missing where an invariant is undefined) and Boolean
 predicate columns. Tables are pure functions of corpus and registries and
 can be cached as tab-separated text keyed by a corpus digest, because the
 exact solvers are the expensive part of a run.
+
+A set of rows is an ``int`` bitmask: bit ``i`` stands for row ``i``. A
+hypothesis's support is the AND of its predicates' column masks, and row
+selection returns grouped points ``(x, y, rows)``, one per distinct value
+pair, with ``rows`` the mask of the selected rows holding that pair. Both
+masks and the per-column-pair grouping are built once per table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
 from .graph6 import to_graph6
@@ -31,7 +38,7 @@ class Hypothesis:
     def __init__(self, predicates=()):
         object.__setattr__(self, "predicates", frozenset(predicates))
 
-    @property
+    @cached_property
     def key(self) -> tuple[str, ...]:
         """Sorted name tuple; the canonical identity and sort key."""
         return tuple(sorted(self.predicates))
@@ -47,6 +54,11 @@ class FeatureTable:
     labels: tuple[str, ...]
     numeric: dict[str, tuple[Optional[int], ...]]
     boolean: dict[str, tuple[bool, ...]]
+    # predicate name -> row mask where it holds; built with the table
+    _masks: dict[str, int] = field(init=False, repr=False, compare=False)
+    # (x, y) -> grouped points over every row; filled on first selection
+    _pairs: dict[tuple[str, str], list[tuple[int, int, int]]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -62,31 +74,67 @@ class FeatureTable:
         overlap = set(self.numeric) & set(self.boolean)
         if overlap:
             raise ConfigError(f"column names reused across kinds: {sorted(overlap)}")
+        masks = {name: sum(1 << i for i, v in enumerate(col) if v)
+                 for name, col in self.boolean.items()}
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_pairs", {})
 
     @property
     def n_rows(self) -> int:
         return len(self.labels)
 
-    def support(self, h: Hypothesis) -> tuple[int, ...]:
-        """Row indices where every predicate of the hypothesis holds."""
+    def support(self, h: Hypothesis) -> int:
+        """Row mask where every predicate of the hypothesis holds."""
+        mask = (1 << self.n_rows) - 1
         for name in h.predicates:
-            if name not in self.boolean:
-                raise ConfigError(f"unknown Boolean column {name!r}")
-        cols = [self.boolean[name] for name in h.key]
-        return tuple(i for i in range(self.n_rows) if all(col[i] for col in cols))
+            try:
+                mask &= self._masks[name]
+            except KeyError:
+                raise ConfigError(f"unknown Boolean column {name!r}") from None
+        return mask
 
-    def select_rows(self, support: Sequence[int], x: str, y: str
-                    ) -> list[tuple[int, int, int]]:
-        """Rows of ``support`` (row indices, as :meth:`support` returns) with
-        both values present, as (x, y, row index)."""
+    def select_rows(self, support: int, x: str, y: str
+                    ) -> tuple[tuple[int, int, int], ...]:
+        """Grouped points ``(x, y, rows)`` of the rows in ``support`` (a row
+        mask, as :meth:`support` returns) with both values present.
+
+        There is one point per distinct value pair, ``rows`` is the mask of
+        its selected rows, and points are ordered by their lowest selected
+        row.
+        """
+        groups = self._pairs.get((x, y))
+        if groups is None:
+            groups = self._pairs[(x, y)] = self._group_rows(x, y)
+        points = [(xv, yv, sel) for xv, yv, rows in groups
+                  if (sel := rows & support)]
+        points.sort(key=_lowest_bit)
+        return tuple(points)
+
+    def _group_rows(self, x: str, y: str) -> list[tuple[int, int, int]]:
+        # every row with both values, grouped by (x, y) value pair
         if x == y:
             raise ConfigError("x and y columns must differ")
         for name in (x, y):
             if name not in self.numeric:
                 raise ConfigError(f"unknown numeric column {name!r}")
-        xs, ys = self.numeric[x], self.numeric[y]
-        return [(xs[i], ys[i], i) for i in support
-                if xs[i] is not None and ys[i] is not None]
+        groups: dict[tuple[int, int], int] = {}
+        for i, pair in enumerate(zip(self.numeric[x], self.numeric[y])):
+            if pair[0] is not None and pair[1] is not None:
+                groups[pair] = groups.get(pair, 0) | 1 << i
+        return [(xv, yv, rows) for (xv, yv), rows in groups.items()]
+
+
+def _lowest_bit(point: tuple[int, int, int]) -> int:
+    rows = point[2]
+    return rows & -rows
+
+
+def mask_rows(mask: int) -> Iterator[int]:
+    """Row indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def corpus_labels(corpus: Sequence[Graph]) -> tuple[str, ...]:

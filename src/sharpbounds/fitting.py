@@ -1,9 +1,16 @@
 """Exact fitting of sharp linear bounds that maximize the touch number.
 
-Given points (x_i, y_i) and a direction, the fitter returns a line
-y <= m*x + b (or >=) that is feasible on every point, touches at least one
-point exactly, and touches as many points as any feasible line does. A lower
-bound on y is fitted as an upper bound on -y and mirrored back.
+Given points and a direction, the fitter returns a line y <= m*x + b (or >=)
+that is feasible on every point, touches at least one point exactly, and
+touches as many rows as any feasible line does. A lower bound on y is fitted
+as an upper bound on -y and mirrored back.
+
+A point is ``(x, y, rows)``: a coordinate pair and the non-empty ``int``
+bitmask of the rows (objects) sitting there, as
+:meth:`~sharpbounds.features.FeatureTable.select_rows` returns them. A
+point's weight is the popcount of ``rows``; every count below (touches,
+total slack) is weighted, and the rows of distinct points must be disjoint.
+Two points may share coordinates, so one point per row is valid input too.
 
 Only the highest point above each distinct x can touch a feasible line, and
 the candidate slopes are those of the edges of the upper convex hull of these
@@ -12,16 +19,26 @@ feasible line can be translated to a tight one without losing touches; a
 tight feasible line touching two or more distinct points contains a hull
 edge; and when there are at least two distinct x values, a tight line
 touching a single distinct point touches a hull vertex, so the line through
-an edge at that vertex touches strictly more points. With a single distinct
+an edge at that vertex touches strictly more rows. With a single distinct
 x only slope zero is a candidate. Each candidate's intercept is read off a
-hull point, its total slack follows from the coordinate sums, and its touches
-are counted among the highest points.
+hull point. Its touches are the rows of the highest points on its line:
+all points at the top y for slope zero, and for an edge the points between
+its two ends, since every point outside them lies strictly below the line
+(the hull's other edges have strictly different slopes). Counting every
+candidate's touches therefore takes time linear in the number of distinct x.
 
 Coordinates are ints or Fractions. Fractions are scaled once to a common
 integer grid, which leaves slopes and every comparison unchanged, so the
-search runs in integers; only the returned bound and the tie-break key use
-Fractions. There is no tolerance anywhere; a touch means the rational values
-are equal.
+search runs in integers. Candidates are ranked by the key (most touches,
+least total slack, least |slope|, then the slope itself). Only candidates
+tied on touches need the rest of the key, so the weighted coordinate sums
+are taken only then. A candidate p/q has slack S/q, with S = npts*b -
+q*sum_y + p*sum_x, so multiplying the key's rational entries by the common
+denominator D of the tied candidates' q turns them into the integers
+S*(D/q), |p|*(D/q) and p*(D/q). Scaling by D > 0 keeps every comparison, so
+the integer key picks the same line as the rational one. Only the returned
+bound is a Fraction. There is no tolerance anywhere; a touch means the
+rational values are equal.
 """
 
 from __future__ import annotations
@@ -64,15 +81,15 @@ class SharpBoundingFunction:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted bound together with the points it touches."""
+    """A fitted bound together with the mask of the rows it touches."""
 
     function: SharpBoundingFunction
-    touch_set: frozenset
+    touched: int
     touch_number: int
 
     def __post_init__(self):
-        if self.touch_number != len(self.touch_set) or self.touch_number < 1:
-            raise ValueError("touch_number must equal |touch_set| and be >= 1")
+        if self.touch_number != self.touched.bit_count() or self.touch_number < 1:
+            raise ValueError("touch_number must equal popcount(touched) and be >= 1")
 
 
 def fit_linear_bound(points: Sequence[tuple], direction: str
@@ -81,9 +98,11 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
 
     Parameters
     ----------
-    points : sequence of (x, y, id)
-        Coordinates may be ints or Fractions; ids are opaque and become the
-        touch set. Returns ``None`` on empty input.
+    points : sequence of (x, y, rows)
+        Coordinates may be ints or Fractions; ``rows`` is a non-empty row
+        bitmask, disjoint from every other point's, whose popcount is the
+        point's weight. The touched rows come back as one mask. Returns
+        ``None`` on empty input.
     direction : "upper" or "lower"
 
     Ties on touch number are broken by smallest total slack, then smallest
@@ -96,8 +115,9 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     if not points:
         return None
 
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs, ys, rows = zip(*points)
+    if min(rows) <= 0:
+        raise ValueError("every point needs a non-empty row mask")
     scale = 1
     if {*map(type, xs), *map(type, ys)} != {int}:
         # Scale to integer coordinates: slopes are unchanged, intercepts and
@@ -112,48 +132,74 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
         # smaller slope, i.e. the larger one once negated back.
         ys = [-y for y in ys]
 
-    # Highest y above each distinct x, with the number of points there.
+    # Highest y above each distinct x, with the mask of the rows there.
     top: dict[int, list[int]] = {}
-    for x, y in zip(xs, ys):
+    for x, y, r in zip(xs, ys, rows):
         cur = top.get(x)
         if cur is None or y > cur[0]:
-            top[x] = [y, 1]
+            top[x] = [y, r]
         elif y == cur[0]:
-            cur[1] += 1
-    highest = [(x, y, k) for x, (y, k) in sorted(top.items())]
+            cur[1] |= r
+    hx = sorted(top)
+    hy = [top[x][0] for x in hx]
+    hr = [top[x][1] for x in hx]
 
-    # Upper hull, left to right, without collinear middle vertices.
-    hull: list[tuple[int, int]] = []
-    for x, y, _ in highest:
-        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
-                                  >= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+    # Upper hull, left to right, as positions in hx, without collinear
+    # middle vertices.
+    hull: list[int] = []
+    for k, (x, y) in enumerate(zip(hx, hy)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (hx[j] - hx[i]) * (y - hy[i]) < (hy[j] - hy[i]) * (x - hx[i]):
+                break
             hull.pop()
-        hull.append((x, y))
+        hull.append(k)
 
-    # Candidate slope p/q (q > 0) -> tight intercept numerator b, so that
-    # q*y - p*x <= b on every point with equality exactly at the touches.
-    candidates = {(0, 1): max(y for _, y in hull)}
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        g = gcd(y2 - y1, x2 - x1)
-        p, q = (y2 - y1) // g, (x2 - x1) // g
-        candidates[(p, q)] = q * y1 - p * x1
+    # Candidates (touch mask, p, q, b) for slope p/q (q > 0) and tight
+    # intercept numerator b: q*y - p*x <= b on every point, with equality
+    # exactly at the touches. A flat hull edge is the slope-zero line. A
+    # point left of an edge's start or right of its end lies strictly below
+    # the edge's line, so only the points between its ends can touch it.
+    ymax = max(hy)
+    touched = 0
+    for y, r in zip(hy, hr):
+        if y == ymax:
+            touched |= r
+    candidates = [(touched, 0, 1, ymax)]
+    for i, j in zip(hull, hull[1:]):
+        dy, dx = hy[j] - hy[i], hx[j] - hx[i]
+        if dy == 0:
+            continue
+        g = gcd(dy, dx)
+        p, q = dy // g, dx // g
+        b = q * hy[i] - p * hx[i]
+        touched = 0
+        for k in range(i, j + 1):
+            if q * hy[k] - p * hx[k] == b:
+                touched |= hr[k]
+        candidates.append((touched, p, q, b))
 
-    npts, sum_x, sum_y = len(xs), sum(xs), sum(ys)
-    best_key = None
-    best = None
-    for (p, q), b in candidates.items():
-        touches = sum(k for x, y, k in highest if q * y - p * x == b)
-        slack = Fraction(npts * b - q * sum_y + p * sum_x, q)
-        m = Fraction(p, q)
-        key = (-touches, slack, abs(m), m)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (p, q, b)
+    # The most touches wins. Ties go to the least (slack, |m|, m), compared
+    # as integers scaled by the common denominator den (module docstring).
+    most = max(c[0].bit_count() for c in candidates)
+    tied = [c for c in candidates if c[0].bit_count() == most]
+    if len(tied) > 1:
+        npts = sum_x = sum_y = 0
+        for x, y, r in zip(xs, ys, rows):
+            w = r.bit_count()
+            npts += w
+            sum_x += x * w
+            sum_y += y * w
+        den = lcm(*(c[2] for c in tied))
 
-    p, q, b = best
-    touch_ids = frozenset(i for x, y, i in zip(xs, ys, (pt[2] for pt in points))
-                          if q * y - p * x == b)
+        def key(candidate):
+            _, p, q, b = candidate
+            s = den // q
+            return ((npts * b - q * sum_y + p * sum_x) * s, abs(p) * s, p * s)
+
+        tied.sort(key=key)
+    touched, p, q, b = tied[0]
     if not upper:
         p, b = -p, -b
     fn = SharpBoundingFunction(Fraction(p, q), Fraction(b, q * scale), direction)
-    return FitResult(fn, touch_ids, len(touch_ids))
+    return FitResult(fn, touched, touched.bit_count())

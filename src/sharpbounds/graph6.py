@@ -88,9 +88,11 @@ def read_graph6_file(path: str | os.PathLike) -> list[Graph]:
     """
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise CorpusError(f"cannot read corpus {p}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise CorpusError(f"cannot read corpus {p}: not UTF-8 text") from None
 
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -130,7 +130,11 @@ def matching_number(g: Graph) -> int:
         memo[mask] = result
         return result
 
-    return best((1 << g.order) - 1)
+    result = best((1 << g.order) - 1)
+    # best refers to itself through its closure, and only the cyclic garbage
+    # collector frees such a cycle; emptying the memo frees the table now
+    memo.clear()
+    return result
 
 
 def min_maximal_matching(g: Graph) -> int:

@@ -159,8 +159,9 @@ def oracle_fit(points, direction):
     Parameters
     ----------
     points : sequence of (x, y, id)
-        Coordinates may be ints or Fractions; ids are opaque and become the
-        touch set. Returns ``None`` on empty input.
+        Coordinates may be ints or Fractions; each id is a one-row bitmask
+        (``1 << row``), and the OR of the touched ids comes back as
+        ``touched``. Returns ``None`` on empty input.
     direction : "upper" or "lower"
 
     Ties on touch number are broken by smallest total slack, then smallest
@@ -212,5 +213,7 @@ def oracle_fit(points, direction):
 
     m, b, touched = best
     fn = SharpBoundingFunction(m, b, direction)
-    touch_ids = frozenset(ids[k] for k in touched)
-    return FitResult(fn, touch_ids, len(touch_ids))
+    touched_rows = 0
+    for k in touched:
+        touched_rows |= ids[k]
+    return FitResult(fn, touched_rows, touched_rows.bit_count())

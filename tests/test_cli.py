@@ -18,7 +18,7 @@ from sharpbounds import (
     write_export,
     write_graph6_file,
 )
-from sharpbounds.cli import main
+from sharpbounds.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,6 +84,16 @@ def test_invariants_malformed_line(tmp_path, capsys):
     assert "bad.g6:2" in capsys.readouterr().err
 
 
+def test_invariants_non_utf8_corpus(tmp_path, capsys):
+    target = tmp_path / "bin.g6"
+    target.write_bytes(b"\xff\xfeC~\n")
+    code = main(["invariants", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"cannot read corpus {target}: not UTF-8 text" in captured.err
+
+
 def test_invariants_unknown_column(petersen_file, capsys):
     code = main(["invariants", str(petersen_file), "--columns", "girth"])
     assert code == 2
@@ -125,6 +135,44 @@ def test_conjecture_unknown_target_before_compute(tmp_path, capsys):
 def test_conjecture_requires_corpus_and_targets(capsys):
     assert main(["conjecture", "--targets", "alpha"]) == 2
     assert main(["conjecture", "--corpus", "x.g6"]) == 2
+
+
+@pytest.mark.parametrize("flags, repeated", [
+    (["--targets", "alpha,alpha"], "target 'independence_number'"),
+    (["--targets", "alpha,independence_number"], "target 'independence_number'"),
+    (["--targets", "alpha", "--directions", "upper,upper"], "direction 'upper'"),
+])
+def test_conjecture_repeated_name_is_config_error(capsys, flags, repeated):
+    # names are compared after aliases resolve; a repeat would list every
+    # conjecture of that target or direction twice
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    code = main(["conjecture", "--corpus", str(corpus), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{repeated} is given more than once" in captured.err
+
+
+def test_conjecture_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"targets = \xff\xfe\n")
+    code = main(["conjecture", "--config", str(cfg)])
+    assert code == 2
+    assert f"cannot read config {cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(capsys):
+    assert build_parser() is build_parser()
+    # a reused parser keeps no state between calls
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    args = ["conjecture", "--corpus", str(corpus), "--targets", "alpha",
+            "--directions", "upper"]
+    assert main(args) == 0
+    first = capsys.readouterr().out
+    assert main(["conjecture", "--corpus", str(corpus), "--targets", "Z"]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_conjecture_config_file_with_flag_override(tmp_path, capsys):
@@ -257,6 +305,18 @@ def test_verify_malformed_export_line_is_config_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert f"{export}:2:" in captured.err
+
+
+def test_verify_non_utf8_export(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4)], corpus)
+    export = tmp_path / "bin.jsonl"
+    export.write_bytes(b"\xff\xfe{}\n")
+    code = main(["verify", str(export), str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"cannot read export {export}: not UTF-8 text" in captured.err
 
 
 def test_verify_zero_denominator_is_an_error_line(tmp_path, capsys):

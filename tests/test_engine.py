@@ -23,8 +23,10 @@ from sharpbounds import (
     engine,
     find_counterexample,
     fit_linear_bound,
+    fitting,
     generality_filter,
     generate,
+    mask_rows,
     path,
     petersen,
     prism,
@@ -109,7 +111,8 @@ def test_generate_respects_min_support():
     assert out
     for c in out:
         support = table.support(c.hypothesis)
-        assert len(table.select_rows(support, c.other, c.target)) >= 4
+        points = table.select_rows(support, c.other, c.target)
+        assert sum(rows.bit_count() for _, _, rows in points) >= 4
     # cubic selects two graphs only, below the support gate
     assert all("cubic" not in c.hypothesis.predicates for c in out)
 
@@ -125,9 +128,12 @@ def test_generate_self_check_names_violated_row(monkeypatch):
     # a fitter regression that undercuts the largest y by one must be caught
     def bad_fit(points, direction):
         top = max(y for _, y, _ in points)
-        touched = frozenset(i for _, y, i in points if y == top - 1)
+        touched = 0
+        for _, y, rows in points:
+            if y == top - 1:
+                touched |= rows
         bound = SharpBoundingFunction(Fraction(0), Fraction(top - 1), direction)
-        return FitResult(bound, touched, len(touched))
+        return FitResult(bound, touched, touched.bit_count())
 
     monkeypatch.setattr(engine, "fit_linear_bound", bad_fit)
     table = build_table([complete(3), complete(4), cycle(5)])
@@ -168,6 +174,72 @@ def test_generate_fits_once_per_distinct_support(monkeypatch):
     assert out[3] == replace(out[2], hypothesis=Hypothesis({"always", "even"}))
 
 
+def test_generate_fits_once_per_distinct_point_set(monkeypatch):
+    # u and v agree on the "even" rows only, like domination and independent
+    # domination number on many graphs: their "even" fits are one fit
+    table = FeatureTable(
+        labels=tuple("abcdefgh"),
+        numeric={"y": (2, 3, 3, 5, 4, 7, 6, 6),
+                 "u": (1, 2, 3, 4, 5, 6, 7, 8),
+                 "v": (1, 2, 0, 4, 9, 6, 1, 8)},
+        boolean={"all": (True,) * 8, "even": (False, True) * 4})
+    config = EngineConfig(targets=("y",), max_hypothesis_size=1, min_support=3)
+    calls = []
+
+    def counting_fit(points, direction):
+        calls.append((direction, points))
+        return fit_linear_bound(points, direction)
+
+    monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
+    out = generate(table, config)
+
+    hypotheses = [(), ("all",), ("even",)]
+    wanted = {(d, table.select_rows(table.support(Hypothesis(h)), other, "y"))
+              for d in ("lower", "upper") for other in "uv" for h in hypotheses}
+    assert len(wanted) == 6  # 8 (direction, other, support) fits before
+    assert len(calls) == len(set(calls)) == 6 and set(calls) == wanted
+
+    # the shared fit changes nothing: each conjecture is its own fresh fit
+    assert [(c.direction, c.other, c.hypothesis.key) for c in out] == \
+        [(d, other, h) for d in ("lower", "upper") for other in "uv"
+         for h in hypotheses]
+    for c in out:
+        support = table.support(c.hypothesis)
+        fit = fit_linear_bound(table.select_rows(support, c.other, "y"),
+                               c.direction)
+        assert c.bound == fit.function
+        assert c.touch_set == {table.labels[i] for i in mask_rows(fit.touched)}
+        assert c.touch_number == fit.touch_number
+        assert c.support_size == support.bit_count()
+    even = [c for c in out if c.hypothesis.key == ("even",)]
+    assert even[0].bound == even[1].bound and even[0].other != even[1].other
+
+
+def test_traced_entry_points_stay_patchable(monkeypatch):
+    # perfbench/spans.py wraps FeatureTable.support and .select_rows through
+    # the class dict and fit_linear_bound through engine's own binding; if
+    # any of them moved, the traced sweep would silently count nothing
+    counts = {"support": 0, "select_rows": 0, "fit": 0}
+    for name in ("support", "select_rows"):
+        original = vars(FeatureTable)[name]
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(FeatureTable, name, counted)
+    assert engine.fit_linear_bound is fitting.fit_linear_bound
+
+    def counted_fit(*args, **kwargs):
+        counts["fit"] += 1
+        return fitting.fit_linear_bound(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "fit_linear_bound", counted_fit)
+    generate(build_table(cubic_like_corpus()),
+             EngineConfig(targets=("independence_number",), min_support=3))
+    assert all(n > 0 for n in counts.values()), counts
+
+
 def test_generated_conjectures_hold_and_touch(random_suite):
     corpus = list(random_suite)[:14]
     table = build_table(corpus)
@@ -180,7 +252,8 @@ def test_generated_conjectures_hold_and_touch(random_suite):
     for c in out:
         assert c.touch_number >= 1
         assert find_counterexample(c, corpus, invariants, predicates) is None
-        support_labels = {table.labels[i] for i in table.support(c.hypothesis)}
+        support_labels = {table.labels[i]
+                          for i in mask_rows(table.support(c.hypothesis))}
         assert c.touch_set <= support_labels
         assert c.support_size == len(support_labels)
 
@@ -357,6 +430,17 @@ def test_engine_config_validation():
         EngineConfig(targets=("order",), max_hypothesis_size=-1)
 
 
+@pytest.mark.parametrize("targets, directions, repeated", [
+    (("order", "order"), ("upper",), "target 'order'"),
+    (("order", "size", "order"), ("upper", "lower"), "target 'order'"),
+    (("order",), ("upper", "lower", "upper"), "direction 'upper'"),
+])
+def test_engine_config_rejects_repeated_names(targets, directions, repeated):
+    # a repeated target or direction would list every conjecture twice
+    with pytest.raises(ConfigError, match=f"{repeated} is given more than once"):
+        EngineConfig(targets=targets, directions=directions)
+
+
 # ---------------------------------------------------------------------------
 # Pipeline properties on random corpora
 # ---------------------------------------------------------------------------
@@ -383,7 +467,8 @@ def test_filter_properties_on_random_corpora(corpus, min_support):
     supports = {}
     for c in general:
         key = c.bound_key()
-        sup = frozenset(table.labels[i] for i in table.support(c.hypothesis))
+        sup = frozenset(table.labels[i]
+                        for i in mask_rows(table.support(c.hypothesis)))
         for other in supports.get(key, []):
             assert not sup < other and not other < sup and sup != other
         supports.setdefault(key, []).append(sup)

@@ -1,10 +1,14 @@
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharpbounds import (
     ConfigError,
     EngineConfig,
+    FeatureTable,
     Hypothesis,
     build_table,
     complete,
@@ -13,6 +17,7 @@ from sharpbounds import (
     generate,
     load_or_build_table,
     load_table,
+    mask_rows,
     path,
     save_table,
     standard_invariants,
@@ -69,18 +74,19 @@ def test_support_and_select_rows():
     corpus = [complete(4), cycle(5), cycle(6), complete(1)]
     table = build_table(corpus, small_registry(), standard_predicates())
 
-    assert table.support(Hypothesis()) == (0, 1, 2, 3)
-    assert table.support(Hypothesis({"connected", "cubic"})) == (0,)
-    assert table.support(Hypothesis({"bipartite"})) == (2, 3)
+    assert table.support(Hypothesis()) == 0b1111
+    assert table.support(Hypothesis({"connected", "cubic"})) == 0b0001
+    assert table.support(Hypothesis({"bipartite"})) == 0b1100
 
     rows = table.select_rows(table.support(Hypothesis()), "matching_number",
                              "independence_number")
-    assert rows == [(2, 1, 0), (2, 2, 1), (3, 3, 2), (0, 1, 3)]
+    assert rows == ((2, 1, 1 << 0), (2, 2, 1 << 1), (3, 3, 1 << 2),
+                    (0, 1, 1 << 3))
 
     # K1 has no total domination value, so its row is dropped
     rows = table.select_rows(table.support(Hypothesis()),
                              "total_domination_number", "independence_number")
-    assert [r[2] for r in rows] == [0, 1, 2]
+    assert [r[2] for r in rows] == [1 << 0, 1 << 1, 1 << 2]
 
 
 def test_select_rows_bipartite_keeps_even_cycle_only():
@@ -88,8 +94,24 @@ def test_select_rows_bipartite_keeps_even_cycle_only():
                         standard_predicates())
     rows = table.select_rows(table.support(Hypothesis({"bipartite"})), "order",
                              "independence_number")
-    assert rows == [(6, 3, 1)]
+    assert rows == ((6, 3, 1 << 1),)
 
+
+def test_select_rows_groups_equal_pairs_in_lowest_row_order():
+    table = FeatureTable(
+        labels=tuple("abcde"),
+        numeric={"x": (1, 2, 1, 3, None), "y": (5, 6, 5, 6, 7)},
+        boolean={"p": (True,) * 5})
+    # rows a and c share (1, 5); e has no x value and is dropped
+    assert table.select_rows(0b11111, "x", "y") == \
+        ((1, 5, 0b00101), (2, 6, 0b00010), (3, 6, 0b01000))
+    # without rows a and b, the pair (1, 5) keeps row c alone
+    assert table.select_rows(0b01100, "x", "y") == \
+        ((1, 5, 0b00100), (3, 6, 0b01000))
+    # order follows the lowest *selected* row, not the lowest row overall
+    assert table.select_rows(0b01110, "x", "y") == \
+        ((2, 6, 0b00010), (1, 5, 0b00100), (3, 6, 0b01000))
+    assert table.select_rows(0, "x", "y") == ()
 
 def test_select_rows_validation():
     table = build_table([complete(4)], small_registry(), standard_predicates())
@@ -107,7 +129,7 @@ def test_conjunction_monotonicity():
     table = build_table(corpus, small_registry(), standard_predicates())
     h1 = Hypothesis({"connected"})
     h2 = Hypothesis({"connected", "bipartite"})
-    assert set(table.support(h2)) <= set(table.support(h1))
+    assert table.support(h2) & table.support(h1) == table.support(h2)
 
 
 def test_build_table_is_pure():
@@ -205,3 +227,38 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
         write_export(conjectures, target)
         assert len(target.read_text().splitlines()) == len(conjectures)
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(1, 12))
+    names = ("p", "q", "r")
+    boolean = {name: tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+               for name in names}
+    cells = st.one_of(st.none(), st.integers(0, 3))
+    numeric = {name: tuple(draw(st.lists(cells, min_size=n, max_size=n)))
+               for name in ("x", "y")}
+    return FeatureTable(tuple(f"g{i}" for i in range(n)), numeric, boolean)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_tables())
+def test_support_and_selection_match_brute_force(table):
+    names = sorted(table.boolean)
+    for picked in product([False, True], repeat=len(names)):
+        h = Hypothesis(name for name, keep in zip(names, picked) if keep)
+        want = {i for i in range(table.n_rows)
+                if all(table.boolean[name][i] for name in h.predicates)}
+        support = table.support(h)
+        assert set(mask_rows(support)) == want
+        assert support >> table.n_rows == 0
+
+        # one point per distinct (x, y) over the selected rows with both values
+        xs, ys = table.numeric["x"], table.numeric["y"]
+        kept = [i for i in sorted(want) if xs[i] is not None and ys[i] is not None]
+        points = table.select_rows(support, "x", "y")
+        assert [(x, y) for x, y, _ in points] == \
+            list(dict.fromkeys((xs[i], ys[i]) for i in kept))
+        for x, y, rows in points:
+            assert set(mask_rows(rows)) == \
+                {i for i in kept if (xs[i], ys[i]) == (x, y)}

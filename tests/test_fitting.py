@@ -5,14 +5,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sharpbounds import SharpBoundingFunction, fit_linear_bound
+from sharpbounds import SharpBoundingFunction, fit_linear_bound, mask_rows
 
 import oracles
 
 
+def one_per_row(points):
+    """(x, y) pairs as one point per row: row i is the mask ``1 << i``."""
+    return [(x, y, 1 << i) for i, (x, y) in enumerate(points)]
+
+
 def fit(points, direction):
-    return fit_linear_bound([(x, y, i) for i, (x, y) in enumerate(points)],
-                            direction)
+    return fit_linear_bound(one_per_row(points), direction)
+
+
+def touched_rows(result):
+    return set(mask_rows(result.touched))
 
 
 def test_identity_line():
@@ -24,7 +32,7 @@ def test_identity_line():
 def test_flat_beats_steep_on_tied_touch():
     r = fit([(1, 2), (2, 2), (3, 1)], "upper")
     assert (r.function.slope, r.function.intercept) == (0, 2)
-    assert r.touch_set == frozenset({0, 1})
+    assert touched_rows(r) == {0, 1}
 
 
 def test_single_point_slope_zero():
@@ -45,7 +53,7 @@ def test_empty_input_returns_none():
 
 def test_direction_validated():
     with pytest.raises(ValueError):
-        fit_linear_bound([(0, 0, 0)], "sideways")
+        fit_linear_bound([(0, 0, 1)], "sideways")
     with pytest.raises(ValueError):
         SharpBoundingFunction(Fraction(1), Fraction(0), "sideways")
 
@@ -72,7 +80,7 @@ def test_fractional_coordinates():
 def test_equal_x_points():
     r = fit([(2, 1), (2, 3), (2, 2)], "upper")
     assert (r.function.slope, r.function.intercept) == (0, 3)
-    assert r.touch_set == frozenset({1})
+    assert touched_rows(r) == {1}
 
 
 coordinate = st.integers(0, 10)
@@ -86,10 +94,10 @@ def test_feasible_sharp_and_optimal(points, direction):
     r = fit(points, direction)
     for i, (x, y) in enumerate(points):
         assert r.function.holds(x, y)
-        assert r.function.touches(x, y) == (i in r.touch_set)
+        assert r.function.touches(x, y) == (i in touched_rows(r))
     assert r.touch_number >= 1
-    labeled = [(x, y, i) for i, (x, y) in enumerate(points)]
-    assert r.touch_number == oracles.oracle_best_touch(labeled, direction)
+    assert r.touch_number == oracles.oracle_best_touch(one_per_row(points),
+                                                       direction)
 
 
 @settings(max_examples=150, deadline=None)
@@ -99,10 +107,10 @@ def test_deterministic_and_order_insensitive(points, direction):
     b = fit(points, direction)
     assert a == b
     rng = random.Random(0)
-    labeled = [(x, y, i) for i, (x, y) in enumerate(points)]
+    labeled = one_per_row(points)
     rng.shuffle(labeled)
     c = fit_linear_bound(labeled, direction)
-    assert (a.function, a.touch_set) == (c.function, c.touch_set)
+    assert (a.function, a.touched) == (c.function, c.touched)
 
 
 fractional_points = st.lists(
@@ -120,12 +128,12 @@ def test_mirror_symmetry(points, direction):
     mirrored = fit([(x, -y) for x, y in points], flipped)
     assert mirrored.function.slope == -r.function.slope
     assert mirrored.function.intercept == -r.function.intercept
-    assert mirrored.touch_set == r.touch_set
+    assert mirrored.touched == r.touched
     # holds/touches take Fraction coordinates as they are
     for i, (x, y) in enumerate(points):
         assert r.function.holds(x, y) and mirrored.function.holds(x, -y)
-        assert r.function.touches(x, y) == (i in r.touch_set)
-        assert mirrored.function.touches(x, -y) == (i in r.touch_set)
+        assert r.function.touches(x, y) == (i in touched_rows(r))
+        assert mirrored.function.touches(x, -y) == (i in touched_rows(r))
 
 
 @st.composite
@@ -139,20 +147,61 @@ def differential_inputs(draw):
     points += draw(st.lists(st.sampled_from(points), max_size=4))
     if draw(st.booleans()):
         points = [(points[0][0], y) for _, y in points]
-    return [(x, y, i) for i, (x, y) in enumerate(points)]
+    return one_per_row(points)
+
+
+def fit_fields(result):
+    return (result.function.slope, result.function.intercept,
+            result.function.direction, result.touched, result.touch_number)
 
 
 @settings(max_examples=200, deadline=None)
 @given(differential_inputs())
-@example([(3, -2, 0)])
-@example([(Fraction(1, 2), 4, 0), (Fraction(1, 2), -1, 1), (Fraction(1, 2), 4, 2)])
-@example([(1, 1, 0), (1, 1, 1), (2, 2, 2), (2, 2, 3), (3, 1, 4)])
+@example([(3, -2, 1)])
+@example([(Fraction(1, 2), 4, 1), (Fraction(1, 2), -1, 2), (Fraction(1, 2), 4, 4)])
+@example([(1, 1, 1), (1, 1, 2), (2, 2, 4), (2, 2, 8), (3, 1, 16)])
 def test_matches_pairwise_slope_oracle(points):
     # the hull-edge fitter must reproduce the pairwise-slope search exactly
     for direction in ("upper", "lower"):
         got = fit_linear_bound(points, direction)
         want = oracles.oracle_fit(points, direction)
-        assert (got.function.slope, got.function.intercept,
-                got.function.direction, got.touch_set, got.touch_number) == \
-            (want.function.slope, want.function.intercept,
-             want.function.direction, want.touch_set, want.touch_number)
+        assert fit_fields(got) == fit_fields(want)
+
+
+def grouped(points):
+    """One point per distinct (x, y), carrying the OR of its rows' masks,
+    ordered by lowest row, as ``FeatureTable.select_rows`` returns them."""
+    groups = {}
+    for x, y, rows in points:
+        groups[(x, y)] = groups.get((x, y), 0) | rows
+    return [(x, y, rows) for (x, y), rows in groups.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(differential_inputs())
+@example([(2, 5, 1), (2, 5, 2), (2, 5, 4), (3, 1, 8)])
+@example([(0, 0, 1), (1, 3, 2), (0, 0, 4), (2, 0, 8), (1, 3, 16), (2, 0, 32)])
+def test_grouped_points_fit_like_one_point_per_row(points):
+    # a point's weight is the popcount of its rows, so grouping equal
+    # coordinates changes nothing: grouped, one per row and the oracle agree
+    for direction in ("upper", "lower"):
+        by_row = fit_linear_bound(points, direction)
+        assert fit_fields(fit_linear_bound(grouped(points), direction)) == \
+            fit_fields(by_row) == fit_fields(oracles.oracle_fit(points, direction))
+
+
+def test_weights_decide_the_touch_maximal_line():
+    # both hull edges touch two points; the one with three rows at an end wins
+    r = fit_linear_bound([(0, 0, 0b111), (1, 2, 0b1000), (3, 3, 0b10000)],
+                         "upper")
+    assert (r.function.slope, r.function.intercept) == (2, 0)
+    assert (r.touched, r.touch_number) == (0b1111, 4)
+    r = fit_linear_bound([(0, 0, 0b1), (1, 2, 0b10), (3, 3, 0b11100)], "upper")
+    assert (r.function.slope, r.function.intercept) == \
+        (Fraction(1, 2), Fraction(3, 2))
+    assert (r.touched, r.touch_number) == (0b11110, 4)
+
+
+def test_empty_row_mask_rejected():
+    with pytest.raises(ValueError):
+        fit_linear_bound([(0, 0, 1), (1, 1, 0)], "upper")
