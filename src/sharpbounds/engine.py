@@ -336,7 +336,7 @@ def find_counterexample(c: Conjecture, corpus: Sequence[Graph],
     for name in (c.target, c.other):
         if name not in invariants:
             raise ConfigError(f"unknown invariant {name!r}")
-    for name in c.hypothesis.predicates:
+    for name in c.hypothesis.key:
         if name not in predicates:
             raise ConfigError(f"unknown predicate {name!r}")
 
@@ -392,7 +392,8 @@ def conjecture_from_record(record: dict) -> Conjecture:
     """Rebuild a conjecture from an export record.
 
     Raises :class:`ConfigError` when the record is not a well-formed object
-    (a missing field, a zero denominator, an unknown direction, ...).
+    (a missing field, a zero denominator, an unknown direction, a name
+    field that is not a list of names, ...).
     """
     try:
         bound = SharpBoundingFunction(
@@ -404,9 +405,9 @@ def conjecture_from_record(record: dict) -> Conjecture:
             target=record["target"],
             other=record["other"],
             direction=record["direction"],
-            hypothesis=Hypothesis(record["hypothesis"]),
+            hypothesis=Hypothesis(_name_list(record, "hypothesis")),
             bound=bound,
-            touch_set=frozenset(record["touch_set"]),
+            touch_set=frozenset(_name_list(record, "touch_set")),
             touch_number=record["touch_number"],
             support_size=record["support_size"],
         )
@@ -414,6 +415,15 @@ def conjecture_from_record(record: dict) -> Conjecture:
         raise ConfigError(f"record lacks the {exc.args[0]!r} field") from None
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed record: {exc}") from None
+
+
+def _name_list(record: dict, field: str) -> list[str]:
+    # a bare string would otherwise be taken apart into its characters
+    names = record[field]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"the {field!r} field must be a list of names, "
+                          f"got {names!r}")
+    return names
 
 
 def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> None:

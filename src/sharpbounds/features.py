@@ -86,7 +86,7 @@ class FeatureTable:
     def support(self, h: Hypothesis) -> int:
         """Row mask where every predicate of the hypothesis holds."""
         mask = (1 << self.n_rows) - 1
-        for name in h.predicates:
+        for name in h.key:
             try:
                 mask &= self._masks[name]
             except KeyError:

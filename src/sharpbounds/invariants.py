@@ -2,10 +2,10 @@
 
 Every solver returns the exact optimum as a nonnegative integer; none of
 them is a heuristic. NP-hard quantities are computed by pruned exact search,
-which is comfortably fast at corpus scale (roughly order <= 16 for the
-zero forcing and total domination searches, order <= 20 for independence,
-matching and vertex cover). Solvers return only the cardinality, never a
-witness set, so branching order cannot leak into results.
+whose cost grows exponentially with the order, so every such solver refuses
+a graph of order above :data:`MAX_ORDER` with :class:`ConfigError` instead of
+running for minutes. Solvers return only the cardinality, never a witness
+set, so branching order cannot leak into results.
 """
 
 from __future__ import annotations
@@ -13,8 +13,19 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .errors import UndefinedInvariantError
+from .errors import ConfigError, UndefinedInvariantError
 from .graphs import Graph
+
+# Largest order the exponential solvers accept. At order 20 the slowest of
+# them, zero forcing on the complete graph, takes a few seconds.
+MAX_ORDER = 20
+
+
+def _require_order(g: Graph) -> None:
+    if g.order > MAX_ORDER:
+        raise ConfigError(
+            f"graph {g.label or '(unlabeled)'} has order {g.order}, above the "
+            f"exact solvers' maximum order {MAX_ORDER}")
 
 
 def _bit_indices(mask: int):
@@ -56,6 +67,7 @@ def independence_number(g: Graph) -> int:
     Branch and bound: pick a maximum-degree vertex of the remaining graph,
     then either exclude it or include it and delete its closed neighborhood.
     """
+    _require_order(g)
     rows = g.adjacency
     best = 0
 
@@ -82,6 +94,7 @@ def vertex_cover_number(g: Graph) -> int:
     contains u or v. Computed independently of the independence solver so
     the two can cross-check each other.
     """
+    _require_order(g)
     rows = g.adjacency
     n = g.order
     best = n
@@ -110,56 +123,80 @@ def vertex_cover_number(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 def matching_number(g: Graph) -> int:
-    """Maximum size of a set of pairwise disjoint edges.
+    """Maximum size of a set of pairwise disjoint edges."""
+    _require_order(g)
+    return _matching_size(g.adjacency, (1 << g.order) - 1, {0: 0})
 
-    Memoized recursion over the set of still-unmatched vertices: the lowest
-    vertex is either left unmatched or matched to one of its neighbors.
-    """
-    rows = g.adjacency
-    memo: dict[int, int] = {0: 0}
 
-    def best(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        v = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << v)
-        result = best(rest)
-        for u in _bit_indices(rows[v] & rest):
-            result = max(result, 1 + best(rest ^ (1 << u)))
-        memo[mask] = result
-        return result
-
-    result = best((1 << g.order) - 1)
-    # best refers to itself through its closure, and only the cyclic garbage
-    # collector frees such a cycle; emptying the memo frees the table now
-    memo.clear()
+def _matching_size(rows: tuple[int, ...], mask: int, memo: dict[int, int]) -> int:
+    # nu(G[mask]), memoised per vertex mask in ``memo``: the lowest vertex is
+    # either left unmatched or matched to one of its neighbors in the mask,
+    # and the search stops once a matching covers all but at most one
+    # vertex. A module-level recursion holds no closure, so the memo is
+    # freed as soon as the caller drops it.
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    low = mask & -mask
+    rest = mask ^ low
+    result = _matching_size(rows, rest, memo)
+    cap = mask.bit_count() >> 1
+    nbrs = rows[low.bit_length() - 1] & rest
+    while nbrs and result < cap:
+        u = nbrs & -nbrs
+        nbrs ^= u
+        result = max(result, 1 + _matching_size(rows, rest ^ u, memo))
+    memo[mask] = result
     return result
 
 
 def min_maximal_matching(g: Graph) -> int:
     """Minimum size of a matching that no edge can extend.
 
-    A matching is maximal exactly when its endpoints meet every edge, so the
-    search looks for the smallest disjoint edge set whose endpoint set is a
-    vertex cover.
+    Equal to the minimum edge dominating set (Yannakakis and Gavril, "Edge
+    dominating sets in graphs", 1980): a maximal matching dominates every
+    edge, and a minimum edge dominating set can be turned into a matching
+    of the same size. An edge set dominates exactly when its ends contain a
+    vertex cover C, and the fewest edges whose ends contain C number
+    |C| - nu(G[C]): a maximum matching inside C plus one edge for each
+    vertex it leaves, which exists when every vertex of C has a neighbor.
+    |C| - nu(G[C]) never decreases as C grows (one more vertex raises nu
+    by at most one), so the minimum is attained at a minimal vertex cover,
+    that is at C = V - I for a maximal independent set I; every vertex of
+    such a C has a neighbor in I.
+
+    The sets I are enumerated by an iterative Bron-Kerbosch search with
+    pivoting (Tomita, Tanaka and Takahashi, 2006) over the bitmask rows,
+    and nu is memoised across all of them.
     """
-    edges = g.edges()
-    if not edges:
-        return 0
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    start = -(-len(edges) // (2 * max_degree(g) - 1))  # each edge covers <= 2D-1 edges
-    for k in range(max(1, start), len(edges) + 1):
-        for combo in combinations(masks, k):
-            used = 0
-            for em in combo:
-                if used & em:
-                    break
-                used |= em
-            else:
-                if all(em & used for em in masks):
-                    return k
-    raise AssertionError("unreachable: the full matching closure is maximal")
+    _require_order(g)
+    rows = g.adjacency
+    closed = [row | (1 << v) for v, row in enumerate(rows)]
+    full = (1 << g.order) - 1
+    memo = {0: 0}
+    best = g.order
+    # (chosen I so far, candidates P, excluded X); a leaf with P and X empty
+    # is a maximal independent set
+    stack = [(0, full, 0)]
+    while stack:
+        chosen, cand, excl = stack.pop()
+        if not cand:
+            if not excl:
+                cover = full ^ chosen
+                k = cover.bit_count()
+                if (k + 1) // 2 < best:  # nu(G[C]) <= |C|/2
+                    best = min(best, k - _matching_size(rows, cover, memo))
+            continue
+        # every maximal independent set holds the pivot or one of its
+        # neighbors, so only those candidates are branched on
+        pivot = max(_bit_indices(cand | excl),
+                    key=lambda u: (cand & ~closed[u]).bit_count())
+        for v in _bit_indices(cand & closed[pivot]):
+            low = 1 << v
+            stack.append((chosen | low, cand & ~closed[v], excl & ~closed[v]))
+            cand ^= low
+            excl |= low
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +205,7 @@ def min_maximal_matching(g: Graph) -> int:
 
 def domination_number(g: Graph) -> int:
     """Minimum size of a set whose closed neighborhoods cover all vertices."""
+    _require_order(g)
     n = g.order
     closed = [g.adjacency[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
@@ -188,6 +226,7 @@ def total_domination_number(g: Graph) -> int:
     Undefined when the graph has an isolated vertex; raises
     :class:`UndefinedInvariantError` in that case.
     """
+    _require_order(g)
     n = g.order
     if any(row == 0 for row in g.adjacency):
         raise UndefinedInvariantError(
@@ -210,6 +249,7 @@ def independent_domination_number(g: Graph) -> int:
     A maximal independent set is exactly an independent dominating set, so
     the search ascends through independent sets until one dominates.
     """
+    _require_order(g)
     n = g.order
     closed = [g.adjacency[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
@@ -265,6 +305,7 @@ def _closure_mask(rows: tuple[int, ...], blue: int) -> int:
 
 def zero_forcing_number(g: Graph) -> int:
     """Minimum size of a blue set whose forcing closure is every vertex."""
+    _require_order(g)
     n = g.order
     rows = g.adjacency
     full = (1 << n) - 1

@@ -1,7 +1,9 @@
 """Exhaustive reference implementations used to check the production solvers.
 
-Everything here enumerates subsets directly with set logic and no pruning,
-trading speed for obvious correctness. Intended for graphs with at most
+The ``oracle_*`` functions enumerate subsets directly with set logic and no
+pruning, trading speed for obvious correctness. ``search_*`` functions and
+``oracle_fit`` keep a production implementation that was replaced, for
+differential tests against its successor. Intended for graphs with at most
 eight to ten vertices.
 """
 
@@ -10,6 +12,7 @@ from itertools import combinations
 from math import lcm
 
 from sharpbounds.fitting import LOWER, UPPER, FitResult, SharpBoundingFunction
+from sharpbounds.invariants import max_degree
 
 
 def _vertex_sets(g, k):
@@ -76,6 +79,30 @@ def oracle_min_maximal_matching(g):
         for es in combinations(edges, k):
             if _is_matching(g, es) and _matching_is_maximal(g, es):
                 return k
+
+
+def search_min_maximal_matching(g):
+    """The edge-subset search that ``min_maximal_matching`` replaced.
+
+    Disjoint edge sets are tried in order of size, from a lower bound on the
+    size, until one's endpoint set is a vertex cover.
+    """
+    edges = g.edges()
+    if not edges:
+        return 0
+    masks = [(1 << u) | (1 << v) for u, v in edges]
+    start = -(-len(edges) // (2 * max_degree(g) - 1))  # each edge covers <= 2D-1 edges
+    for k in range(max(1, start), len(edges) + 1):
+        for combo in combinations(masks, k):
+            used = 0
+            for em in combo:
+                if used & em:
+                    break
+                used |= em
+            else:
+                if all(em & used for em in masks):
+                    return k
+    raise AssertionError("unreachable: the full matching closure is maximal")
 
 
 def oracle_domination(g):

@@ -13,6 +13,7 @@ from sharpbounds import (
     Conjecture,
     complete,
     cycle,
+    path,
     petersen,
     star,
     write_export,
@@ -23,8 +24,8 @@ from sharpbounds.cli import build_parser, main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_cli(*argv, **env_overrides):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_overrides)
     return subprocess.run([sys.executable, "-m", "sharpbounds", *argv],
                           capture_output=True, text=True, env=env)
 
@@ -98,6 +99,17 @@ def test_invariants_unknown_column(petersen_file, capsys):
     code = main(["invariants", str(petersen_file), "--columns", "girth"])
     assert code == 2
     assert "girth" in capsys.readouterr().err
+
+
+def test_invariants_refuses_order_above_solver_limit(tmp_path, capsys):
+    target = tmp_path / "big.g6"
+    write_graph6_file([path(21)], target)
+    code = main(["invariants", str(target), "--columns", "alpha"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: graph big has order 21, above the exact "
+                            "solvers' maximum order 20\n")
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +366,52 @@ def test_verify_bad_records_exit_2_and_others_still_checked(tmp_path, capsys):
     assert out[5].startswith("HOLDS")
     assert out[6].startswith("COUNTEREXAMPLE c#2 ")
     assert len(out) == 7
+
+
+def test_verify_refuses_order_above_solver_limit(tmp_path, capsys):
+    corpus = tmp_path / "big.g6"
+    write_graph6_file([path(21)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="order"), conjecture_record()], export)
+    code = main(["verify", str(export), str(corpus)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert out == [f"ERROR {export}:{n}: graph big has order 21, above the "
+                   "exact solvers' maximum order 20" for n in (1, 2)]
+
+
+@pytest.mark.parametrize("field", ["hypothesis", "touch_set"])
+def test_verify_name_field_must_be_a_list(tmp_path, capsys, field):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4), cycle(5)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="order")], export)
+    good = export.read_text()
+    export.write_text(json.dumps(dict(json.loads(good), **{field: "claw-free"}))
+                      + "\n" + good)
+    code = main(["verify", str(export), str(corpus)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert out[0] == (f"ERROR {export}:1: the {field!r} field must be a list "
+                      "of names, got 'claw-free'")
+    assert out[1].startswith("HOLDS")
+
+
+def test_verify_output_ignores_hash_seed(tmp_path):
+    # unknown predicates are reported in sorted order, not in set order
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="order")], export)
+    record = json.loads(export.read_text())
+    names = ["zz", "yy", "xx", "ww", "vv", "uu", "tt", "aa"]
+    export.write_text(json.dumps(dict(record, hypothesis=names)) + "\n")
+    runs = [run_cli("verify", str(export), str(corpus), PYTHONHASHSEED=seed)
+            for seed in ("1", "2", "3")]
+    assert [r.returncode for r in runs] == [2, 2, 2]
+    assert runs[0].stdout == f"ERROR {export}:1: unknown predicate 'aa'\n"
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[2].stdout == runs[0].stdout
 
 
 @pytest.mark.parametrize("key", ["min_support", "top_k", "max_hypothesis_size"])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpbounds import (
+    ConfigError,
     Graph,
     UndefinedInvariantError,
     complete,
@@ -23,6 +24,7 @@ from sharpbounds import (
     vertex_cover_number,
     zero_forcing_number,
 )
+from sharpbounds import invariants
 
 import oracles
 from conftest import random_graph
@@ -154,6 +156,85 @@ def test_solvers_equal_oracles_on_random_sample(random_suite):
     for g in random_suite[:40]:
         for solver, oracle in SOLVER_ORACLE_PAIRS:
             assert solver(g) == oracle(g), (g.label, solver.__name__)
+
+
+# ---------------------------------------------------------------------------
+# Minimum maximal matching against the search it replaced
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_min_maximal_matching_equals_edge_subset_search(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 9))
+    g = random_graph(rng, n, data.draw(st.sampled_from([0.2, 0.4, 0.6, 0.8])))
+    assert min_maximal_matching(g) == oracles.search_min_maximal_matching(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matching_solvers_ignore_vertex_labels(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 16))
+    g = random_graph(rng, n, data.draw(st.sampled_from([0.15, 0.3, 0.5])))
+    perm = data.draw(st.permutations(range(n)))
+    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert min_maximal_matching(h) == min_maximal_matching(g)
+    assert matching_number(h) == matching_number(g)
+
+
+def test_min_maximal_matching_closed_forms():
+    # orders past the reach of the brute-force oracles
+    for n in range(1, invariants.MAX_ORDER + 1):
+        assert min_maximal_matching(path(n)) == -(-(n - 1) // 3), n
+        assert min_maximal_matching(complete(n)) == n // 2, n
+        if n >= 3:
+            assert min_maximal_matching(cycle(n)) == -(-n // 3), n
+        if 2 * n <= invariants.MAX_ORDER:
+            assert min_maximal_matching(complete_bipartite(n)) == n, n
+
+
+# ---------------------------------------------------------------------------
+# Order limit
+# ---------------------------------------------------------------------------
+
+EXPONENTIAL_SOLVERS = [
+    independence_number, vertex_cover_number, matching_number,
+    min_maximal_matching, domination_number, total_domination_number,
+    independent_domination_number, zero_forcing_number,
+]
+
+
+def test_exponential_solvers_refuse_orders_above_the_limit():
+    limit = invariants.MAX_ORDER
+    assert limit >= 16  # the benchmark corpora reach order 16
+    g = path(limit + 1)
+    for solver in EXPONENTIAL_SOLVERS:
+        with pytest.raises(ConfigError) as info:
+            solver(g)
+        message = str(info.value)
+        assert f"P{limit + 1}" in message, solver.__name__
+        assert f"order {limit + 1}" in message, solver.__name__
+        assert f"maximum order {limit}" in message, solver.__name__
+    registry = standard_invariants()
+    assert set(registry) - {s.__name__ for s in EXPONENTIAL_SOLVERS} == \
+        {"order", "size", "min_degree", "max_degree"}
+    assert [registry[name](g) for name in ("order", "size", "min_degree", "max_degree")] \
+        == [limit + 1, limit, 1, 2]
+
+
+def test_exponential_solvers_accept_the_limit():
+    assert invariants.MAX_ORDER == 20
+    g = path(20)
+    expected = {
+        independence_number: 10, vertex_cover_number: 10, matching_number: 10,
+        min_maximal_matching: 7, domination_number: 7,
+        total_domination_number: 10, independent_domination_number: 7,
+        zero_forcing_number: 1,
+    }
+    assert set(expected) == set(EXPONENTIAL_SOLVERS)
+    for solver, value in expected.items():
+        assert solver(g) == value, solver.__name__
 
 
 # ---------------------------------------------------------------------------
