@@ -3,7 +3,11 @@
 
 Each point is (x, y, rows): a coordinate pair and the bitmask of the rows
 (graphs) that sit there, so bit i stands for row i. A point counts once per
-row it holds, and the fit reports the rows it touches as one mask.
+row it holds, and the fit reports the rows it touches as one mask. Points
+are read in x order, as a feature table's row selection returns them; any
+other order is sorted first. The fit itself is integers: slope and
+intercept come as reduced (numerator, denominator) pairs, and
+``result.function`` builds the Fraction bound from them when it is read.
 
 Run from the repository root:  python3 demos/02_sharp_bound_fitting.py
 """
@@ -57,7 +61,9 @@ print()
 print("== everything is exact rational arithmetic ==")
 points = [(2, 3, 1 << 0), (4, 6, 1 << 1), (6, 9, 1 << 2), (3, 4, 1 << 3)]
 result = fit_linear_bound(points, "upper")
-fn = result.function
 print(f"points {[(x, y) for x, y, _ in points]}")
+print(f"integer fit: slope {result.slope}, intercept {result.intercept}"
+      f" as (numerator, denominator)")
+fn = result.function
 print(f"upper bound: y <= {fn.slope}*x + {fn.intercept}")
 print(f"value at x=5: {fn.evaluate(5)} (a Fraction, no rounding anywhere)")

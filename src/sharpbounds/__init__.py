@@ -9,10 +9,12 @@ equality (the touch number), then filter and rank the resulting conjectures.
 from .engine import (
     Conjecture,
     EngineConfig,
+    FitRecord,
     conjecture_from_record,
     conjecture_to_record,
     dalmatian_filter,
     find_counterexample,
+    fit_records,
     generality_filter,
     generate,
     read_export,
@@ -72,13 +74,14 @@ from .predicates import evaluate_predicates, standard_predicates
 __version__ = "0.1.0"
 
 __all__ = [
-    "Conjecture", "EngineConfig", "FeatureTable", "FitResult", "Graph",
+    "Conjecture", "EngineConfig", "FeatureTable", "FitRecord", "FitResult",
+    "Graph",
     "Graph6Error", "Hypothesis", "SharpBoundingFunction", "SharpboundsError",
     "ConfigError", "CorpusError", "UndefinedInvariantError",
     "UnsupportedSizeError", "build_table", "complete", "complete_bipartite",
     "conjecture_from_record", "conjecture_to_record", "corpus_digest",
     "cycle", "dalmatian_filter", "domination_number", "evaluate_predicates",
-    "find_counterexample", "fit_linear_bound", "forcing_closure",
+    "find_counterexample", "fit_linear_bound", "fit_records", "forcing_closure",
     "generality_filter", "generate", "graph_names",
     "independence_number", "independent_domination_number",
     "load_or_build_table", "load_table", "mask_rows", "matching_number",

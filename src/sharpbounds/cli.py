@@ -67,10 +67,23 @@ def _cmd_invariants(args) -> int:
     corpus = _read_corpus(args.corpus)
     invariants = standard_invariants()
     predicates = standard_predicates()
-    columns = _split_names(args.columns) if args.columns else list(invariants)
-    for name in columns:
-        if name not in invariants and name not in predicates:
-            raise ConfigError(f"unknown column {name!r}")
+    columns = list(invariants)
+    if args.columns:
+        columns = _split_names(args.columns)
+        for name in columns:
+            if name not in invariants and name not in predicates:
+                raise ConfigError(f"unknown column {name!r}")
+            if columns.count(name) > 1:
+                raise ConfigError(f"column {name!r} is given more than once")
+        # only the named columns are computed; a table needs two numeric
+        # columns, and order and size take no solver
+        predicates = {name: predicates[name] for name in columns
+                      if name in predicates}
+        named = {name: invariants[name] for name in columns if name in invariants}
+        for name in ("order", "size"):
+            if len(named) < 2:
+                named.setdefault(name, invariants[name])
+        invariants = named
 
     table = load_or_build_table(corpus, args.cache, invariants, predicates)
     print(" ".join(["label"] + columns))

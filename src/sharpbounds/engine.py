@@ -1,30 +1,39 @@
 """Conjecture generation, filtering, ranking, rendering and verification.
 
 The generation loop sweeps every (target, direction, other property,
-hypothesis) combination, fits the touch-maximal sharp bound on the selected
-rows, and keeps every fit that touches at least one object. Row sets are
-``int`` bitmasks throughout (see :mod:`sharpbounds.features`): a
-hypothesis's support, the rows behind each grouped point, and the rows a fit
-touches. Filtering then removes conjectures that are strictly less general
-than an identical bound (generality filter) or that touch no object
-untouched by an earlier accepted conjecture (Dalmatian filter). Conjectures
-are presented in non-increasing touch-number order.
-"""
+hypothesis) combination and fits the touch-maximal sharp bound on the
+selected rows. Hypotheses with the same support select the same rows, so
+the sweep fits once per distinct support and returns one :class:`FitRecord`
+per (target, direction, other property, support): the integer bound and
+touched-row mask of the fit, the support mask, and every hypothesis sharing
+the support. Row sets are ``int`` bitmasks throughout (see
+:mod:`sharpbounds.features`).
 
+Filtering removes conjectures that are strictly less general than an
+identical bound (generality filter) or that touch no object untouched by an
+earlier accepted conjecture (Dalmatian filter). :func:`run_pipeline` runs
+the generality filter on the fit records, so a :class:`Conjecture` (with its
+Fraction bound and label touch set) is built only for each surviving
+record, under its smallest hypothesis; :func:`generate` builds one for
+every hypothesis of every record. Conjectures are presented in
+non-increasing touch-number order.
+"""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
 from .features import (FeatureTable, Hypothesis, corpus_labels, mask_rows,
                        write_text_atomic)
-from .fitting import LOWER, UPPER, SharpBoundingFunction, fit_linear_bound
+from .fitting import (LOWER, UPPER, FitResult, SharpBoundingFunction,
+                      fit_linear_bound)
 from .graphs import Graph
 from .invariants import DISPLAY_SYMBOLS
 
@@ -112,16 +121,47 @@ def enumerate_hypotheses(table: FeatureTable, max_size: int) -> list[Hypothesis]
     return out
 
 
-def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
-    """Run the full fitting sweep; returns the unfiltered conjecture list.
+@dataclass(slots=True)
+class FitRecord:
+    """One fit of the sweep: the touch-maximal bound of ``target`` against
+    ``other`` in one direction, over the rows of one distinct hypothesis
+    support.
+
+    ``fit`` holds the integer bound and the touched-row mask, ``support``
+    the row mask, and ``hypotheses`` every enumerated hypothesis with that
+    support, in enumeration order.
+    """
+
+    target: str
+    other: str
+    direction: str
+    support: int
+    fit: FitResult
+    hypotheses: list[Hypothesis]
+
+    @property
+    def hypothesis(self) -> Hypothesis:
+        """The most general name of the support: its smallest hypothesis key,
+        the one the generality filter keeps among equal supports."""
+        return min(self.hypotheses, key=attrgetter("key"))
+
+    def bound_key(self) -> tuple:
+        """Equal to :meth:`Conjecture.bound_key` of the record's conjectures."""
+        return (self.target, self.other, self.direction,
+                *self.fit.slope, *self.fit.intercept)
+
+
+def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
+    """Run the fitting sweep; one record per (target, direction, other
+    property, distinct hypothesis support) with at least ``min_support``
+    selected rows.
 
     For each (target, other property), rows are selected once per distinct
-    hypothesis support and fitted in every direction from that one
-    selection; the fits are emitted for every hypothesis with that support.
-    Within a target, fits are memoised by (direction, grouped points), so
-    columns that agree on the selected rows share one fit and one
-    self-check. Output is ordered by target, direction, other property and
-    hypothesis, and is a pure function of table and config.
+    support and fitted in every direction from that one selection. Within a
+    target, fits are memoised by (direction, grouped points), so columns
+    that agree on the selected rows share one fit and one self-check.
+    Records are ordered by target, direction, other property and first
+    hypothesis, and are a pure function of table and config.
     """
     for target in config.targets:
         if target not in table.numeric:
@@ -131,96 +171,142 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
                 for h in enumerate_hypotheses(table, config.max_hypothesis_size)]
     directions = sorted(config.directions)
     labels = table.labels
-    out: list[Conjecture] = []
+    out: list[FitRecord] = []
     for target in sorted(config.targets):
-        by_direction: dict[str, list[Conjecture]] = {d: [] for d in directions}
-        # (direction, points) -> (bound, touch labels), for this target only
-        memo: dict[tuple, tuple[SharpBoundingFunction, frozenset[str]]] = {}
+        by_direction: dict[str, list[FitRecord]] = {d: [] for d in directions}
+        # (direction, points) -> self-checked fit, for this target only
+        memo: dict[tuple, FitResult] = {}
         for other in sorted(table.numeric):
             if other == target:
                 continue
-            # support -> its conjectures, one per direction (none below
-            # min_support), re-emitted for every hypothesis sharing it
-            fits: dict[int, list[Conjecture]] = {}
+            # support -> its records, one per direction (none below
+            # min_support), which collect every hypothesis sharing it
+            shared: dict[int, list[FitRecord]] = {}
             for h, support in supports:
-                shared = fits.get(support)
-                if shared is not None:
-                    for c in shared:
-                        by_direction[c.direction].append(replace(c, hypothesis=h))
-                    continue
-                fits[support] = fitted = []
-                points = table.select_rows(support, x=other, y=target)
-                if sum(rows.bit_count() for _, _, rows in points) < config.min_support:
-                    continue
-                for direction in directions:
-                    key = (direction, points)
-                    first = key not in memo
-                    if first:
-                        fit = fit_linear_bound(points, direction)
-                        memo[key] = (fit.function, frozenset(
-                            labels[i] for i in mask_rows(fit.touched)))
-                    bound, touch_set = memo[key]
-                    conj = Conjecture(
-                        target=target,
-                        other=other,
-                        direction=direction,
-                        hypothesis=h,
-                        bound=bound,
-                        touch_set=touch_set,
-                        touch_number=len(touch_set),
-                        support_size=support.bit_count(),
-                    )
-                    if first:
-                        _self_check(conj, points, labels)
-                    fitted.append(conj)
-                    by_direction[direction].append(conj)
+                records = shared.get(support)
+                if records is None:
+                    records = shared[support] = []
+                    points = table.select_rows(support, x=other, y=target)
+                    if sum(rows.bit_count() for _, _, rows in points) \
+                            >= config.min_support:
+                        for direction in directions:
+                            key = (direction, points)
+                            fit = memo.get(key)
+                            first = fit is None
+                            if first:
+                                fit = memo[key] = fit_linear_bound(points, direction)
+                            record = FitRecord(target, other, direction, support,
+                                               fit, [])
+                            if first:
+                                _self_check(record, h, points, labels)
+                            records.append(record)
+                            by_direction[direction].append(record)
+                for record in records:
+                    record.hypotheses.append(h)
         for direction in directions:
             out.extend(by_direction[direction])
     return out
 
 
-def _self_check(conj: Conjecture, points: Sequence[tuple[int, int, int]],
+def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
+    """Run the full fitting sweep; returns the unfiltered conjecture list.
+
+    Every fit record (:func:`fit_records`) becomes one conjecture per
+    hypothesis sharing its support. Output is ordered by target, direction,
+    other property and hypothesis, and is a pure function of table and
+    config.
+    """
+    return _expand(fit_records(table, config), table.labels)
+
+
+def _expand(records: Sequence[FitRecord], labels: Sequence[str]
+            ) -> list[Conjecture]:
+    # every hypothesis of every record, in enumeration order (smallest
+    # first, then by name) within each (target, direction, other)
+    touch_sets: dict[int, frozenset[str]] = {}
+    out = [_conjecture(record, h, labels, touch_sets)
+           for record in records for h in record.hypotheses]
+    out.sort(key=lambda c: (c.target, c.direction, c.other,
+                            len(c.hypothesis.key), c.hypothesis.key))
+    return out
+
+
+def _conjecture(record: FitRecord, h: Hypothesis, labels: Sequence[str],
+                touch_sets: dict[int, frozenset[str]]) -> Conjecture:
+    # touch_sets caches each touched mask's label set across calls
+    touched = record.fit.touched
+    touch_set = touch_sets.get(touched)
+    if touch_set is None:
+        touch_set = touch_sets[touched] = frozenset(
+            labels[i] for i in mask_rows(touched))
+    return Conjecture(
+        target=record.target,
+        other=record.other,
+        direction=record.direction,
+        hypothesis=h,
+        bound=record.fit.function,
+        touch_set=touch_set,
+        touch_number=len(touch_set),
+        support_size=record.support.bit_count(),
+    )
+
+
+def _self_check(record: FitRecord, h: Hypothesis,
+                points: Sequence[tuple[int, int, int]],
                 labels: Sequence[str]) -> None:
     # Defense in depth against fitter regressions: re-verify the inequality
     # on every fitted point, in integers. With slope M/D and intercept B/D
     # over a common denominator D > 0, y <= m*x + b iff y*D <= M*x + B.
-    # Points come ordered by their lowest row, so the first violating point
-    # holds the lowest violating row.
-    m, b = conj.bound.slope, conj.bound.intercept
-    d = lcm(m.denominator, b.denominator)
-    mn = m.numerator * (d // m.denominator)
-    bn = b.numerator * (d // b.denominator)
-    upper = conj.direction == UPPER
+    # Points come in (x, y) order, so the lowest violating row is the
+    # lowest bit of every violating point's rows.
+    (p, q), (b, e) = record.fit.slope, record.fit.intercept
+    d = lcm(q, e)
+    mn, bn = p * (d // q), b * (d // e)
+    upper = record.direction == UPPER
+    violated = 0
     for x, y, rows in points:
         lhs, rhs = y * d, mn * x + bn
         if (lhs > rhs) if upper else (lhs < rhs):
-            raise AssertionError(
-                f"generated conjecture violated on row "
-                f"{labels[next(mask_rows(rows))]}: {conj.statement}")
+            violated |= rows
+    if violated:
+        conj = _conjecture(record, h, labels, {})
+        raise AssertionError(
+            f"generated conjecture violated on row "
+            f"{labels[next(mask_rows(violated))]}: {conj.statement}")
 
 
 # ---------------------------------------------------------------------------
 # Filters and ordering
 # ---------------------------------------------------------------------------
 
-def generality_filter(conjectures: Sequence[Conjecture], table: FeatureTable
-                      ) -> list[Conjecture]:
+def generality_filter(items: Sequence, table: FeatureTable) -> list:
     """Drop conjectures strictly less general than an identical bound.
 
     Within each group sharing (target, other, direction, slope, intercept),
     a conjecture whose support is a strict subset of another's is removed;
     among equal supports the lexicographically smallest hypothesis stays.
+
+    ``items`` are conjectures or fit records (:func:`fit_records`), and the
+    kept ones come back in input order. A record carries its support mask
+    and stands for all its hypotheses, of which only its smallest
+    (:attr:`FitRecord.hypothesis`) could stay, so filtering records keeps
+    exactly the conjectures that filtering their expansion would.
     """
-    supports = {h: table.support(h)
-                for h in dict.fromkeys(c.hypothesis for c in conjectures)}
+    supports: dict[Hypothesis, int] = {}
     # bound -> support -> index of its representative; among equal supports
     # the smallest hypothesis wins
     groups: dict[tuple, dict[int, int]] = {}
-    for idx, c in enumerate(conjectures):
-        by_support = groups.setdefault(c.bound_key(), {})
-        sup = supports[c.hypothesis]
+    for idx, item in enumerate(items):
+        h = item.hypothesis
+        if isinstance(item, FitRecord):
+            sup = item.support
+        else:
+            sup = supports.get(h)
+            if sup is None:
+                sup = supports[h] = table.support(h)
+        by_support = groups.setdefault(item.bound_key(), {})
         cur = by_support.get(sup)
-        if cur is None or c.hypothesis.key < conjectures[cur].hypothesis.key:
+        if cur is None or h.key < items[cur].hypothesis.key:
             by_support[sup] = idx
 
     keep: set[int] = set()
@@ -229,7 +315,7 @@ def generality_filter(conjectures: Sequence[Conjecture], table: FeatureTable
         for sup, idx in by_support.items():
             if not any(sup & other == sup and sup != other for other in by_support):
                 keep.add(idx)
-    return [c for i, c in enumerate(conjectures) if i in keep]
+    return [item for i, item in enumerate(items) if i in keep]
 
 
 def sort_conjectures(conjectures: Sequence[Conjecture]) -> list[Conjecture]:
@@ -268,10 +354,21 @@ def truncate_per_group(conjectures: Sequence[Conjecture], top_k: int
 
 
 def run_pipeline(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
-    """generate, filter, sort and truncate in one deterministic pass."""
-    conjectures = generate(table, config)
+    """generate, filter, sort and truncate in one deterministic pass.
+
+    The generality filter runs on the fit records, before any conjecture
+    exists, and each surviving record becomes one conjecture under its
+    smallest hypothesis. Without it every record is expanded as in
+    :func:`generate`. Either way the result equals filtering, sorting and
+    truncating ``generate``'s list.
+    """
+    records = fit_records(table, config)
     if "generality" in config.filters:
-        conjectures = generality_filter(conjectures, table)
+        touch_sets: dict[int, frozenset[str]] = {}
+        conjectures = [_conjecture(r, r.hypothesis, table.labels, touch_sets)
+                       for r in generality_filter(records, table)]
+    else:
+        conjectures = _expand(records, table.labels)
     conjectures = sort_conjectures(conjectures)
     if "dalmatian" in config.filters:
         conjectures = dalmatian_filter(conjectures)

@@ -9,8 +9,10 @@ exact solvers are the expensive part of a run.
 A set of rows is an ``int`` bitmask: bit ``i`` stands for row ``i``. A
 hypothesis's support is the AND of its predicates' column masks, and row
 selection returns grouped points ``(x, y, rows)``, one per distinct value
-pair, with ``rows`` the mask of the selected rows holding that pair. Both
-masks and the per-column-pair grouping are built once per table.
+pair in (x, y) order, with ``rows`` the mask of the selected rows holding
+that pair. The predicate masks are built with the table and each column
+pair's sorted grouping on its first selection, so a selection is one
+filtering pass and the fitter reads its points in x order without sorting.
 """
 
 from __future__ import annotations
@@ -99,19 +101,18 @@ class FeatureTable:
         mask, as :meth:`support` returns) with both values present.
 
         There is one point per distinct value pair, ``rows`` is the mask of
-        its selected rows, and points are ordered by their lowest selected
-        row.
+        its selected rows, and points come in (x, y) order: the grouping is
+        sorted once per column pair, so a selection only filters it.
         """
         groups = self._pairs.get((x, y))
         if groups is None:
             groups = self._pairs[(x, y)] = self._group_rows(x, y)
-        points = [(xv, yv, sel) for xv, yv, rows in groups
-                  if (sel := rows & support)]
-        points.sort(key=_lowest_bit)
-        return tuple(points)
+        return tuple([(xv, yv, sel) for xv, yv, rows in groups
+                      if (sel := rows & support)])
 
     def _group_rows(self, x: str, y: str) -> list[tuple[int, int, int]]:
-        # every row with both values, grouped by (x, y) value pair
+        # every row with both values, grouped by (x, y) value pair, in
+        # (x, y) order
         if x == y:
             raise ConfigError("x and y columns must differ")
         for name in (x, y):
@@ -121,12 +122,7 @@ class FeatureTable:
         for i, pair in enumerate(zip(self.numeric[x], self.numeric[y])):
             if pair[0] is not None and pair[1] is not None:
                 groups[pair] = groups.get(pair, 0) | 1 << i
-        return [(xv, yv, rows) for (xv, yv), rows in groups.items()]
-
-
-def _lowest_bit(point: tuple[int, int, int]) -> int:
-    rows = point[2]
-    return rows & -rows
+        return [(xv, yv, rows) for (xv, yv), rows in sorted(groups.items())]
 
 
 def mask_rows(mask: int) -> Iterator[int]:
@@ -217,8 +213,9 @@ def load_table(path: str | Path,
                boolean_names: Sequence[str]) -> FeatureTable:
     """Read a TSV written by :func:`save_table`.
 
-    The caller says which columns are numeric and which Boolean; column order
-    in the file is preserved.
+    The caller says which columns are numeric and which Boolean. Only those
+    columns are read, in the file's column order; any other column of the
+    file is left unread, so a wider table file serves a narrower request.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -226,10 +223,9 @@ def load_table(path: str | Path,
     header = lines[0].split("\t")
     if header[:1] != ["label"]:
         raise ConfigError(f"table file {path} lacks a label column")
-    names = header[1:]
-    unknown = [c for c in names if c not in set(numeric_names) | set(boolean_names)]
-    if unknown:
-        raise ConfigError(f"table file has unexpected columns {unknown}")
+    known = set(numeric_names) | set(boolean_names)
+    names = [c for c in header[1:] if c in known]
+    positions = [header.index(c) for c in names]
 
     labels: list[str] = []
     raw: dict[str, list[str]] = {name: [] for name in names}
@@ -238,8 +234,8 @@ def load_table(path: str | Path,
         if len(cells) != len(header):
             raise ConfigError(f"{path}:{lineno}: wrong cell count")
         labels.append(cells[0])
-        for name, cell in zip(names, cells[1:]):
-            raw[name].append(cell)
+        for name, pos in zip(names, positions):
+            raw[name].append(cells[pos])
 
     numeric: dict[str, tuple[Optional[int], ...]] = {}
     boolean: dict[str, tuple[bool, ...]] = {}
@@ -258,8 +254,10 @@ def load_or_build_table(corpus: Sequence[Graph],
                         ) -> FeatureTable:
     """Build the feature table, reusing a digest-keyed TSV cache when possible.
 
-    A cached file is reused only when it carries every requested column and
-    exactly the corpus labels; a narrower or truncated cache is rebuilt and
+    A cached file is reused when it carries every requested column and
+    exactly the corpus labels: only the requested columns are read, and a
+    file with more columns is left as it is. A cache lacking a requested
+    column, or truncated, is rebuilt with the requested columns and
     overwritten.
     """
     invariants = invariants if invariants is not None else standard_invariants()
@@ -276,8 +274,8 @@ def load_or_build_table(corpus: Sequence[Graph],
         except (ConfigError, ValueError):
             table = None
         if table is not None and table.labels == corpus_labels(corpus) \
-                and set(table.numeric) >= set(invariants) \
-                and set(table.boolean) >= set(predicates):
+                and set(table.numeric) == set(invariants) \
+                and set(table.boolean) == set(predicates):
             return table
     table = build_table(corpus, invariants, predicates)
     save_table(table, path)

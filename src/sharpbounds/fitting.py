@@ -11,9 +11,12 @@ bitmask of the rows (objects) sitting there, as
 point's weight is the popcount of ``rows``; every count below (touches,
 total slack) is weighted, and the rows of distinct points must be disjoint.
 Two points may share coordinates, so one point per row is valid input too.
+Points are read in x order, the (x, y) order in which ``select_rows``
+returns them; input in any other order is sorted by x first.
 
 Only the highest point above each distinct x can touch a feasible line, and
-the candidate slopes are those of the edges of the upper convex hull of these
+one pass over the points in x order finds it for every x. The
+candidate slopes are those of the edges of the upper convex hull of these
 points (Andrew's monotone chain), plus slope zero. This loses nothing: any
 feasible line can be translated to a tight one without losing touches; a
 tight feasible line touching two or more distinct points contains a hull
@@ -36,8 +39,10 @@ are taken only then. A candidate p/q has slack S/q, with S = npts*b -
 q*sum_y + p*sum_x, so multiplying the key's rational entries by the common
 denominator D of the tied candidates' q turns them into the integers
 S*(D/q), |p|*(D/q) and p*(D/q). Scaling by D > 0 keeps every comparison, so
-the integer key picks the same line as the rational one. Only the returned
-bound is a Fraction. There is no tolerance anywhere; a touch means the
+the integer key picks the same line as the rational one. The result is
+integer too: :class:`FitResult` holds the slope and intercept as reduced
+(numerator, denominator) pairs and builds the Fraction bound only when
+``.function`` is read. There is no tolerance anywhere; a touch means the
 rational values are equal.
 """
 
@@ -45,8 +50,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
+from operator import gt, itemgetter
 from typing import Optional, Sequence
 
 UPPER = "upper"
@@ -81,15 +88,35 @@ class SharpBoundingFunction:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted bound together with the mask of the rows it touches."""
+    """A fitted bound in integers, with the mask of the rows it touches.
 
-    function: SharpBoundingFunction
+    ``slope`` and ``intercept`` are reduced ``(numerator, denominator)``
+    pairs with positive denominators, so equal bounds have equal pairs.
+    """
+
+    slope: tuple[int, int]
+    intercept: tuple[int, int]
+    direction: str
     touched: int
-    touch_number: int
 
     def __post_init__(self):
-        if self.touch_number != self.touched.bit_count() or self.touch_number < 1:
-            raise ValueError("touch_number must equal popcount(touched) and be >= 1")
+        if self.direction not in (UPPER, LOWER):
+            raise ValueError(f"direction must be {UPPER!r} or {LOWER!r}")
+        for num, den in (self.slope, self.intercept):
+            if den < 1 or gcd(num, den) != 1:
+                raise ValueError("slope and intercept must be reduced pairs")
+        if self.touched < 1:
+            raise ValueError("a fit touches at least one row")
+
+    @property
+    def touch_number(self) -> int:
+        return self.touched.bit_count()
+
+    @cached_property
+    def function(self) -> SharpBoundingFunction:
+        """The bound as Fractions, built on first use."""
+        return SharpBoundingFunction(Fraction(*self.slope),
+                                     Fraction(*self.intercept), self.direction)
 
 
 def fit_linear_bound(points: Sequence[tuple], direction: str
@@ -101,8 +128,9 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     points : sequence of (x, y, rows)
         Coordinates may be ints or Fractions; ``rows`` is a non-empty row
         bitmask, disjoint from every other point's, whose popcount is the
-        point's weight. The touched rows come back as one mask. Returns
-        ``None`` on empty input.
+        point's weight. Points in x order are read as given, any other
+        order is sorted by x. The touched rows come back as one mask.
+        Returns ``None`` on empty input.
     direction : "upper" or "lower"
 
     Ties on touch number are broken by smallest total slack, then smallest
@@ -132,17 +160,23 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
         # smaller slope, i.e. the larger one once negated back.
         ys = [-y for y in ys]
 
-    # Highest y above each distinct x, with the mask of the rows there.
-    top: dict[int, list[int]] = {}
+    if any(map(gt, xs, xs[1:])):
+        xs, ys, rows = zip(*sorted(zip(xs, ys, rows), key=itemgetter(0)))
+    # Highest y above each distinct x, with the mask of the rows there, in
+    # one pass over the points in x order.
+    hx: list[int] = []
+    hy: list[int] = []
+    hr: list[int] = []
     for x, y, r in zip(xs, ys, rows):
-        cur = top.get(x)
-        if cur is None or y > cur[0]:
-            top[x] = [y, r]
-        elif y == cur[0]:
-            cur[1] |= r
-    hx = sorted(top)
-    hy = [top[x][0] for x in hx]
-    hr = [top[x][1] for x in hx]
+        if hx and hx[-1] == x:
+            if y > hy[-1]:
+                hy[-1], hr[-1] = y, r
+            elif y == hy[-1]:
+                hr[-1] |= r
+        else:
+            hx.append(x)
+            hy.append(y)
+            hr.append(r)
 
     # Upper hull, left to right, as positions in hx, without collinear
     # middle vertices.
@@ -160,12 +194,14 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     # exactly at the touches. A flat hull edge is the slope-zero line. A
     # point left of an edge's start or right of its end lies strictly below
     # the edge's line, so only the points between its ends can touch it.
+    # The candidates with the most touches are kept in ``tied``.
     ymax = max(hy)
     touched = 0
     for y, r in zip(hy, hr):
         if y == ymax:
             touched |= r
-    candidates = [(touched, 0, 1, ymax)]
+    tied = [(touched, 0, 1, ymax)]
+    most = touched.bit_count()
     for i, j in zip(hull, hull[1:]):
         dy, dx = hy[j] - hy[i], hx[j] - hx[i]
         if dy == 0:
@@ -177,12 +213,14 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
         for k in range(i, j + 1):
             if q * hy[k] - p * hx[k] == b:
                 touched |= hr[k]
-        candidates.append((touched, p, q, b))
+        n = touched.bit_count()
+        if n > most:
+            tied, most = [], n
+        if n == most:
+            tied.append((touched, p, q, b))
 
-    # The most touches wins. Ties go to the least (slack, |m|, m), compared
-    # as integers scaled by the common denominator den (module docstring).
-    most = max(c[0].bit_count() for c in candidates)
-    tied = [c for c in candidates if c[0].bit_count() == most]
+    # Ties on touches go to the least (slack, |m|, m), compared as integers
+    # scaled by the common denominator den (module docstring).
     if len(tied) > 1:
         npts = sum_x = sum_y = 0
         for x, y, r in zip(xs, ys, rows):
@@ -201,5 +239,6 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     touched, p, q, b = tied[0]
     if not upper:
         p, b = -p, -b
-    fn = SharpBoundingFunction(Fraction(p, q), Fraction(b, q * scale), direction)
-    return FitResult(fn, touched, touched.bit_count())
+    den = q * scale
+    g = gcd(b, den)
+    return FitResult((p, q), (b // g, den // g), direction, touched)

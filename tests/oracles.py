@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from sharpbounds.fitting import LOWER, UPPER, FitResult, SharpBoundingFunction
+from sharpbounds.fitting import LOWER, UPPER, FitResult
 from sharpbounds.invariants import max_degree
 
 
@@ -239,8 +239,8 @@ def oracle_fit(points, direction):
             best = (m, Fraction(b_num, q * scale), touched)
 
     m, b, touched = best
-    fn = SharpBoundingFunction(m, b, direction)
     touched_rows = 0
     for k in touched:
         touched_rows |= ids[k]
-    return FitResult(fn, touched_rows, touched_rows.bit_count())
+    return FitResult((m.numerator, m.denominator), (b.numerator, b.denominator),
+                     direction, touched_rows)

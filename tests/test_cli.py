@@ -19,7 +19,9 @@ from sharpbounds import (
     write_export,
     write_graph6_file,
 )
+from sharpbounds import cli
 from sharpbounds.cli import build_parser, main
+from sharpbounds.invariants import standard_invariants
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,6 +112,47 @@ def test_invariants_refuses_order_above_solver_limit(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: graph big has order 21, above the exact "
                             "solvers' maximum order 20\n")
+
+
+def test_invariants_named_cheap_columns_pass_the_order_limit(tmp_path, capsys):
+    target = tmp_path / "p21.g6"
+    write_graph6_file([path(21)], target)
+    code = main(["invariants", str(target), "--columns", "order,size"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == "label order size\np21 21 20\n"
+
+
+def test_invariants_computes_only_named_columns(petersen_file, capsys,
+                                                monkeypatch):
+    called = set()
+
+    def counting_registry():
+        registry = standard_invariants()
+        return {name: (lambda g, _name=name, _fn=fn:
+                       called.add(_name) or _fn(g))
+                for name, fn in registry.items()}
+
+    monkeypatch.setattr(cli, "standard_invariants", counting_registry)
+    code = main(["invariants", str(petersen_file), "--columns", "alpha"])
+    assert code == 0
+    assert capsys.readouterr().out == "label independence_number\npetersen 4\n"
+    # one cheap column pads the table to the two numeric columns it needs
+    assert called == {"independence_number", "order"}
+
+
+@pytest.mark.parametrize("columns, repeated", [
+    ("alpha,alpha", "independence_number"),
+    ("alpha,independence_number", "independence_number"),
+    ("n,cubic,order", "order"),
+])
+def test_invariants_repeated_column_is_config_error(petersen_file, capsys,
+                                                    columns, repeated):
+    code = main(["invariants", str(petersen_file), "--columns", columns])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"column '{repeated}' is given more than once" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -124,22 +124,39 @@ def test_generate_validates_target():
         generate(table, config)
 
 
+def undercutting_fit(points, direction):
+    # a fitter regression: the flat line one below the largest y
+    top = max(y for _, y, _ in points)
+    touched = 0
+    for _, y, rows in points:
+        if y == top - 1:
+            touched |= rows
+    return FitResult((0, 1), (top - 1, 1), direction, touched)
+
+
 def test_generate_self_check_names_violated_row(monkeypatch):
     # a fitter regression that undercuts the largest y by one must be caught
-    def bad_fit(points, direction):
-        top = max(y for _, y, _ in points)
-        touched = 0
-        for _, y, rows in points:
-            if y == top - 1:
-                touched |= rows
-        bound = SharpBoundingFunction(Fraction(0), Fraction(top - 1), direction)
-        return FitResult(bound, touched, touched.bit_count())
-
-    monkeypatch.setattr(engine, "fit_linear_bound", bad_fit)
+    monkeypatch.setattr(engine, "fit_linear_bound", undercutting_fit)
     table = build_table([complete(3), complete(4), cycle(5)])
     config = EngineConfig(targets=("order",), directions=("upper",),
                           max_hypothesis_size=0, min_support=1)
     with pytest.raises(AssertionError, match="violated on row C5: "):
+        generate(table, config)
+
+
+def test_generate_self_check_names_lowest_violated_row(monkeypatch):
+    # rows a and c both lie above the undercut line; c's point comes first
+    # in x order, but the message must name a, the lowest violating row
+    monkeypatch.setattr(engine, "fit_linear_bound", undercutting_fit)
+    table = FeatureTable(
+        labels=tuple("abcde"),
+        numeric={"y": (9, 0, 9, 1, 8), "x": (5, 1, 3, 2, 4)},
+        boolean={"all": (True,) * 5})
+    assert [rows for _, _, rows in table.select_rows(0b11111, "x", "y")] == \
+        [0b00010, 0b01000, 0b00100, 0b10000, 0b00001]
+    config = EngineConfig(targets=("y",), directions=("upper",),
+                          max_hypothesis_size=0, min_support=1)
+    with pytest.raises(AssertionError, match=r"violated on row a: y\(G\) ≤ 8$"):
         generate(table, config)
 
 

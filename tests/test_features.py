@@ -80,8 +80,8 @@ def test_support_and_select_rows():
 
     rows = table.select_rows(table.support(Hypothesis()), "matching_number",
                              "independence_number")
-    assert rows == ((2, 1, 1 << 0), (2, 2, 1 << 1), (3, 3, 1 << 2),
-                    (0, 1, 1 << 3))
+    assert rows == ((0, 1, 1 << 3), (2, 1, 1 << 0), (2, 2, 1 << 1),
+                    (3, 3, 1 << 2))
 
     # K1 has no total domination value, so its row is dropped
     rows = table.select_rows(table.support(Hypothesis()),
@@ -97,21 +97,24 @@ def test_select_rows_bipartite_keeps_even_cycle_only():
     assert rows == ((6, 3, 1 << 1),)
 
 
-def test_select_rows_groups_equal_pairs_in_lowest_row_order():
+def test_select_rows_groups_equal_pairs_in_xy_order():
     table = FeatureTable(
-        labels=tuple("abcde"),
-        numeric={"x": (1, 2, 1, 3, None), "y": (5, 6, 5, 6, 7)},
-        boolean={"p": (True,) * 5})
-    # rows a and c share (1, 5); e has no x value and is dropped
-    assert table.select_rows(0b11111, "x", "y") == \
-        ((1, 5, 0b00101), (2, 6, 0b00010), (3, 6, 0b01000))
-    # without rows a and b, the pair (1, 5) keeps row c alone
-    assert table.select_rows(0b01100, "x", "y") == \
-        ((1, 5, 0b00100), (3, 6, 0b01000))
-    # order follows the lowest *selected* row, not the lowest row overall
-    assert table.select_rows(0b01110, "x", "y") == \
-        ((2, 6, 0b00010), (1, 5, 0b00100), (3, 6, 0b01000))
+        labels=tuple("abcdef"),
+        numeric={"x": (3, 1, 3, 2, None, 1), "y": (5, 6, 5, 6, 7, 2)},
+        boolean={"p": (True,) * 6})
+    # rows a and c share (3, 5); e has no x value and is dropped; f's (1, 2)
+    # comes before b's (1, 6) although b is the lower row
+    assert table.select_rows(0b111111, "x", "y") == \
+        ((1, 2, 0b100000), (1, 6, 0b000010), (2, 6, 0b001000), (3, 5, 0b000101))
+    # without rows a and b, the pair (3, 5) keeps row c alone
+    assert table.select_rows(0b101100, "x", "y") == \
+        ((1, 2, 0b100000), (2, 6, 0b001000), (3, 5, 0b000100))
+    # order follows (x, y), not the lowest selected row: d's (2, 6)
+    # precedes c's (3, 5) although c is the lower row
+    assert table.select_rows(0b001110, "x", "y") == \
+        ((1, 6, 0b000010), (2, 6, 0b001000), (3, 5, 0b000100))
     assert table.select_rows(0, "x", "y") == ()
+
 
 def test_select_rows_validation():
     table = build_table([complete(4)], small_registry(), standard_predicates())
@@ -192,6 +195,32 @@ def test_cache_reuse_and_rebuild(tmp_path):
     assert len(list(tmp_path.glob("*.tsv"))) == 2
 
 
+def test_narrower_request_reuses_wider_cache(tmp_path):
+    corpus = [complete(4), cycle(5), path(4), complete(1)]
+    wide = load_or_build_table(corpus, tmp_path)
+    (cached,) = tmp_path.glob("*.tsv")
+    before = cached.read_bytes()
+
+    def not_computed(graph):
+        raise AssertionError("a cached column was computed again")
+
+    inv = {"order": not_computed, "total_domination_number": not_computed}
+    pred = {"bipartite": not_computed}
+    narrow = load_or_build_table(corpus, tmp_path, inv, pred)
+    assert list(narrow.numeric) == ["order", "total_domination_number"]
+    assert list(narrow.boolean) == ["bipartite"]
+    for name in inv:
+        assert narrow.numeric[name] == wide.numeric[name]
+    assert narrow.boolean["bipartite"] == wide.boolean["bipartite"]
+    assert narrow.labels == wide.labels
+    assert cached.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [cached]
+
+    # the wide request still finds every column
+    assert load_or_build_table(corpus, tmp_path) == wide
+    assert cached.read_bytes() == before
+
+
 @pytest.mark.parametrize("writer", ["save_table", "write_export"])
 def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
                                                          writer):
@@ -253,12 +282,13 @@ def test_support_and_selection_match_brute_force(table):
         assert set(mask_rows(support)) == want
         assert support >> table.n_rows == 0
 
-        # one point per distinct (x, y) over the selected rows with both values
+        # one point per distinct (x, y) over the selected rows with both
+        # values, in (x, y) order
         xs, ys = table.numeric["x"], table.numeric["y"]
         kept = [i for i in sorted(want) if xs[i] is not None and ys[i] is not None]
         points = table.select_rows(support, "x", "y")
         assert [(x, y) for x, y, _ in points] == \
-            list(dict.fromkeys((xs[i], ys[i]) for i in kept))
+            sorted({(xs[i], ys[i]) for i in kept})
         for x, y, rows in points:
             assert set(mask_rows(rows)) == \
                 {i for i in kept if (xs[i], ys[i]) == (x, y)}

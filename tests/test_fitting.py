@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sharpbounds import SharpBoundingFunction, fit_linear_bound, mask_rows
+from sharpbounds import (FitResult, SharpBoundingFunction, fit_linear_bound,
+                         mask_rows)
 
 import oracles
 
@@ -151,8 +152,9 @@ def differential_inputs(draw):
 
 
 def fit_fields(result):
-    return (result.function.slope, result.function.intercept,
-            result.function.direction, result.touched, result.touch_number)
+    return (result.slope, result.intercept, result.function.slope,
+            result.function.intercept, result.function.direction,
+            result.touched, result.touch_number)
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,11 +172,11 @@ def test_matches_pairwise_slope_oracle(points):
 
 def grouped(points):
     """One point per distinct (x, y), carrying the OR of its rows' masks,
-    ordered by lowest row, as ``FeatureTable.select_rows`` returns them."""
+    in (x, y) order, as ``FeatureTable.select_rows`` returns them."""
     groups = {}
     for x, y, rows in points:
         groups[(x, y)] = groups.get((x, y), 0) | rows
-    return [(x, y, rows) for (x, y), rows in groups.items()]
+    return [(x, y, rows) for (x, y), rows in sorted(groups.items())]
 
 
 @settings(max_examples=200, deadline=None)
@@ -205,3 +207,17 @@ def test_weights_decide_the_touch_maximal_line():
 def test_empty_row_mask_rejected():
     with pytest.raises(ValueError):
         fit_linear_bound([(0, 0, 1), (1, 1, 0)], "upper")
+
+
+@pytest.mark.parametrize("slope, intercept, direction, touched", [
+    ((2, 2), (0, 1), "upper", 1),
+    ((1, -1), (0, 1), "upper", 1),
+    ((0, 1), (3, 6), "lower", 1),
+    ((0, 1), (0, 1), "upper", 0),
+    ((0, 1), (0, 1), "sideways", 1),
+])
+def test_fit_result_rejects_malformed_fields(slope, intercept, direction,
+                                             touched):
+    # equal bounds must have equal integer pairs, so pairs come reduced
+    with pytest.raises(ValueError):
+        FitResult(slope, intercept, direction, touched)
