@@ -5,9 +5,9 @@ Each point is (x, y, rows): a coordinate pair and the bitmask of the rows
 (graphs) that sit there, so bit i stands for row i. A point counts once per
 row it holds, and the fit reports the rows it touches as one mask. Points
 are read in x order, as a feature table's row selection returns them; any
-other order is sorted first. The fit itself is integers: slope and
-intercept come as reduced (numerator, denominator) pairs, and
-``result.function`` builds the Fraction bound from them when it is read.
+other order is sorted first. The fit itself is integers: ``result.bound``
+holds slope and intercept as reduced (numerator, denominator) pairs and
+checks a point against them by cross-multiplication, with no Fraction.
 
 Run from the repository root:  python3 demos/02_sharp_bound_fitting.py
 """
@@ -24,11 +24,20 @@ def rows(mask):
     return list(mask_rows(mask))
 
 
+def fraction(pair):
+    num, den = pair
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def rhs(bound):
+    return f"{fraction(bound.slope)}*x + {fraction(bound.intercept)}"
+
+
 print("== a perfectly linear cloud ==")
 points = [(1, 1, 1 << 0), (2, 2, 1 << 1), (3, 3, 1 << 2)]
 result = fit_linear_bound(points, "upper")
 print(f"points {[(x, y) for x, y, _ in points]}")
-print(f"upper bound: y <= {result.function.slope}*x + {result.function.intercept}"
+print(f"upper bound: y <= {rhs(result.bound)}"
       f"   touches {result.touch_number} of {len(points)}")
 
 print()
@@ -36,7 +45,7 @@ print("== ties break toward the flattest line ==")
 points = [(1, 2, 1 << 0), (2, 2, 1 << 1), (3, 1, 1 << 2)]
 result = fit_linear_bound(points, "upper")
 print(f"points {[(x, y) for x, y, _ in points]}")
-print(f"upper bound: y <= {result.function.slope}*x + {result.function.intercept}"
+print(f"upper bound: y <= {rhs(result.bound)}"
       f"   touched rows {rows(result.touched)}")
 
 print()
@@ -44,7 +53,7 @@ print("== lower bounds work the same way ==")
 points = [(1, 1, 1 << 0), (2, 3, 1 << 1), (3, 4, 1 << 2)]
 result = fit_linear_bound(points, "lower")
 print(f"points {[(x, y) for x, y, _ in points]}")
-print(f"lower bound: y >= {result.function.slope}*x + {result.function.intercept}"
+print(f"lower bound: y >= {rhs(result.bound)}"
       f"   touched rows {rows(result.touched)}")
 
 print()
@@ -54,7 +63,7 @@ print("== rows sharing a point all count: weight is the popcount of rows ==")
 points = [(0, 0, 0b111), (1, 2, 1 << 3), (3, 3, 1 << 4)]
 result = fit_linear_bound(points, "upper")
 print(f"points {[(x, y, rows(r)) for x, y, r in points]}")
-print(f"upper bound: y <= {result.function.slope}*x + {result.function.intercept}"
+print(f"upper bound: y <= {rhs(result.bound)}"
       f"   touched rows {rows(result.touched)} ({result.touch_number} of 5)")
 
 print()
@@ -62,8 +71,10 @@ print("== everything is exact rational arithmetic ==")
 points = [(2, 3, 1 << 0), (4, 6, 1 << 1), (6, 9, 1 << 2), (3, 4, 1 << 3)]
 result = fit_linear_bound(points, "upper")
 print(f"points {[(x, y) for x, y, _ in points]}")
-print(f"integer fit: slope {result.slope}, intercept {result.intercept}"
+bound = result.bound
+print(f"integer fit: slope {bound.slope}, intercept {bound.intercept}"
       f" as (numerator, denominator)")
-fn = result.function
-print(f"upper bound: y <= {fn.slope}*x + {fn.intercept}")
-print(f"value at x=5: {fn.evaluate(5)} (a Fraction, no rounding anywhere)")
+print(f"upper bound: y <= {rhs(bound)}")
+print(f"(5, 7) holds: {bound.holds(5, 7)}, (6, 9) touches: {bound.touches(6, 9)}"
+      f" (cross-multiplied, no rounding anywhere)")
+print(f"value at x=5: {bound.evaluate(5)} (exact, as a Fraction)")

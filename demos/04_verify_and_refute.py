@@ -6,7 +6,6 @@ Run from the repository root:  python3 demos/04_verify_and_refute.py
 
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,10 +26,10 @@ from sharpbounds.cli import main
 
 def claim(target, other, slope, intercept, hypothesis):
     return Conjecture(
-        target=target, other=other, direction="upper",
+        target=target, other=other,
         hypothesis=Hypothesis(hypothesis),
-        bound=SharpBoundingFunction(Fraction(slope), Fraction(intercept),
-                                    "upper"),
+        # slope and intercept are (numerator, denominator) pairs
+        bound=SharpBoundingFunction((slope, 1), (intercept, 1), "upper"),
         touch_set=frozenset({"claimed"}), touch_number=1, support_size=1)
 
 

@@ -39,7 +39,6 @@ from .features import (
     corpus_digest,
     load_or_build_table,
     load_table,
-    mask_rows,
     save_table,
 )
 from .fitting import FitResult, SharpBoundingFunction, fit_linear_bound
@@ -50,6 +49,7 @@ from .graphs import (
     complete_bipartite,
     cycle,
     graph_names,
+    mask_rows,
     named_graph,
     path,
     petersen,

@@ -34,6 +34,12 @@ def _split_names(raw: str) -> list[str]:
     return [resolve_column(part.strip()) for part in raw.split(",") if part.strip()]
 
 
+# the keys a ``--config`` file may set, one per ``conjecture`` option; any
+# other key, or one given twice, is a ConfigError at path:line
+CONFIG_KEYS = ("corpus", "targets", "directions", "max_hypothesis_size",
+               "min_support", "filters", "top_k", "format", "export", "cache")
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -47,7 +53,13 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        options[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in options:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is given more "
+                              "than once")
+        options[key] = value.strip()
     return options
 
 

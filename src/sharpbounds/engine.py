@@ -13,7 +13,7 @@ Filtering removes conjectures that are strictly less general than an
 identical bound (generality filter) or that touch no object untouched by an
 earlier accepted conjecture (Dalmatian filter). :func:`run_pipeline` runs
 the generality filter on the fit records, so a :class:`Conjecture` (with its
-Fraction bound and label touch set) is built only for each surviving
+label touch set) is built only for each surviving
 record, under its smallest hypothesis; :func:`generate` builds one for
 every hypothesis of every record. Conjectures are presented in
 non-increasing touch-number order.
@@ -24,17 +24,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
-from .features import (FeatureTable, Hypothesis, corpus_labels, mask_rows,
+from .features import (FeatureTable, Hypothesis, corpus_labels,
                        write_text_atomic)
 from .fitting import (LOWER, UPPER, FitResult, SharpBoundingFunction,
                       fit_linear_bound)
-from .graphs import Graph
+from .graphs import Graph, mask_rows
 from .invariants import DISPLAY_SYMBOLS
 
 
@@ -43,7 +42,8 @@ class Conjecture:
     """A conjectured inequality between two numeric properties.
 
     The claim: every object satisfying ``hypothesis`` has
-    ``target <= slope*other + intercept`` (or >= for lower bounds).
+    ``target <= slope*other + intercept`` (or >= for lower bounds), as
+    ``bound`` states it; the direction is the bound's own.
     ``touch_set`` holds the labels of objects attaining equality in the
     generating corpus; ``support_size`` counts the objects satisfying the
     hypothesis there.
@@ -51,7 +51,6 @@ class Conjecture:
 
     target: str
     other: str
-    direction: str
     hypothesis: Hypothesis
     bound: SharpBoundingFunction
     touch_set: frozenset[str]
@@ -65,16 +64,17 @@ class Conjecture:
             raise ValueError("touch_number must equal |touch_set| and be >= 1")
 
     @property
+    def direction(self) -> str:
+        return self.bound.direction
+
+    @property
     def statement(self) -> str:
         return render_conjecture(self)
 
     def bound_key(self) -> tuple:
-        """Identity of the bound: both properties, the direction, and the
-        slope and intercept as (numerator, denominator) integers, which hash
-        far faster than Fractions and are equal exactly when they are."""
-        m, b = self.bound.slope, self.bound.intercept
-        return (self.target, self.other, self.direction,
-                m.numerator, m.denominator, b.numerator, b.denominator)
+        """Identity of the bound: both properties and the bound, whose
+        direction and integer pairs are equal exactly when the bounds are."""
+        return (self.target, self.other, self.bound)
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,13 @@ class FitRecord:
 
     target: str
     other: str
-    direction: str
     support: int
     fit: FitResult
     hypotheses: list[Hypothesis]
+
+    @property
+    def direction(self) -> str:
+        return self.fit.bound.direction
 
     @property
     def hypothesis(self) -> Hypothesis:
@@ -147,8 +150,7 @@ class FitRecord:
 
     def bound_key(self) -> tuple:
         """Equal to :meth:`Conjecture.bound_key` of the record's conjectures."""
-        return (self.target, self.other, self.direction,
-                *self.fit.slope, *self.fit.intercept)
+        return (self.target, self.other, self.fit.bound)
 
 
 def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
@@ -195,8 +197,7 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
                             first = fit is None
                             if first:
                                 fit = memo[key] = fit_linear_bound(points, direction)
-                            record = FitRecord(target, other, direction, support,
-                                               fit, [])
+                            record = FitRecord(target, other, support, fit, [])
                             if first:
                                 _self_check(record, h, points, labels)
                             records.append(record)
@@ -242,9 +243,8 @@ def _conjecture(record: FitRecord, h: Hypothesis, labels: Sequence[str],
     return Conjecture(
         target=record.target,
         other=record.other,
-        direction=record.direction,
         hypothesis=h,
-        bound=record.fit.function,
+        bound=record.fit.bound,
         touch_set=touch_set,
         touch_number=len(touch_set),
         support_size=record.support.bit_count(),
@@ -255,19 +255,11 @@ def _self_check(record: FitRecord, h: Hypothesis,
                 points: Sequence[tuple[int, int, int]],
                 labels: Sequence[str]) -> None:
     # Defense in depth against fitter regressions: re-verify the inequality
-    # on every fitted point, in integers. With slope M/D and intercept B/D
-    # over a common denominator D > 0, y <= m*x + b iff y*D <= M*x + B.
-    # Points come in (x, y) order, so the lowest violating row is the
-    # lowest bit of every violating point's rows.
-    (p, q), (b, e) = record.fit.slope, record.fit.intercept
-    d = lcm(q, e)
-    mn, bn = p * (d // q), b * (d // e)
-    upper = record.direction == UPPER
-    violated = 0
-    for x, y, rows in points:
-        lhs, rhs = y * d, mn * x + bn
-        if (lhs > rhs) if upper else (lhs < rhs):
-            violated |= rows
+    # on every fitted point with the comparison verify uses. The points'
+    # row masks are disjoint, so their sum is their union, and its lowest
+    # bit is the lowest violating row.
+    holds = record.fit.bound.holds
+    violated = sum(rows for x, y, rows in points if not holds(x, y))
     if violated:
         conj = _conjecture(record, h, labels, {})
         raise AssertionError(
@@ -379,8 +371,8 @@ def run_pipeline(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _fmt_fraction(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _display(name: str) -> str:
@@ -389,26 +381,26 @@ def _display(name: str) -> str:
 
 def render_conjecture(c: Conjecture) -> str:
     """Deterministic one-line statement with unit and zero terms elided."""
-    m, b = c.bound.slope, c.bound.intercept
+    (p, q), (b, e) = c.bound.slope, c.bound.intercept
     rel = "≤" if c.direction == UPPER else "≥"
     lhs = f"{_display(c.target)}(G)"
     var = f"{_display(c.other)}(G)"
 
-    if m == 0:
-        rhs = _fmt_fraction(b)
+    if p == 0:
+        rhs = _fmt_fraction(b, e)
     else:
-        if m == 1:
+        if (p, q) == (1, 1):
             rhs = var
-        elif m == -1:
+        elif (p, q) == (-1, 1):
             rhs = f"-{var}"
-        elif m.denominator == 1:
-            rhs = f"{m.numerator}·{var}"
+        elif q == 1:
+            rhs = f"{p}·{var}"
         else:
-            rhs = f"({_fmt_fraction(m)})·{var}"
+            rhs = f"({_fmt_fraction(p, q)})·{var}"
         if b > 0:
-            rhs += f" + {_fmt_fraction(b)}"
+            rhs += f" + {_fmt_fraction(b, e)}"
         elif b < 0:
-            rhs += f" - {_fmt_fraction(-b)}"
+            rhs += f" - {_fmt_fraction(-b, e)}"
 
     statement = f"{lhs} {rel} {rhs}"
     if c.hypothesis.predicates:
@@ -475,8 +467,8 @@ def conjecture_to_record(c: Conjecture) -> dict:
         "target": c.target,
         "other": c.other,
         "direction": c.direction,
-        "slope": [c.bound.slope.numerator, c.bound.slope.denominator],
-        "intercept": [c.bound.intercept.numerator, c.bound.intercept.denominator],
+        "slope": list(c.bound.slope),
+        "intercept": list(c.bound.intercept),
         "hypothesis": list(c.hypothesis.key),
         "touch_number": c.touch_number,
         "support_size": c.support_size,
@@ -493,15 +485,15 @@ def conjecture_from_record(record: dict) -> Conjecture:
     field that is not a list of names, ...).
     """
     try:
+        # each pair is reduced here, once, so equal bounds compare equal
         bound = SharpBoundingFunction(
-            Fraction(*record["slope"]),
-            Fraction(*record["intercept"]),
+            Fraction(*record["slope"]).as_integer_ratio(),
+            Fraction(*record["intercept"]).as_integer_ratio(),
             record["direction"],
         )
         return Conjecture(
             target=record["target"],
             other=record["other"],
-            direction=record["direction"],
             hypothesis=Hypothesis(_name_list(record, "hypothesis")),
             bound=bound,
             touch_set=frozenset(_name_list(record, "touch_set")),

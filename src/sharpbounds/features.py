@@ -22,11 +22,11 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
 from .graph6 import to_graph6
-from .graphs import Graph
+from .graphs import Graph, mask_rows  # noqa: F401  (re-exported)
 from .invariants import standard_invariants
 from .predicates import standard_predicates
 
@@ -125,43 +125,43 @@ class FeatureTable:
         return [(xv, yv, rows) for (xv, yv), rows in sorted(groups.items())]
 
 
-def mask_rows(mask: int) -> Iterator[int]:
-    """Row indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def corpus_labels(corpus: Sequence[Graph]) -> tuple[str, ...]:
     """Each graph's label, or ``g<position>`` (from 1) for unlabeled graphs."""
     return tuple(g.label if g.label else f"g{i}" for i, g in enumerate(corpus, 1))
 
 
+def _cell(fn: Callable[[Graph], int], g: Graph) -> Optional[int]:
+    try:
+        return fn(g)
+    except UndefinedInvariantError:
+        return None
+
+
 def build_table(corpus: Sequence[Graph],
                 invariants: dict[str, Callable[[Graph], int]] | None = None,
                 predicates: dict[str, Callable[[Graph], bool]] | None = None,
+                cached: dict[str, Sequence[str]] | None = None,
                 ) -> FeatureTable:
     """Evaluate both registries on every corpus graph.
 
     Rows are named by :func:`corpus_labels`. An invariant that raises
-    :class:`UndefinedInvariantError` leaves a missing cell.
+    :class:`UndefinedInvariantError` leaves a missing cell. A requested
+    column found in ``cached`` (name -> cell texts) is parsed, not computed.
     """
     if not corpus:
         raise ConfigError("empty corpus")
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
+    cached = cached or {}
 
     numeric: dict[str, tuple[Optional[int], ...]] = {}
     for name, fn in invariants.items():
-        cells = []
-        for g in corpus:
-            try:
-                cells.append(fn(g))
-            except UndefinedInvariantError:
-                cells.append(None)
-        numeric[name] = tuple(cells)
-    boolean = {name: tuple(fn(g) for g in corpus)
+        try:
+            numeric[name] = _parse_numeric(cached[name])
+        except (KeyError, ValueError):
+            numeric[name] = tuple(_cell(fn, g) for g in corpus)
+    boolean = {name: _parse_boolean(cached[name]) if name in cached
+               else tuple(fn(g) for g in corpus)
                for name, fn in predicates.items()}
     return FeatureTable(corpus_labels(corpus), numeric, boolean)
 
@@ -176,18 +176,19 @@ def corpus_digest(corpus: Sequence[Graph]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def save_table(table: FeatureTable, path: str | Path) -> None:
-    """Write the table as TSV: label column first, missing cells empty."""
-    cols = list(table.numeric) + list(table.boolean)
-    lines = ["\t".join(["label"] + cols)]
-    for i, label in enumerate(table.labels):
-        cells = [label]
-        for name in table.numeric:
-            v = table.numeric[name][i]
-            cells.append("" if v is None else str(v))
-        for name in table.boolean:
-            cells.append("true" if table.boolean[name][i] else "false")
-        lines.append("\t".join(cells))
+def save_table(table: FeatureTable, path: str | Path,
+               keep: dict[str, Sequence[str]] | None = None) -> None:
+    """Write the table as TSV: label column first, missing cells empty.
+    Columns of ``keep`` (name -> cell texts) come first, in their order; a
+    table column takes the place of the one with its name."""
+    columns = {name: cells for name, cells in (keep or {}).items()
+               if name != "label"}
+    for name, col in table.numeric.items():
+        columns[name] = ["" if v is None else str(v) for v in col]
+    for name, col in table.boolean.items():
+        columns[name] = ["true" if v else "false" for v in col]
+    lines = ["\t".join(["label", *columns])]
+    lines += ["\t".join(row) for row in zip(table.labels, *columns.values())]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -208,43 +209,45 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def load_table(path: str | Path,
-               numeric_names: Sequence[str],
-               boolean_names: Sequence[str]) -> FeatureTable:
-    """Read a TSV written by :func:`save_table`.
-
-    The caller says which columns are numeric and which Boolean. Only those
-    columns are read, in the file's column order; any other column of the
-    file is left unread, so a wider table file serves a narrower request.
-    """
+def _read_cells(path: str | Path) -> dict[str, tuple[str, ...]]:
+    # every column of a save_table file as cell texts, label first
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ConfigError(f"empty table file {path}")
     header = lines[0].split("\t")
     if header[:1] != ["label"]:
         raise ConfigError(f"table file {path} lacks a label column")
-    known = set(numeric_names) | set(boolean_names)
-    names = [c for c in header[1:] if c in known]
-    positions = [header.index(c) for c in names]
-
-    labels: list[str] = []
-    raw: dict[str, list[str]] = {name: [] for name in names}
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
+    rows = [line.split("\t") for line in lines[1:]]
+    for lineno, cells in enumerate(rows, start=2):
         if len(cells) != len(header):
             raise ConfigError(f"{path}:{lineno}: wrong cell count")
-        labels.append(cells[0])
-        for name, pos in zip(names, positions):
-            raw[name].append(cells[pos])
+    return dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
-    numeric: dict[str, tuple[Optional[int], ...]] = {}
-    boolean: dict[str, tuple[bool, ...]] = {}
-    for name in names:
-        if name in set(numeric_names):
-            numeric[name] = tuple(None if c == "" else int(c) for c in raw[name])
-        else:
-            boolean[name] = tuple(c == "true" for c in raw[name])
-    return FeatureTable(tuple(labels), numeric, boolean)
+
+def _parse_numeric(cells: Sequence[str]) -> tuple[Optional[int], ...]:
+    return tuple(None if c == "" else int(c) for c in cells)
+
+
+def _parse_boolean(cells: Sequence[str]) -> tuple[bool, ...]:
+    return tuple(c == "true" for c in cells)
+
+
+def load_table(path: str | Path,
+               numeric_names: Sequence[str],
+               boolean_names: Sequence[str]) -> FeatureTable:
+    """Read a TSV written by :func:`save_table`.
+
+    The caller says which columns are numeric and which Boolean. Only those
+    columns are parsed, in the file's column order; any other column of the
+    file is left unread, so a wider table file serves a narrower request.
+    """
+    numeric_names, boolean_names = set(numeric_names), set(boolean_names)
+    cells = _read_cells(path)
+    numeric = {name: _parse_numeric(col) for name, col in cells.items()
+               if name in numeric_names}
+    boolean = {name: _parse_boolean(col) for name, col in cells.items()
+               if name in boolean_names and name not in numeric}
+    return FeatureTable(cells["label"], numeric, boolean)
 
 
 def load_or_build_table(corpus: Sequence[Graph],
@@ -254,11 +257,11 @@ def load_or_build_table(corpus: Sequence[Graph],
                         ) -> FeatureTable:
     """Build the feature table, reusing a digest-keyed TSV cache when possible.
 
-    A cached file is reused when it carries every requested column and
-    exactly the corpus labels: only the requested columns are read, and a
-    file with more columns is left as it is. A cache lacking a requested
-    column, or truncated, is rebuilt with the requested columns and
-    overwritten.
+    A cached file with exactly the corpus labels is reused: a file holding
+    every requested column is read and left as it is; otherwise only the
+    missing columns are computed and the file is rewritten with its old
+    columns plus the new ones. A file that cannot be read or whose labels
+    differ (one cut short, say) is rebuilt and overwritten.
     """
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
@@ -268,15 +271,23 @@ def load_or_build_table(corpus: Sequence[Graph],
     cache = Path(cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
     path = cache / f"{corpus_digest(corpus)}.tsv"
+    kept: dict[str, tuple[str, ...]] = {}
     if path.exists():
+        labels = corpus_labels(corpus)
         try:
             table = load_table(path, list(invariants), list(predicates))
         except (ConfigError, ValueError):
             table = None
-        if table is not None and table.labels == corpus_labels(corpus) \
+        if table is not None and table.labels == labels \
                 and set(table.numeric) == set(invariants) \
                 and set(table.boolean) == set(predicates):
             return table
-    table = build_table(corpus, invariants, predicates)
-    save_table(table, path)
+        try:
+            kept = _read_cells(path)
+        except (ConfigError, ValueError):
+            pass
+        if kept.get("label") != labels:
+            kept = {}
+    table = build_table(corpus, invariants, predicates, kept)
+    save_table(table, path, kept)
     return table

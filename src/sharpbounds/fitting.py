@@ -30,9 +30,8 @@ its two ends, since every point outside them lies strictly below the line
 (the hull's other edges have strictly different slopes). Counting every
 candidate's touches therefore takes time linear in the number of distinct x.
 
-Coordinates are ints or Fractions. Fractions are scaled once to a common
-integer grid, which leaves slopes and every comparison unchanged, so the
-search runs in integers. Candidates are ranked by the key (most touches,
+Coordinates are ints, as every feature-table cell is, so the search runs
+in integers. Candidates are ranked by the key (most touches,
 least total slack, least |slope|, then the slope itself). Only candidates
 tied on touches need the rest of the key, so the weighted coordinate sums
 are taken only then. A candidate p/q has slack S/q, with S = npts*b -
@@ -40,9 +39,9 @@ q*sum_y + p*sum_x, so multiplying the key's rational entries by the common
 denominator D of the tied candidates' q turns them into the integers
 S*(D/q), |p|*(D/q) and p*(D/q). Scaling by D > 0 keeps every comparison, so
 the integer key picks the same line as the rational one. The result is
-integer too: :class:`FitResult` holds the slope and intercept as reduced
-(numerator, denominator) pairs and builds the Fraction bound only when
-``.function`` is read. There is no tolerance anywhere; a touch means the
+integer too: :class:`SharpBoundingFunction` holds the slope and intercept as
+reduced (numerator, denominator) pairs and compares a point against them by
+cross-multiplication. There is no tolerance anywhere; a touch means the
 rational values are equal.
 """
 
@@ -50,8 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
 from operator import gt, itemgetter
 from typing import Optional, Sequence
@@ -60,44 +57,20 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharpBoundingFunction:
-    """An affine bound y <= m*x + b (upper) or y >= m*x + b (lower), evaluated
-    exactly at int or Fraction coordinates, which are used without coercion."""
+    """An affine bound y <= m*x + b (upper) or y >= m*x + b (lower), in
+    integers.
 
-    slope: Fraction
-    intercept: Fraction
-    direction: str
-
-    def __post_init__(self):
-        if self.direction not in (UPPER, LOWER):
-            raise ValueError(f"direction must be {UPPER!r} or {LOWER!r}")
-
-    def evaluate(self, x) -> Fraction:
-        """Exact value m*x + b at a rational x."""
-        return self.slope * x + self.intercept
-
-    def holds(self, x, y) -> bool:
-        """Whether (x, y) satisfies the bound exactly."""
-        rhs = self.evaluate(x)
-        return y <= rhs if self.direction == UPPER else y >= rhs
-
-    def touches(self, x, y) -> bool:
-        return y == self.evaluate(x)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """A fitted bound in integers, with the mask of the rows it touches.
-
-    ``slope`` and ``intercept`` are reduced ``(numerator, denominator)``
-    pairs with positive denominators, so equal bounds have equal pairs.
+    ``slope`` m = p/q and ``intercept`` b = c/e are reduced ``(numerator,
+    denominator)`` pairs with positive denominators, so equal bounds have
+    equal pairs. A point (x, y) is compared by the sign of
+    ``y*q*e - p*e*x - c*q``, which is that of y - (m*x + b) scaled by q*e > 0.
     """
 
     slope: tuple[int, int]
     intercept: tuple[int, int]
     direction: str
-    touched: int
 
     def __post_init__(self):
         if self.direction not in (UPPER, LOWER):
@@ -105,18 +78,39 @@ class FitResult:
         for num, den in (self.slope, self.intercept):
             if den < 1 or gcd(num, den) != 1:
                 raise ValueError("slope and intercept must be reduced pairs")
+
+    def _excess(self, x, y) -> int:
+        (p, q), (c, e) = self.slope, self.intercept
+        return y * q * e - p * e * x - c * q
+
+    def evaluate(self, x) -> Fraction:
+        """Exact value m*x + b at an integer x."""
+        (p, q), (c, e) = self.slope, self.intercept
+        return Fraction(p * e * x + c * q, q * e)
+
+    def holds(self, x, y) -> bool:
+        """Whether (x, y) satisfies the bound exactly."""
+        excess = self._excess(x, y)
+        return excess <= 0 if self.direction == UPPER else excess >= 0
+
+    def touches(self, x, y) -> bool:
+        return self._excess(x, y) == 0
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """A fitted bound with the mask of the rows it touches."""
+
+    bound: SharpBoundingFunction
+    touched: int
+
+    def __post_init__(self):
         if self.touched < 1:
             raise ValueError("a fit touches at least one row")
 
     @property
     def touch_number(self) -> int:
         return self.touched.bit_count()
-
-    @cached_property
-    def function(self) -> SharpBoundingFunction:
-        """The bound as Fractions, built on first use."""
-        return SharpBoundingFunction(Fraction(*self.slope),
-                                     Fraction(*self.intercept), self.direction)
 
 
 def fit_linear_bound(points: Sequence[tuple], direction: str
@@ -126,7 +120,7 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     Parameters
     ----------
     points : sequence of (x, y, rows)
-        Coordinates may be ints or Fractions; ``rows`` is a non-empty row
+        Coordinates are ints; ``rows`` is a non-empty row
         bitmask, disjoint from every other point's, whose popcount is the
         point's weight. Points in x order are read as given, any other
         order is sorted by x. The touched rows come back as one mask.
@@ -146,13 +140,6 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     xs, ys, rows = zip(*points)
     if min(rows) <= 0:
         raise ValueError("every point needs a non-empty row mask")
-    scale = 1
-    if {*map(type, xs), *map(type, ys)} != {int}:
-        # Scale to integer coordinates: slopes are unchanged, intercepts and
-        # slacks scale uniformly by L, so comparisons are unaffected.
-        scale = lcm(*(v.denominator for v in chain(xs, ys)))
-        xs = [int(v * scale) for v in xs]
-        ys = [int(v * scale) for v in ys]
     upper = direction == UPPER
     if not upper:
         # y >= m*x + b iff -y <= -m*x - b, with the same slack: fit the
@@ -239,6 +226,6 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     touched, p, q, b = tied[0]
     if not upper:
         p, b = -p, -b
-    den = q * scale
-    g = gcd(b, den)
-    return FitResult((p, q), (b // g, den // g), direction, touched)
+    g = gcd(b, q)
+    return FitResult(SharpBoundingFunction((p, q), (b // g, q // g), direction),
+                     touched)

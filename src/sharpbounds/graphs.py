@@ -11,6 +11,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 
+def mask_rows(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask`` (vertices or rows), lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph.
@@ -71,11 +79,7 @@ class Graph:
         return bool(self.adjacency[u] >> v & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        row = self.adjacency[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+        return mask_rows(self.adjacency[v])
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for v in range(self.order) for u in range(v)

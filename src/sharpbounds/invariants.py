@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import ConfigError, UndefinedInvariantError
-from .graphs import Graph
+from .graphs import Graph, mask_rows
 
 # Largest order the exponential solvers accept. At order 20 the slowest of
 # them, zero forcing on the complete graph, takes a few seconds.
@@ -26,13 +26,6 @@ def _require_order(g: Graph) -> None:
         raise ConfigError(
             f"graph {g.label or '(unlabeled)'} has order {g.order}, above the "
             f"exact solvers' maximum order {MAX_ORDER}")
-
-
-def _bit_indices(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +71,7 @@ def independence_number(g: Graph) -> int:
         if avail == 0:
             best = max(best, have)
             return
-        v = max(_bit_indices(avail), key=lambda u: (rows[u] & avail).bit_count())
+        v = max(mask_rows(avail), key=lambda u: (rows[u] & avail).bit_count())
         # include v first so the bound tightens quickly
         grow(avail & ~(rows[v] | (1 << v)), have + 1)
         grow(avail & ~(1 << v), have)
@@ -189,9 +182,9 @@ def min_maximal_matching(g: Graph) -> int:
             continue
         # every maximal independent set holds the pivot or one of its
         # neighbors, so only those candidates are branched on
-        pivot = max(_bit_indices(cand | excl),
+        pivot = max(mask_rows(cand | excl),
                     key=lambda u: (cand & ~closed[u]).bit_count())
-        for v in _bit_indices(cand & closed[pivot]):
+        for v in mask_rows(cand & closed[pivot]):
             low = 1 << v
             stack.append((chosen | low, cand & ~closed[v], excl & ~closed[v]))
             cand ^= low
@@ -285,7 +278,7 @@ def forcing_closure(g: Graph, blue: Iterable[int]) -> frozenset[int]:
             raise ValueError(f"vertex {v} outside 0..{g.order - 1}")
         mask |= 1 << v
     mask = _closure_mask(g.adjacency, mask)
-    return frozenset(_bit_indices(mask))
+    return frozenset(mask_rows(mask))
 
 
 def _closure_mask(rows: tuple[int, ...], blue: int) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from sharpbounds.fitting import LOWER, UPPER, FitResult
+from sharpbounds.fitting import LOWER, UPPER, FitResult, SharpBoundingFunction
 from sharpbounds.invariants import max_degree
 
 
@@ -242,5 +242,6 @@ def oracle_fit(points, direction):
     touched_rows = 0
     for k in touched:
         touched_rows |= ids[k]
-    return FitResult((m.numerator, m.denominator), (b.numerator, b.denominator),
-                     direction, touched_rows)
+    return FitResult(SharpBoundingFunction(m.as_integer_ratio(),
+                                           b.as_integer_ratio(), direction),
+                     touched_rows)

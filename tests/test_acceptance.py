@@ -37,9 +37,10 @@ import oracles
 def _claim(target, other, slope, intercept, hypothesis, direction="upper"):
     """A hand-stated conjecture for verification runs."""
     return Conjecture(
-        target=target, other=other, direction=direction,
+        target=target, other=other,
         hypothesis=Hypothesis(hypothesis),
-        bound=SharpBoundingFunction(Fraction(slope), Fraction(intercept),
+        bound=SharpBoundingFunction(Fraction(slope).as_integer_ratio(),
+                                    Fraction(intercept).as_integer_ratio(),
                                     direction),
         touch_set=frozenset({"claimed"}), touch_number=1, support_size=1)
 
@@ -71,7 +72,7 @@ def test_criterion_1_alpha_mu_rediscovery(cubic_corpus_path):
 
     wanted = [c for c in result
               if c.other == "matching_number"
-              and c.bound.slope == 1 and c.bound.intercept == 0]
+              and c.bound.slope == (1, 1) and c.bound.intercept == (0, 1)]
     assert wanted, [c.statement for c in result]
     (conj,) = wanted
     assert conj.touch_number >= 1
@@ -107,7 +108,8 @@ def test_criterion_2_zero_forcing_rediscovery(cubic_corpus_path):
     failures = []
 
     def check_bound(other, slope, label):
-        fits = sorted({(c.bound.slope, c.bound.intercept, c.touch_number)
+        fits = sorted({(Fraction(*c.bound.slope), Fraction(*c.bound.intercept),
+                        c.touch_number)
                        for c in unfiltered if c.other == other})
         if not any(s == slope and b == 0 for s, b, _ in fits):
             failures.append(
@@ -234,8 +236,8 @@ def test_criterion_6_fitter_optimality():
         result = fit_linear_bound(points, direction)
         assert result.touch_number >= 1
         for x, y, rows in points:
-            assert result.function.holds(x, y), (trial, points, direction)
-            assert result.function.touches(x, y) == bool(result.touched & rows)
+            assert result.bound.holds(x, y), (trial, points, direction)
+            assert result.bound.touches(x, y) == bool(result.touched & rows)
         assert result.touch_number == oracles.oracle_best_touch(points,
                                                                 direction), \
             (trial, points, direction)

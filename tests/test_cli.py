@@ -43,9 +43,10 @@ def conjecture_record(target="independence_number", other="min_degree",
                       hypothesis=("connected",), slope=1, intercept=0,
                       direction="upper"):
     return Conjecture(
-        target=target, other=other, direction=direction,
+        target=target, other=other,
         hypothesis=Hypothesis(hypothesis),
-        bound=SharpBoundingFunction(Fraction(slope), Fraction(intercept),
+        bound=SharpBoundingFunction(Fraction(slope).as_integer_ratio(),
+                                    Fraction(intercept).as_integer_ratio(),
                                     direction),
         touch_set=frozenset({"x"}), touch_number=1, support_size=1)
 
@@ -249,6 +250,35 @@ def test_conjecture_config_file_with_flag_override(tmp_path, capsys):
     second = capsys.readouterr().out
     assert code == 0
     assert second.splitlines()[0].startswith("# 1 conjectures")
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["min_suport = 50"], 3, "unknown key 'min_suport'"),
+    (["top-k = 1"], 3, "unknown key 'top-k'"),
+    (["direction = upper"], 3, "unknown key 'direction'"),
+    (["top_k = 3", "# a comment", "top_k = 1"], 5,
+     "key 'top_k' is given more than once"),
+    (["targets = Z"], 3, "key 'targets' is given more than once"),
+])
+def test_conjecture_config_unknown_or_repeated_key(tmp_path, capsys, lines,
+                                                   lineno, message):
+    # a misspelt or repeated key would otherwise be dropped without a word
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {corpus}\ntargets = alpha\n"
+                   + "".join(line + "\n" for line in lines))
+    code = main(["conjecture", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}:{lineno}: {message}\n"
+
+
+def test_config_keys_match_the_conjecture_options():
+    # every option of ``conjecture`` but --config itself is a config key
+    options = vars(build_parser().parse_args(["conjecture"]))
+    assert set(cli.CONFIG_KEYS) == set(options) - {"command", "func", "config"}
+    assert len(cli.CONFIG_KEYS) == 10
 
 
 def test_conjecture_structured_output(tmp_path, capsys):

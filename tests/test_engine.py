@@ -47,9 +47,10 @@ def make_conjecture(target="independence_number", other="matching_number",
                     direction="upper", hypothesis=(), slope=1, intercept=0,
                     touch_set=("a",), support_size=5):
     return Conjecture(
-        target=target, other=other, direction=direction,
+        target=target, other=other,
         hypothesis=Hypothesis(hypothesis),
-        bound=SharpBoundingFunction(Fraction(slope), Fraction(intercept),
+        bound=SharpBoundingFunction(Fraction(slope).as_integer_ratio(),
+                                    Fraction(intercept).as_integer_ratio(),
                                     direction),
         touch_set=frozenset(touch_set), touch_number=len(set(touch_set)),
         support_size=support_size)
@@ -80,6 +81,32 @@ def test_render_fraction_slope_lower_and_constant():
     assert render_conjecture(c) == "α(G) ≥ μ(G) - 2"
     c = make_conjecture(slope=0, intercept=Fraction(7, 3))
     assert render_conjecture(c) == "α(G) ≤ 7/3"
+
+
+def test_direction_follows_the_bound():
+    # the direction is the bound's own, so a conjecture cannot state one
+    # direction and be checked in the other
+    lower = SharpBoundingFunction((0, 1), (100, 1), "lower")
+    fields = dict(target="independence_number", other="order",
+                  hypothesis=Hypothesis(), bound=lower,
+                  touch_set=frozenset({"a"}), touch_number=1, support_size=1)
+    c = Conjecture(**fields)
+    assert c.direction == "lower"
+    assert render_conjecture(c) == "α(G) ≥ 100"
+    assert conjecture_to_record(c)["direction"] == "lower"
+    assert find_counterexample(c, [complete(3)], standard_invariants(),
+                               standard_predicates())[0] == "K3"
+    with pytest.raises(TypeError):
+        Conjecture(direction="upper", **fields)
+
+    table = build_table(cubic_like_corpus())
+    config = EngineConfig(targets=("independence_number",), min_support=1,
+                          max_hypothesis_size=0)
+    records = engine.fit_records(table, config)
+    assert {r.direction for r in records} == {"upper", "lower"}
+    assert all(r.direction == r.fit.bound.direction for r in records)
+    assert all(c.direction == c.bound.direction
+               for c in generate(table, config))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +158,8 @@ def undercutting_fit(points, direction):
     for _, y, rows in points:
         if y == top - 1:
             touched |= rows
-    return FitResult((0, 1), (top - 1, 1), direction, touched)
+    return FitResult(SharpBoundingFunction((0, 1), (top - 1, 1), direction),
+                     touched)
 
 
 def test_generate_self_check_names_violated_row(monkeypatch):
@@ -224,7 +252,7 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
         support = table.support(c.hypothesis)
         fit = fit_linear_bound(table.select_rows(support, c.other, "y"),
                                c.direction)
-        assert c.bound == fit.function
+        assert c.bound == fit.bound
         assert c.touch_set == {table.labels[i] for i in mask_rows(fit.touched)}
         assert c.touch_number == fit.touch_number
         assert c.support_size == support.bit_count()

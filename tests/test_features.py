@@ -19,6 +19,7 @@ from sharpbounds import (
     load_table,
     mask_rows,
     path,
+    read_graph6_file,
     save_table,
     standard_invariants,
     standard_predicates,
@@ -219,6 +220,57 @@ def test_narrower_request_reuses_wider_cache(tmp_path):
     # the wide request still finds every column
     assert load_or_build_table(corpus, tmp_path) == wide
     assert cached.read_bytes() == before
+
+
+def test_narrow_requests_add_to_the_cache(tmp_path):
+    corpus = read_graph6_file(Path(__file__).resolve().parent.parent
+                              / "data" / "mixed_graphs.g6")
+    inv = standard_invariants()
+    computed = []
+
+    def counted(name):
+        def solver(graph):
+            computed.append(name)
+            return inv[name](graph)
+        return solver
+
+    def not_computed(graph):
+        raise AssertionError("a cached column was computed again")
+
+    alpha = {"independence_number": counted("independence_number"),
+             "order": counted("order")}
+    load_or_build_table(corpus, tmp_path, alpha, {})
+    (cached,) = tmp_path.glob("*.tsv")
+    # the second request computes only the column the file lacks, and the
+    # file keeps its old columns
+    computed.clear()
+    mu = load_or_build_table(corpus, tmp_path, {
+        "matching_number": counted("matching_number"),
+        "order": not_computed}, {})
+    assert set(computed) == {"matching_number"}
+    assert cached.read_text().split("\n", 1)[0].split("\t") == \
+        ["label", "independence_number", "order", "matching_number"]
+    assert mu.numeric["matching_number"] == \
+        tuple(inv["matching_number"](g) for g in corpus)
+
+    # a third request for alpha calls no solver
+    again = load_or_build_table(
+        corpus, tmp_path, {"independence_number": not_computed,
+                           "order": not_computed}, {})
+    assert again.numeric["independence_number"] == \
+        tuple(inv["independence_number"](g) for g in corpus)
+    assert list(tmp_path.iterdir()) == [cached]
+
+    # a wider request that adds a predicate keeps all three columns
+    load_or_build_table(corpus, tmp_path, {"independence_number": not_computed,
+                                           "order": not_computed},
+                        {"bipartite": standard_predicates()["bipartite"]})
+    assert load_table(cached, ["independence_number", "order",
+                               "matching_number"], ["bipartite"]) == \
+        build_table(corpus, {name: inv[name] for name in
+                             ("independence_number", "order",
+                              "matching_number")},
+                    {"bipartite": standard_predicates()["bipartite"]})
 
 
 @pytest.mark.parametrize("writer", ["save_table", "write_export"])

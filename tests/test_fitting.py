@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,25 +27,25 @@ def touched_rows(result):
 
 def test_identity_line():
     r = fit([(1, 1), (2, 2), (3, 3)], "upper")
-    assert (r.function.slope, r.function.intercept) == (1, 0)
+    assert (r.bound.slope, r.bound.intercept) == ((1, 1), (0, 1))
     assert r.touch_number == 3
 
 
 def test_flat_beats_steep_on_tied_touch():
     r = fit([(1, 2), (2, 2), (3, 1)], "upper")
-    assert (r.function.slope, r.function.intercept) == (0, 2)
+    assert (r.bound.slope, r.bound.intercept) == ((0, 1), (2, 1))
     assert touched_rows(r) == {0, 1}
 
 
 def test_single_point_slope_zero():
     r = fit([(0, 5)], "upper")
-    assert (r.function.slope, r.function.intercept) == (0, 5)
+    assert (r.bound.slope, r.bound.intercept) == ((0, 1), (5, 1))
     assert r.touch_number == 1
 
 
 def test_two_point_lower_bound():
     r = fit([(1, 1), (2, 3)], "lower")
-    assert (r.function.slope, r.function.intercept) == (2, -1)
+    assert (r.bound.slope, r.bound.intercept) == ((2, 1), (-1, 1))
     assert r.touch_number == 2
 
 
@@ -56,31 +57,23 @@ def test_direction_validated():
     with pytest.raises(ValueError):
         fit_linear_bound([(0, 0, 1)], "sideways")
     with pytest.raises(ValueError):
-        SharpBoundingFunction(Fraction(1), Fraction(0), "sideways")
+        SharpBoundingFunction((1, 1), (0, 1), "sideways")
 
 
 def test_evaluate_bound_exact():
-    f = SharpBoundingFunction(Fraction(1), Fraction(0), "upper")
+    f = SharpBoundingFunction((1, 1), (0, 1), "upper")
     assert f.evaluate(7) == 7
-    f = SharpBoundingFunction(Fraction(3, 2), Fraction(0), "upper")
+    f = SharpBoundingFunction((3, 2), (0, 1), "upper")
     assert f.evaluate(2) == 3
-    f = SharpBoundingFunction(Fraction(0), Fraction(2), "upper")
+    f = SharpBoundingFunction((0, 1), (2, 1), "upper")
     assert f.evaluate(100) == 2
-    f = SharpBoundingFunction(Fraction(1, 3), Fraction(1, 6), "upper")
+    f = SharpBoundingFunction((1, 3), (1, 6), "upper")
     assert f.evaluate(Fraction(1, 2)) == Fraction(1, 3)
-
-
-def test_fractional_coordinates():
-    pts = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(3, 2), Fraction(4, 3))]
-    r = fit(pts, "upper")
-    assert r.touch_number == 2
-    assert r.function.slope == 1
-    assert r.function.intercept == Fraction(-1, 6)
 
 
 def test_equal_x_points():
     r = fit([(2, 1), (2, 3), (2, 2)], "upper")
-    assert (r.function.slope, r.function.intercept) == (0, 3)
+    assert (r.bound.slope, r.bound.intercept) == ((0, 1), (3, 1))
     assert touched_rows(r) == {1}
 
 
@@ -94,8 +87,8 @@ directions = st.sampled_from(["upper", "lower"])
 def test_feasible_sharp_and_optimal(points, direction):
     r = fit(points, direction)
     for i, (x, y) in enumerate(points):
-        assert r.function.holds(x, y)
-        assert r.function.touches(x, y) == (i in touched_rows(r))
+        assert r.bound.holds(x, y)
+        assert r.bound.touches(x, y) == (i in touched_rows(r))
     assert r.touch_number >= 1
     assert r.touch_number == oracles.oracle_best_touch(one_per_row(points),
                                                        direction)
@@ -111,38 +104,37 @@ def test_deterministic_and_order_insensitive(points, direction):
     labeled = one_per_row(points)
     rng.shuffle(labeled)
     c = fit_linear_bound(labeled, direction)
-    assert (a.function, a.touched) == (c.function, c.touched)
+    assert (a.bound, a.touched) == (c.bound, c.touched)
 
 
-fractional_points = st.lists(
-    st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=4),
-              st.fractions(min_value=-5, max_value=5, max_denominator=4)),
-    min_size=1, max_size=8)
+signed_points = st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                         min_size=1, max_size=8)
+
+
+def negated(pair):
+    return (-pair[0], pair[1])
 
 
 @settings(max_examples=150, deadline=None)
-@given(fractional_points, directions)
+@given(signed_points, directions)
 def test_mirror_symmetry(points, direction):
     # negating y and flipping the direction negates the fitted bound
     r = fit(points, direction)
     flipped = "lower" if direction == "upper" else "upper"
     mirrored = fit([(x, -y) for x, y in points], flipped)
-    assert mirrored.function.slope == -r.function.slope
-    assert mirrored.function.intercept == -r.function.intercept
+    assert mirrored.bound.slope == negated(r.bound.slope)
+    assert mirrored.bound.intercept == negated(r.bound.intercept)
     assert mirrored.touched == r.touched
-    # holds/touches take Fraction coordinates as they are
     for i, (x, y) in enumerate(points):
-        assert r.function.holds(x, y) and mirrored.function.holds(x, -y)
-        assert r.function.touches(x, y) == (i in touched_rows(r))
-        assert mirrored.function.touches(x, -y) == (i in touched_rows(r))
+        assert r.bound.holds(x, y) and mirrored.bound.holds(x, -y)
+        assert r.bound.touches(x, y) == (i in touched_rows(r))
+        assert mirrored.bound.touches(x, -y) == (i in touched_rows(r))
 
 
 @st.composite
 def differential_inputs(draw):
-    """Points with negative ints and Fractions, repeats, and one-x clouds."""
-    coordinate = st.one_of(
-        st.integers(-8, 8),
-        st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    """Points with negative ints, repeats, and one-x clouds."""
+    coordinate = st.integers(-8, 8)
     points = draw(st.lists(st.tuples(coordinate, coordinate),
                            min_size=1, max_size=10))
     points += draw(st.lists(st.sampled_from(points), max_size=4))
@@ -152,15 +144,12 @@ def differential_inputs(draw):
 
 
 def fit_fields(result):
-    return (result.slope, result.intercept, result.function.slope,
-            result.function.intercept, result.function.direction,
-            result.touched, result.touch_number)
+    return (result.bound, result.touched, result.touch_number)
 
 
 @settings(max_examples=200, deadline=None)
 @given(differential_inputs())
 @example([(3, -2, 1)])
-@example([(Fraction(1, 2), 4, 1), (Fraction(1, 2), -1, 2), (Fraction(1, 2), 4, 4)])
 @example([(1, 1, 1), (1, 1, 2), (2, 2, 4), (2, 2, 8), (3, 1, 16)])
 def test_matches_pairwise_slope_oracle(points):
     # the hull-edge fitter must reproduce the pairwise-slope search exactly
@@ -196,11 +185,10 @@ def test_weights_decide_the_touch_maximal_line():
     # both hull edges touch two points; the one with three rows at an end wins
     r = fit_linear_bound([(0, 0, 0b111), (1, 2, 0b1000), (3, 3, 0b10000)],
                          "upper")
-    assert (r.function.slope, r.function.intercept) == (2, 0)
+    assert (r.bound.slope, r.bound.intercept) == ((2, 1), (0, 1))
     assert (r.touched, r.touch_number) == (0b1111, 4)
     r = fit_linear_bound([(0, 0, 0b1), (1, 2, 0b10), (3, 3, 0b11100)], "upper")
-    assert (r.function.slope, r.function.intercept) == \
-        (Fraction(1, 2), Fraction(3, 2))
+    assert (r.bound.slope, r.bound.intercept) == ((1, 2), (3, 2))
     assert (r.touched, r.touch_number) == (0b11110, 4)
 
 
@@ -220,4 +208,30 @@ def test_fit_result_rejects_malformed_fields(slope, intercept, direction,
                                              touched):
     # equal bounds must have equal integer pairs, so pairs come reduced
     with pytest.raises(ValueError):
-        FitResult(slope, intercept, direction, touched)
+        FitResult(SharpBoundingFunction(slope, intercept, direction), touched)
+
+
+@st.composite
+def reduced_pairs(draw):
+    """A reduced (numerator, denominator) pair, negative numerators included."""
+    num = draw(st.integers(-40, 40))
+    den = draw(st.integers(1, 12))
+    g = gcd(num, den)
+    return (num // g, den // g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_pairs(), reduced_pairs(), directions,
+       st.integers(-50, 50), st.integers(-50, 50))
+@example((-3, 2), (1, 6), "lower", -4, -6)
+@example((1, 3), (-1, 2), "upper", 3, 0)
+def test_integer_comparison_matches_fractions(slope, intercept, direction, x, y):
+    # cross-multiplied holds/touches agree with plain Fraction arithmetic
+    bound = SharpBoundingFunction(slope, intercept, direction)
+    rhs = Fraction(*slope) * x + Fraction(*intercept)
+    assert bound.evaluate(x) == rhs
+    assert bound.touches(x, y) == (y == rhs)
+    assert bound.holds(x, y) == (y <= rhs if direction == "upper" else y >= rhs)
+    # the touching point itself, where the rhs is an integer
+    if rhs.denominator == 1:
+        assert bound.touches(x, rhs.numerator) and bound.holds(x, rhs.numerator)
