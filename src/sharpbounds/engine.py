@@ -11,12 +11,12 @@ the support. Row sets are ``int`` bitmasks throughout (see
 
 Filtering removes conjectures that are strictly less general than an
 identical bound (generality filter) or that touch no object untouched by an
-earlier accepted conjecture (Dalmatian filter). :func:`run_pipeline` runs
-the generality filter on the fit records, so a :class:`Conjecture` (with its
-label touch set) is built only for each surviving
-record, under its smallest hypothesis; :func:`generate` builds one for
-every hypothesis of every record. Conjectures are presented in
-non-increasing touch-number order.
+earlier accepted conjecture (Dalmatian filter). The filters, the ranking
+and the per-group truncation take fit records as well as conjectures, and
+:func:`run_pipeline` runs them all on the records, so a :class:`Conjecture`
+(with its label touch set) is built only for each listed bound;
+:func:`generate` builds one for every hypothesis of every record.
+Conjectures are presented in non-increasing touch-number order.
 """
 from __future__ import annotations
 
@@ -72,9 +72,11 @@ class Conjecture:
         return render_conjecture(self)
 
     def bound_key(self) -> tuple:
-        """Identity of the bound: both properties and the bound, whose
-        direction and integer pairs are equal exactly when the bounds are."""
-        return (self.target, self.other, self.bound)
+        """Identity of the bound as a plain tuple: both properties, the
+        direction and the reduced slope and intercept pairs, which are equal
+        exactly when the bounds are."""
+        b = self.bound
+        return (self.target, self.other, b.direction, b.slope, b.intercept)
 
 
 @dataclass(frozen=True)
@@ -129,28 +131,36 @@ class FitRecord:
 
     ``fit`` holds the integer bound and the touched-row mask, ``support``
     the row mask, and ``hypotheses`` every enumerated hypothesis with that
-    support, in enumeration order.
+    support, in enumeration order. ``hypothesis`` is the smallest of them by
+    key, the most general name of the support: the one the generality filter
+    keeps among equal supports and the one a listed record is stated under.
+    ``bound``, ``direction``, ``touch_number``, ``support_size``,
+    ``statement`` and :meth:`bound_key` read as the record's conjecture's
+    would, so the filters and the ranking take records and conjectures alike.
     """
 
     target: str
     other: str
     support: int
     fit: FitResult
-    hypotheses: list[Hypothesis]
+    hypotheses: Sequence[Hypothesis]
+    hypothesis: Hypothesis
 
     @property
-    def direction(self) -> str:
-        return self.fit.bound.direction
+    def bound(self) -> SharpBoundingFunction:
+        return self.fit.bound
 
     @property
-    def hypothesis(self) -> Hypothesis:
-        """The most general name of the support: its smallest hypothesis key,
-        the one the generality filter keeps among equal supports."""
-        return min(self.hypotheses, key=attrgetter("key"))
+    def touch_number(self) -> int:
+        return self.fit.touched.bit_count()
 
-    def bound_key(self) -> tuple:
-        """Equal to :meth:`Conjecture.bound_key` of the record's conjectures."""
-        return (self.target, self.other, self.fit.bound)
+    @property
+    def support_size(self) -> int:
+        return self.support.bit_count()
+
+    direction = Conjecture.direction
+    statement = Conjecture.statement
+    bound_key = Conjecture.bound_key
 
 
 def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
@@ -158,10 +168,13 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     property, distinct hypothesis support) with at least ``min_support``
     selected rows.
 
-    For each (target, other property), rows are selected once per distinct
-    support and fitted in every direction from that one selection. Within a
-    target, fits are memoised by (direction, grouped points), so columns
-    that agree on the selected rows share one fit and one self-check.
+    Hypotheses are grouped by support once per call. For each (target,
+    other property), rows are selected once per distinct support that holds
+    at least ``min_support`` rows with both values defined (counted on the
+    masks, before any selection), and fitted in every direction from that
+    one selection. Within a target, fits are memoised by (direction, grouped
+    points), so columns that agree on the selected rows share one fit and
+    one self-check.
     Records are ordered by target, direction, other property and first
     hypothesis, and are a pure function of table and config.
     """
@@ -169,10 +182,16 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
         if target not in table.numeric:
             raise ConfigError(f"target {target!r} is not a numeric column")
 
-    supports = [(h, table.support(h))
-                for h in enumerate_hypotheses(table, config.max_hypothesis_size)]
+    # support -> every hypothesis sharing it, in enumeration order
+    shared: dict[int, list[Hypothesis]] = {}
+    for h in enumerate_hypotheses(table, config.max_hypothesis_size):
+        shared.setdefault(table.support(h), []).append(h)
+    supports = [(support, tuple(hs), min(hs, key=attrgetter("key")))
+                for support, hs in shared.items()]
+    # column -> mask of the rows where it is defined
+    defined = {name: sum(1 << i for i, v in enumerate(col) if v is not None)
+               for name, col in table.numeric.items()}
     directions = sorted(config.directions)
-    labels = table.labels
     out: list[FitRecord] = []
     for target in sorted(config.targets):
         by_direction: dict[str, list[FitRecord]] = {d: [] for d in directions}
@@ -181,29 +200,23 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
         for other in sorted(table.numeric):
             if other == target:
                 continue
-            # support -> its records, one per direction (none below
-            # min_support), which collect every hypothesis sharing it
-            shared: dict[int, list[FitRecord]] = {}
-            for h, support in supports:
-                records = shared.get(support)
-                if records is None:
-                    records = shared[support] = []
-                    points = table.select_rows(support, x=other, y=target)
-                    if sum(rows.bit_count() for _, _, rows in points) \
-                            >= config.min_support:
-                        for direction in directions:
-                            key = (direction, points)
-                            fit = memo.get(key)
-                            first = fit is None
-                            if first:
-                                fit = memo[key] = fit_linear_bound(points, direction)
-                            record = FitRecord(target, other, support, fit, [])
-                            if first:
-                                _self_check(record, h, points, labels)
-                            records.append(record)
-                            by_direction[direction].append(record)
-                for record in records:
-                    record.hypotheses.append(h)
+            both = defined[other] & defined[target]
+            for support, hypotheses, smallest in supports:
+                # the selection would hold exactly these rows
+                if (support & both).bit_count() < config.min_support:
+                    continue
+                points = table.select_rows(support, x=other, y=target)
+                for direction in directions:
+                    key = (direction, points)
+                    fit = memo.get(key)
+                    first = fit is None
+                    if first:
+                        fit = memo[key] = fit_linear_bound(points, direction)
+                    record = FitRecord(target, other, support, fit,
+                                       hypotheses, smallest)
+                    if first:
+                        _self_check(record, points, table.labels)
+                    by_direction[direction].append(record)
         for direction in directions:
             out.extend(by_direction[direction])
     return out
@@ -217,24 +230,26 @@ def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
     other property and hypothesis, and is a pure function of table and
     config.
     """
-    return _expand(fit_records(table, config), table.labels)
-
-
-def _expand(records: Sequence[FitRecord], labels: Sequence[str]
-            ) -> list[Conjecture]:
     # every hypothesis of every record, in enumeration order (smallest
     # first, then by name) within each (target, direction, other)
     touch_sets: dict[int, frozenset[str]] = {}
-    out = [_conjecture(record, h, labels, touch_sets)
-           for record in records for h in record.hypotheses]
+    out = [_conjecture(r, table.labels, touch_sets)
+           for r in _per_hypothesis(fit_records(table, config))]
     out.sort(key=lambda c: (c.target, c.direction, c.other,
                             len(c.hypothesis.key), c.hypothesis.key))
     return out
 
 
-def _conjecture(record: FitRecord, h: Hypothesis, labels: Sequence[str],
+def _per_hypothesis(records: Sequence[FitRecord]) -> list[FitRecord]:
+    # one record per hypothesis of each record, stated under it
+    return [FitRecord(r.target, r.other, r.support, r.fit, (h,), h)
+            for r in records for h in r.hypotheses]
+
+
+def _conjecture(record: FitRecord, labels: Sequence[str],
                 touch_sets: dict[int, frozenset[str]]) -> Conjecture:
-    # touch_sets caches each touched mask's label set across calls
+    # the record's conjecture, stated under record.hypothesis; touch_sets
+    # caches each touched mask's label set across calls
     touched = record.fit.touched
     touch_set = touch_sets.get(touched)
     if touch_set is None:
@@ -243,7 +258,7 @@ def _conjecture(record: FitRecord, h: Hypothesis, labels: Sequence[str],
     return Conjecture(
         target=record.target,
         other=record.other,
-        hypothesis=h,
+        hypothesis=record.hypothesis,
         bound=record.fit.bound,
         touch_set=touch_set,
         touch_number=len(touch_set),
@@ -251,20 +266,16 @@ def _conjecture(record: FitRecord, h: Hypothesis, labels: Sequence[str],
     )
 
 
-def _self_check(record: FitRecord, h: Hypothesis,
-                points: Sequence[tuple[int, int, int]],
+def _self_check(record: FitRecord, points: Sequence[tuple[int, int, int]],
                 labels: Sequence[str]) -> None:
     # Defense in depth against fitter regressions: re-verify the inequality
-    # on every fitted point with the comparison verify uses. The points'
-    # row masks are disjoint, so their sum is their union, and its lowest
-    # bit is the lowest violating row.
-    holds = record.fit.bound.holds
-    violated = sum(rows for x, y, rows in points if not holds(x, y))
+    # on every fitted point with the comparison verify uses. The lowest bit
+    # of the violation mask is the lowest violating row.
+    violated = record.bound.violations(points)
     if violated:
-        conj = _conjecture(record, h, labels, {})
         raise AssertionError(
             f"generated conjecture violated on row "
-            f"{labels[next(mask_rows(violated))]}: {conj.statement}")
+            f"{labels[next(mask_rows(violated))]}: {record.statement}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +321,43 @@ def generality_filter(items: Sequence, table: FeatureTable) -> list:
     return [item for i, item in enumerate(items) if i in keep]
 
 
-def sort_conjectures(conjectures: Sequence[Conjecture]) -> list[Conjecture]:
-    """Non-increasing touch number; ties by larger support, then statement."""
-    return sorted(conjectures,
+def sort_conjectures(items: Sequence) -> list:
+    """Non-increasing touch number; ties by larger support, then statement.
+
+    ``items`` are conjectures or fit records.
+    """
+    return sorted(items,
                   key=lambda c: (-c.touch_number, -c.support_size, c.statement))
 
 
-def dalmatian_filter(conjectures: Sequence[Conjecture]) -> list[Conjecture]:
+def dalmatian_filter(items: Sequence) -> list:
     """Keep a conjecture only if it touches an object no earlier accepted
     conjecture of the same target and direction touched.
 
-    Input order is acceptance order, so callers sort first.
+    Input order is acceptance order, so callers sort first. ``items`` are
+    conjectures, compared by label touch set, or fit records of one table,
+    compared by touched-row mask.
     """
-    claimed: dict[tuple[str, str], set[str]] = {}
+    # (target, direction) -> union of the accepted touch sets or masks
+    claimed: dict[tuple[str, str], object] = {}
     out = []
-    for c in conjectures:
-        pool = claimed.setdefault((c.target, c.direction), set())
-        if c.touch_set - pool:
-            pool.update(c.touch_set)
+    for c in items:
+        touched = c.fit.touched if isinstance(c, FitRecord) else c.touch_set
+        key = (c.target, c.direction)
+        pool = claimed.get(key)
+        grown = touched if pool is None else pool | touched
+        if grown != pool:
+            claimed[key] = grown
             out.append(c)
     return out
 
 
-def truncate_per_group(conjectures: Sequence[Conjecture], top_k: int
-                       ) -> list[Conjecture]:
-    """Keep the first ``top_k`` conjectures of each (target, direction)."""
+def truncate_per_group(items: Sequence, top_k: int) -> list:
+    """Keep the first ``top_k`` conjectures (or fit records) of each
+    (target, direction)."""
     counts: dict[tuple[str, str], int] = {}
     out = []
-    for c in conjectures:
+    for c in items:
         key = (c.target, c.direction)
         if counts.get(key, 0) < top_k:
             counts[key] = counts.get(key, 0) + 1
@@ -348,23 +368,24 @@ def truncate_per_group(conjectures: Sequence[Conjecture], top_k: int
 def run_pipeline(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
     """generate, filter, sort and truncate in one deterministic pass.
 
-    The generality filter runs on the fit records, before any conjecture
-    exists, and each surviving record becomes one conjecture under its
-    smallest hypothesis. Without it every record is expanded as in
-    :func:`generate`. Either way the result equals filtering, sorting and
-    truncating ``generate``'s list.
+    Filtering, ranking and truncation run on the fit records, before any
+    conjecture exists, and each listed record becomes one conjecture. With
+    the generality filter a record stands for its smallest hypothesis;
+    without it, for each of its hypotheses, as in :func:`generate`. Either
+    way the result equals filtering, sorting and truncating ``generate``'s
+    list.
     """
     records = fit_records(table, config)
     if "generality" in config.filters:
-        touch_sets: dict[int, frozenset[str]] = {}
-        conjectures = [_conjecture(r, r.hypothesis, table.labels, touch_sets)
-                       for r in generality_filter(records, table)]
+        records = generality_filter(records, table)
     else:
-        conjectures = _expand(records, table.labels)
-    conjectures = sort_conjectures(conjectures)
+        records = _per_hypothesis(records)
+    records = sort_conjectures(records)
     if "dalmatian" in config.filters:
-        conjectures = dalmatian_filter(conjectures)
-    return truncate_per_group(conjectures, config.top_k)
+        records = dalmatian_filter(records)
+    touch_sets: dict[int, frozenset[str]] = {}
+    return [_conjecture(r, table.labels, touch_sets)
+            for r in truncate_per_group(records, config.top_k)]
 
 
 # ---------------------------------------------------------------------------

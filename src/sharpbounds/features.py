@@ -195,14 +195,15 @@ def save_table(table: FeatureTable, path: str | Path,
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` in one step.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces ``path``. If anything fails the temporary file is removed, so
-    ``path`` keeps its old content and nothing else is left behind.
+    The text is written as UTF-8, whatever the locale, to a temporary file
+    in the same directory, which then replaces ``path``. If anything fails
+    the temporary file is removed, so ``path`` keeps its old content and
+    nothing else is left behind.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -211,7 +212,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 def _read_cells(path: str | Path) -> dict[str, tuple[str, ...]]:
     # every column of a save_table file as cell texts, label first
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigError(f"empty table file {path}")
     header = lines[0].split("\t")

@@ -88,10 +88,21 @@ class SharpBoundingFunction:
         (p, q), (c, e) = self.slope, self.intercept
         return Fraction(p * e * x + c * q, q * e)
 
+    def violations(self, points: Sequence[tuple[int, int, int]]) -> int:
+        """Union of the row masks of the points ``(x, y, rows)`` that violate
+        the bound: excess above zero for an upper bound, below for a lower."""
+        (p, q), (c, e) = self.slope, self.intercept
+        qe, pe, cq = q * e, p * e, c * q
+        sign = 1 if self.direction == UPPER else -1
+        violated = 0
+        for x, y, rows in points:
+            if (y * qe - pe * x - cq) * sign > 0:
+                violated |= rows
+        return violated
+
     def holds(self, x, y) -> bool:
         """Whether (x, y) satisfies the bound exactly."""
-        excess = self._excess(x, y)
-        return excess <= 0 if self.direction == UPPER else excess >= 0
+        return not self.violations(((x, y, 1),))
 
     def touches(self, x, y) -> bool:
         return self._excess(x, y) == 0

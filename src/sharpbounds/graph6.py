@@ -18,8 +18,8 @@ from .graphs import Graph
 _HEADER = ">>graph6<<"
 
 
-def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 string into a :class:`Graph`."""
+def parse_graph6(line: str, label: str | None = None) -> Graph:
+    """Decode one graph6 string into a :class:`Graph` with ``label``."""
     s = line.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
@@ -56,7 +56,7 @@ def parse_graph6(line: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, tuple(rows), label)
 
 
 def to_graph6(g: Graph) -> str:
@@ -83,8 +83,9 @@ def read_graph6_file(path: str | os.PathLike) -> list[Graph]:
     """Read a one-graph-per-line graph6 file, labeling each graph.
 
     Labels are the file stem for a single-graph file, otherwise
-    ``<stem>#<line>``. Blank lines are skipped; a decoding failure reports
-    the offending line number.
+    ``<stem>#<k>`` for the k-th graph (from 1): blank lines are skipped and
+    not counted. A decoding failure reports the offending line number. Each
+    graph is decoded and checked once, with its label.
     """
     p = Path(path)
     try:
@@ -94,24 +95,17 @@ def read_graph6_file(path: str | os.PathLike) -> list[Graph]:
     except UnicodeDecodeError:
         raise CorpusError(f"cannot read corpus {p}: not UTF-8 text") from None
 
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        entries.append((lineno, raw))
+    entries = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), 1)
+               if raw.strip()]
 
     graphs = []
-    for lineno, raw in entries:
+    for k, (lineno, raw) in enumerate(entries, start=1):
+        label = p.stem if len(entries) == 1 else f"{p.stem}#{k}"
         try:
-            g = parse_graph6(raw)
+            graphs.append(parse_graph6(raw, label))
         except (Graph6Error, UnsupportedSizeError) as exc:
             raise CorpusError(f"{p.name}:{lineno}: {exc}") from exc
-        graphs.append(g)
-
-    stem = p.stem
-    if len(graphs) == 1:
-        return [graphs[0].relabeled(stem)]
-    return [g.relabeled(f"{stem}#{i}") for i, g in enumerate(graphs, start=1)]
+    return graphs
 
 
 def write_graph6_file(graphs, path: str | os.PathLike) -> None:

@@ -15,6 +15,7 @@ from sharpbounds import (
     cycle,
     path,
     petersen,
+    read_export,
     star,
     write_export,
     write_graph6_file,
@@ -497,6 +498,25 @@ def test_conjecture_non_integer_config_value(tmp_path, capsys, key):
     assert code == 2
     assert captured.out == ""
     assert key in captured.err and "five" in captured.err
+
+
+def test_export_is_utf8_under_a_posix_locale(tmp_path):
+    # statements hold α and ≤; the export and cache are UTF-8 whatever the
+    # locale, as their readers expect
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    export = tmp_path / "E"
+    posix = dict(LC_ALL="POSIX", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                 PYTHONIOENCODING="utf-8")
+    run = run_cli("conjecture", "--corpus", str(corpus), "--targets", "alpha",
+                  "--export", str(export), "--cache", str(tmp_path / "cache"),
+                  **posix)
+    assert run.returncode == 0, run.stderr
+    records = read_export(export)
+    check = run_cli("verify", str(export), str(corpus), **posix)
+    assert check.returncode == 0, check.stderr
+    lines = check.stdout.splitlines()
+    assert len(lines) == len(records) > 0
+    assert all(line.startswith("HOLDS") for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from sharpbounds import (
     petersen,
     prism,
     read_export,
+    read_graph6_file,
     render_conjecture,
     run_pipeline,
     sort_conjectures,
@@ -40,7 +41,7 @@ from sharpbounds import (
     write_export,
 )
 
-from conftest import random_graph
+from conftest import DATA, random_graph
 
 
 def make_conjecture(target="independence_number", other="matching_number",
@@ -262,27 +263,87 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
 
 def test_traced_entry_points_stay_patchable(monkeypatch):
     # perfbench/spans.py wraps FeatureTable.support and .select_rows through
-    # the class dict and fit_linear_bound through engine's own binding; if
-    # any of them moved, the traced sweep would silently count nothing
-    counts = {"support": 0, "select_rows": 0, "fit": 0}
+    # the class dict, and fit_linear_bound and the ranking stages through
+    # engine's own bindings; if any of them moved, the traced sweep would
+    # silently count nothing for it
+    counts = {}
+
+    def count(owner, name, original):
+        counts[name] = 0
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
     for name in ("support", "select_rows"):
-        original = vars(FeatureTable)[name]
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(FeatureTable, name, counted)
+        count(FeatureTable, name, vars(FeatureTable)[name])
     assert engine.fit_linear_bound is fitting.fit_linear_bound
-
-    def counted_fit(*args, **kwargs):
-        counts["fit"] += 1
-        return fitting.fit_linear_bound(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "fit_linear_bound", counted_fit)
-    generate(build_table(cubic_like_corpus()),
-             EngineConfig(targets=("independence_number",), min_support=3))
+    count(engine, "fit_linear_bound", fitting.fit_linear_bound)
+    stages = ("sort_conjectures", "dalmatian_filter", "truncate_per_group",
+              "render_conjecture")
+    for name in stages:
+        count(engine, name, getattr(engine, name))
+    table = build_table(cubic_like_corpus())
+    config = EngineConfig(targets=("independence_number",), min_support=3,
+                          filters=("generality", "dalmatian"))
+    run_pipeline(table, config)
     assert all(n > 0 for n in counts.values()), counts
+
+
+def test_rows_selected_only_for_supports_with_enough_rows(monkeypatch):
+    # "even" holds on four rows but u is missing on two of them, so (u, even)
+    # holds two rows with both values: below min_support, never selected
+    table = FeatureTable(
+        labels=tuple("abcdefgh"),
+        numeric={"y": (2, 3, 3, 5, None, 7, 6, 6),
+                 "u": (1, None, 3, 4, 5, None, None, 8),
+                 "v": (1, 2, 0, 4, 9, 6, 1, 8)},
+        boolean={"even": (False, True) * 4, "low": (True,) * 4 + (False,) * 4})
+    original = FeatureTable.select_rows
+
+    def rows_of(support, other):
+        return sum(rows.bit_count()
+                   for _, _, rows in original(table, support, other, "y"))
+
+    selected = []
+
+    def recording(self, support, x, y):
+        selected.append((x, support))
+        return original(self, support, x, y)
+
+    monkeypatch.setattr(FeatureTable, "select_rows", recording)
+    records = engine.fit_records(
+        table, EngineConfig(targets=("y",), max_hypothesis_size=2, min_support=3))
+
+    pairs = {(other, table.support(h)) for other in "uv"
+             for h in engine.enumerate_hypotheses(table, 2)}
+    wanted = {(other, s) for other, s in pairs if rows_of(s, other) >= 3}
+    assert ("u", table.support(Hypothesis({"even"}))) in pairs - wanted
+    # every pair with enough rows is selected once and fitted; no other is
+    assert sorted(selected) == sorted(wanted)
+    assert {(r.other, r.support) for r in records} == wanted
+
+
+@pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
+def test_pipeline_builds_only_the_listed_conjectures(corpus, monkeypatch):
+    # ranking and both filters run on fit records; a conjecture is built
+    # for each listed bound and for nothing else
+    table = build_table(read_graph6_file(DATA / corpus))
+    built = 0
+    check = Conjecture.__post_init__
+
+    def counting_check(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    monkeypatch.setattr(Conjecture, "__post_init__", counting_check)
+    out = run_pipeline(table, EngineConfig(
+        targets=tuple(standard_invariants()), max_hypothesis_size=3,
+        filters=("generality", "dalmatian")))
+    assert built == len(out) > 0
 
 
 def test_generated_conjectures_hold_and_touch(random_suite):

@@ -235,3 +235,22 @@ def test_integer_comparison_matches_fractions(slope, intercept, direction, x, y)
     # the touching point itself, where the rhs is an integer
     if rhs.denominator == 1:
         assert bound.touches(x, rhs.numerator) and bound.holds(x, rhs.numerator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_pairs(), reduced_pairs(), directions,
+       st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50),
+                          st.integers(1, 2**10)), max_size=12))
+def test_violation_mask_is_the_union_of_failing_rows(slope, intercept,
+                                                     direction, points):
+    # the bulk self-check mask ORs the rows of exactly the points where
+    # holds is false, masks of several rows (overlapping ones too) included
+    bound = SharpBoundingFunction(slope, intercept, direction)
+    by_holds = by_fractions = 0
+    for x, y, rows in points:
+        rhs = Fraction(*slope) * x + Fraction(*intercept)
+        if not bound.holds(x, y):
+            by_holds |= rows
+        if (y > rhs if direction == "upper" else y < rhs):
+            by_fractions |= rows
+    assert bound.violations(points) == by_holds == by_fractions

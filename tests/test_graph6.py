@@ -119,6 +119,8 @@ def test_file_errors_name_the_line(tmp_path):
 
 def test_blank_lines_and_header_skipped(tmp_path):
     target = tmp_path / "h.g6"
-    target.write_text(">>graph6<<A_\n\nA?\n")
+    target.write_text(">>graph6<<A_\n\nA?\nBw\n")
     graphs = read_graph6_file(target)
-    assert [g.size for g in graphs] == [1, 0]
+    assert [g.size for g in graphs] == [1, 0, 3]
+    # labels number the graphs, not the lines: Bw sits on line 4
+    assert [g.label for g in graphs] == ["h#1", "h#2", "h#3"]
