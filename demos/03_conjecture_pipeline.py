@@ -13,7 +13,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from sharpbounds import (
     EngineConfig,
     build_table,
-    generate,
+    fit_records,
     read_graph6_file,
     run_pipeline,
 )
@@ -47,7 +47,9 @@ print("the top line, Z(G) ≤ α(G) + 1, is a famous open question for "
 
 print()
 print("== how much the filters trim ==")
-raw = generate(table2, config2)
+raw = fit_records(table2, config2)
 filtered = run_pipeline(table2, config2)
-print(f"raw fits with a touch: {len(raw)}; after the generality filter and "
-      f"top-k: {len(filtered)}")
+print(f"raw fits with a touch: {len(raw)}, one per distinct hypothesis "
+      f"support ({sum(len(r.hypotheses) for r in raw)} bounds stated under "
+      f"each hypothesis)")
+print(f"after the generality filter and top-k: {len(filtered)}")

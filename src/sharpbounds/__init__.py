@@ -10,18 +10,17 @@ from .engine import (
     Conjecture,
     EngineConfig,
     FitRecord,
+    check_conjecture,
     conjecture_from_record,
     conjecture_to_record,
     dalmatian_filter,
     find_counterexample,
     fit_records,
     generality_filter,
-    generate,
     read_export,
     render_conjecture,
     run_pipeline,
     sort_conjectures,
-    touch_count_on,
     write_export,
 )
 from .errors import (
@@ -78,17 +77,17 @@ __all__ = [
     "Graph",
     "Graph6Error", "Hypothesis", "SharpBoundingFunction", "SharpboundsError",
     "ConfigError", "CorpusError", "UndefinedInvariantError",
-    "UnsupportedSizeError", "build_table", "complete", "complete_bipartite",
-    "conjecture_from_record", "conjecture_to_record", "corpus_digest",
-    "cycle", "dalmatian_filter", "domination_number", "evaluate_predicates",
-    "find_counterexample", "fit_linear_bound", "fit_records", "forcing_closure",
-    "generality_filter", "generate", "graph_names",
+    "UnsupportedSizeError", "build_table", "check_conjecture", "complete",
+    "complete_bipartite", "conjecture_from_record", "conjecture_to_record",
+    "corpus_digest", "cycle", "dalmatian_filter", "domination_number",
+    "evaluate_predicates", "find_counterexample", "fit_linear_bound",
+    "fit_records", "forcing_closure", "generality_filter", "graph_names",
     "independence_number", "independent_domination_number",
     "load_or_build_table", "load_table", "mask_rows", "matching_number",
     "min_maximal_matching", "named_graph", "parse_graph6", "path", "petersen",
     "prism", "read_export", "read_graph6_file", "render_conjecture",
     "resolve_column", "run_pipeline", "save_table", "sort_conjectures",
     "standard_invariants", "standard_predicates", "star", "to_graph6",
-    "total_domination_number", "touch_count_on", "vertex_cover_number",
+    "total_domination_number", "vertex_cover_number",
     "write_export", "write_graph6_file", "zero_forcing_number",
 ]

@@ -198,14 +198,13 @@ def _cmd_verify(args) -> int:
     for lineno, record in engine.read_numbered_export(args.export):
         try:
             conj = engine.conjecture_from_record(record)
-            counterexample = engine.find_counterexample(
+            counterexample, touches = engine.check_conjecture(
                 conj, corpus, invariants, predicates)
         except (SharpboundsError, KeyError, TypeError, ValueError) as exc:
             print(f"ERROR {args.export}:{lineno}: {exc}")
             errored = True
             continue
         if counterexample is None:
-            touches = engine.touch_count_on(conj, corpus, invariants, predicates)
             print(f"HOLDS touch={touches} {conj.statement}")
         else:
             label, lhs, rhs = counterexample

@@ -9,14 +9,14 @@ touched-row mask of the fit, the support mask, and every hypothesis sharing
 the support. Row sets are ``int`` bitmasks throughout (see
 :mod:`sharpbounds.features`).
 
-Filtering removes conjectures that are strictly less general than an
-identical bound (generality filter) or that touch no object untouched by an
-earlier accepted conjecture (Dalmatian filter). The filters, the ranking
-and the per-group truncation take fit records as well as conjectures, and
-:func:`run_pipeline` runs them all on the records, so a :class:`Conjecture`
-(with its label touch set) is built only for each listed bound;
-:func:`generate` builds one for every hypothesis of every record.
-Conjectures are presented in non-increasing touch-number order.
+Filtering removes records that are strictly less general than an identical
+bound (generality filter) or that touch no row untouched by an earlier
+accepted record (the touch-cover form of the Dalmatian filter). The
+filters, the ranking and the per-group truncation take fit records only,
+and :func:`run_pipeline` builds a :class:`Conjecture` (with its label touch
+set) only for each listed record. Conjectures are presented in
+non-increasing touch-number order. :func:`check_conjecture` re-checks a
+conjecture on any corpus in one walk over it.
 """
 from __future__ import annotations
 
@@ -136,7 +136,8 @@ class FitRecord:
     keeps among equal supports and the one a listed record is stated under.
     ``bound``, ``direction``, ``touch_number``, ``support_size``,
     ``statement`` and :meth:`bound_key` read as the record's conjecture's
-    would, so the filters and the ranking take records and conjectures alike.
+    would. The filters and the ranking take records only; a record becomes
+    a :class:`Conjecture` once it is listed.
     """
 
     target: str
@@ -222,39 +223,15 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     return out
 
 
-def generate(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
-    """Run the full fitting sweep; returns the unfiltered conjecture list.
-
-    Every fit record (:func:`fit_records`) becomes one conjecture per
-    hypothesis sharing its support. Output is ordered by target, direction,
-    other property and hypothesis, and is a pure function of table and
-    config.
-    """
-    # every hypothesis of every record, in enumeration order (smallest
-    # first, then by name) within each (target, direction, other)
-    touch_sets: dict[int, frozenset[str]] = {}
-    out = [_conjecture(r, table.labels, touch_sets)
-           for r in _per_hypothesis(fit_records(table, config))]
-    out.sort(key=lambda c: (c.target, c.direction, c.other,
-                            len(c.hypothesis.key), c.hypothesis.key))
-    return out
-
-
 def _per_hypothesis(records: Sequence[FitRecord]) -> list[FitRecord]:
     # one record per hypothesis of each record, stated under it
     return [FitRecord(r.target, r.other, r.support, r.fit, (h,), h)
             for r in records for h in r.hypotheses]
 
 
-def _conjecture(record: FitRecord, labels: Sequence[str],
-                touch_sets: dict[int, frozenset[str]]) -> Conjecture:
-    # the record's conjecture, stated under record.hypothesis; touch_sets
-    # caches each touched mask's label set across calls
-    touched = record.fit.touched
-    touch_set = touch_sets.get(touched)
-    if touch_set is None:
-        touch_set = touch_sets[touched] = frozenset(
-            labels[i] for i in mask_rows(touched))
+def _conjecture(record: FitRecord, labels: Sequence[str]) -> Conjecture:
+    # the record's conjecture, stated under record.hypothesis
+    touch_set = frozenset(labels[i] for i in mask_rows(record.fit.touched))
     return Conjecture(
         target=record.target,
         other=record.other,
@@ -282,35 +259,23 @@ def _self_check(record: FitRecord, points: Sequence[tuple[int, int, int]],
 # Filters and ordering
 # ---------------------------------------------------------------------------
 
-def generality_filter(items: Sequence, table: FeatureTable) -> list:
-    """Drop conjectures strictly less general than an identical bound.
+def generality_filter(records: Sequence[FitRecord]) -> list[FitRecord]:
+    """Drop records strictly less general than an identical bound.
 
     Within each group sharing (target, other, direction, slope, intercept),
-    a conjecture whose support is a strict subset of another's is removed;
-    among equal supports the lexicographically smallest hypothesis stays.
-
-    ``items`` are conjectures or fit records (:func:`fit_records`), and the
-    kept ones come back in input order. A record carries its support mask
-    and stands for all its hypotheses, of which only its smallest
-    (:attr:`FitRecord.hypothesis`) could stay, so filtering records keeps
-    exactly the conjectures that filtering their expansion would.
+    a record whose support mask is a strict subset of another's is removed;
+    among equal supports the one with the lexicographically smallest
+    :attr:`FitRecord.hypothesis` stays. The kept records come back in input
+    order.
     """
-    supports: dict[Hypothesis, int] = {}
     # bound -> support -> index of its representative; among equal supports
     # the smallest hypothesis wins
     groups: dict[tuple, dict[int, int]] = {}
-    for idx, item in enumerate(items):
-        h = item.hypothesis
-        if isinstance(item, FitRecord):
-            sup = item.support
-        else:
-            sup = supports.get(h)
-            if sup is None:
-                sup = supports[h] = table.support(h)
-        by_support = groups.setdefault(item.bound_key(), {})
-        cur = by_support.get(sup)
-        if cur is None or h.key < items[cur].hypothesis.key:
-            by_support[sup] = idx
+    for idx, record in enumerate(records):
+        by_support = groups.setdefault(record.bound_key(), {})
+        cur = by_support.get(record.support)
+        if cur is None or record.hypothesis.key < records[cur].hypothesis.key:
+            by_support[record.support] = idx
 
     keep: set[int] = set()
     for by_support in groups.values():
@@ -318,73 +283,66 @@ def generality_filter(items: Sequence, table: FeatureTable) -> list:
         for sup, idx in by_support.items():
             if not any(sup & other == sup and sup != other for other in by_support):
                 keep.add(idx)
-    return [item for i, item in enumerate(items) if i in keep]
+    return [record for i, record in enumerate(records) if i in keep]
 
 
-def sort_conjectures(items: Sequence) -> list:
-    """Non-increasing touch number; ties by larger support, then statement.
+def sort_conjectures(records: Sequence[FitRecord]) -> list[FitRecord]:
+    """Non-increasing touch number; ties by larger support, then statement."""
+    return sorted(records,
+                  key=lambda r: (-r.touch_number, -r.support_size, r.statement))
 
-    ``items`` are conjectures or fit records.
+
+def dalmatian_filter(records: Sequence[FitRecord]) -> list[FitRecord]:
+    """Keep a record only if it touches a row no earlier accepted record of
+    the same target and direction touched.
+
+    This is the touch-cover (equality-cover) form of the Dalmatian filter:
+    the touched-row masks of the accepted records must grow with each
+    acceptance. Input order is acceptance order, so callers sort first.
     """
-    return sorted(items,
-                  key=lambda c: (-c.touch_number, -c.support_size, c.statement))
-
-
-def dalmatian_filter(items: Sequence) -> list:
-    """Keep a conjecture only if it touches an object no earlier accepted
-    conjecture of the same target and direction touched.
-
-    Input order is acceptance order, so callers sort first. ``items`` are
-    conjectures, compared by label touch set, or fit records of one table,
-    compared by touched-row mask.
-    """
-    # (target, direction) -> union of the accepted touch sets or masks
-    claimed: dict[tuple[str, str], object] = {}
+    # (target, direction) -> union of the accepted touched-row masks
+    claimed: dict[tuple[str, str], int] = {}
     out = []
-    for c in items:
-        touched = c.fit.touched if isinstance(c, FitRecord) else c.touch_set
-        key = (c.target, c.direction)
-        pool = claimed.get(key)
-        grown = touched if pool is None else pool | touched
+    for r in records:
+        key = (r.target, r.direction)
+        pool = claimed.get(key, 0)
+        grown = pool | r.fit.touched
         if grown != pool:
             claimed[key] = grown
-            out.append(c)
+            out.append(r)
     return out
 
 
-def truncate_per_group(items: Sequence, top_k: int) -> list:
-    """Keep the first ``top_k`` conjectures (or fit records) of each
-    (target, direction)."""
+def truncate_per_group(records: Sequence[FitRecord],
+                       top_k: int) -> list[FitRecord]:
+    """Keep the first ``top_k`` records of each (target, direction)."""
     counts: dict[tuple[str, str], int] = {}
     out = []
-    for c in items:
-        key = (c.target, c.direction)
+    for r in records:
+        key = (r.target, r.direction)
         if counts.get(key, 0) < top_k:
             counts[key] = counts.get(key, 0) + 1
-            out.append(c)
+            out.append(r)
     return out
 
 
 def run_pipeline(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
-    """generate, filter, sort and truncate in one deterministic pass.
+    """Fit, filter, sort and truncate in one deterministic pass.
 
     Filtering, ranking and truncation run on the fit records, before any
     conjecture exists, and each listed record becomes one conjecture. With
     the generality filter a record stands for its smallest hypothesis;
-    without it, for each of its hypotheses, as in :func:`generate`. Either
-    way the result equals filtering, sorting and truncating ``generate``'s
-    list.
+    without it, for each of its hypotheses.
     """
     records = fit_records(table, config)
     if "generality" in config.filters:
-        records = generality_filter(records, table)
+        records = generality_filter(records)
     else:
         records = _per_hypothesis(records)
     records = sort_conjectures(records)
     if "dalmatian" in config.filters:
         records = dalmatian_filter(records)
-    touch_sets: dict[int, frozenset[str]] = {}
-    return [_conjecture(r, table.labels, touch_sets)
+    return [_conjecture(r, table.labels)
             for r in truncate_per_group(records, config.top_k)]
 
 
@@ -433,15 +391,19 @@ def render_conjecture(c: Conjecture) -> str:
 # Verification against a corpus
 # ---------------------------------------------------------------------------
 
-def find_counterexample(c: Conjecture, corpus: Sequence[Graph],
-                        invariants: dict[str, Callable[[Graph], int]],
-                        predicates: dict[str, Callable[[Graph], bool]],
-                        ) -> Optional[tuple[str, Fraction, Fraction]]:
-    """First hypothesis-satisfying graph violating the inequality, if any.
+def check_conjecture(c: Conjecture, corpus: Sequence[Graph],
+                     invariants: dict[str, Callable[[Graph], int]],
+                     predicates: dict[str, Callable[[Graph], bool]],
+                     ) -> tuple[Optional[tuple[str, Fraction, Fraction]], int]:
+    """Check the conjecture on every graph of ``corpus`` in one walk.
 
-    Returns (label, lhs value, rhs value) or ``None``. Graphs on which an
-    involved invariant is undefined are skipped, not counted as violations.
-    Raises :class:`ConfigError` when the conjecture names unknown columns.
+    Returns ``(counterexample, touches)``. The counterexample is the first
+    hypothesis-satisfying graph violating the inequality, as (label, lhs
+    value, rhs value), or ``None``; the walk stops there. ``touches`` counts
+    the hypothesis-satisfying graphs walked that attain equality. Graphs on
+    which an involved invariant is undefined are skipped, not counted as
+    violations. Raises :class:`ConfigError` when the conjecture names
+    unknown columns, before any graph is looked at.
     """
     for name in (c.target, c.other):
         if name not in invariants:
@@ -450,33 +412,29 @@ def find_counterexample(c: Conjecture, corpus: Sequence[Graph],
         if name not in predicates:
             raise ConfigError(f"unknown predicate {name!r}")
 
-    for x, y, label in _hypothesis_points(c, corpus, invariants, predicates):
-        if not c.bound.holds(x, y):
-            return (label, Fraction(y), c.bound.evaluate(x))
-    return None
-
-
-def touch_count_on(c: Conjecture, corpus: Sequence[Graph],
-                   invariants: dict[str, Callable[[Graph], int]],
-                   predicates: dict[str, Callable[[Graph], bool]]) -> int:
-    """How many hypothesis-satisfying corpus graphs attain equality."""
-    return sum(1 for x, y, _ in _hypothesis_points(c, corpus, invariants, predicates)
-               if c.bound.touches(x, y))
-
-
-def _hypothesis_points(c: Conjecture, corpus: Sequence[Graph],
-                       invariants: dict[str, Callable[[Graph], int]],
-                       predicates: dict[str, Callable[[Graph], bool]]):
-    # Lazily yields (x, y, label) per hypothesis graph with both values defined.
+    tests = [predicates[name] for name in c.hypothesis.key]
+    target, other, bound = invariants[c.target], invariants[c.other], c.bound
+    touches = 0
     for label, g in zip(corpus_labels(corpus), corpus):
-        if not all(predicates[name](g) for name in c.hypothesis.key):
+        if not all(test(g) for test in tests):
             continue
         try:
-            y = invariants[c.target](g)
-            x = invariants[c.other](g)
+            y = target(g)
+            x = other(g)
         except UndefinedInvariantError:
             continue
-        yield x, y, label
+        if not bound.holds(x, y):
+            return (label, Fraction(y), bound.evaluate(x)), touches
+        touches += bound.touches(x, y)
+    return None, touches
+
+
+def find_counterexample(c: Conjecture, corpus: Sequence[Graph],
+                        invariants: dict[str, Callable[[Graph], int]],
+                        predicates: dict[str, Callable[[Graph], bool]],
+                        ) -> Optional[tuple[str, Fraction, Fraction]]:
+    """The counterexample of :func:`check_conjecture`, or ``None``."""
+    return check_conjecture(c, corpus, invariants, predicates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +461,15 @@ def conjecture_from_record(record: dict) -> Conjecture:
 
     Raises :class:`ConfigError` when the record is not a well-formed object
     (a missing field, a zero denominator, an unknown direction, a name
-    field that is not a list of names, ...).
+    field that is not a list of names, a slope or intercept that is not a
+    pair of integers, a count that is not an integer, ...). JSON ``true``
+    and ``false`` are not integers here.
     """
     try:
         # each pair is reduced here, once, so equal bounds compare equal
         bound = SharpBoundingFunction(
-            Fraction(*record["slope"]).as_integer_ratio(),
-            Fraction(*record["intercept"]).as_integer_ratio(),
+            Fraction(*_int_pair(record, "slope")).as_integer_ratio(),
+            Fraction(*_int_pair(record, "intercept")).as_integer_ratio(),
             record["direction"],
         )
         return Conjecture(
@@ -518,8 +478,8 @@ def conjecture_from_record(record: dict) -> Conjecture:
             hypothesis=Hypothesis(_name_list(record, "hypothesis")),
             bound=bound,
             touch_set=frozenset(_name_list(record, "touch_set")),
-            touch_number=record["touch_number"],
-            support_size=record["support_size"],
+            touch_number=_int(record, "touch_number"),
+            support_size=_int(record, "support_size"),
         )
     except KeyError as exc:
         raise ConfigError(f"record lacks the {exc.args[0]!r} field") from None
@@ -534,6 +494,24 @@ def _name_list(record: dict, field: str) -> list[str]:
         raise ConfigError(f"the {field!r} field must be a list of names, "
                           f"got {names!r}")
     return names
+
+
+def _int_pair(record: dict, field: str) -> list[int]:
+    pair = record[field]
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(v) is int for v in pair)):
+        raise ConfigError(f"the {field!r} field must be a pair of integers, "
+                          f"got {pair!r}")
+    return pair
+
+
+def _int(record: dict, field: str) -> int:
+    # bool is a subclass of int, so JSON true would otherwise count as 1
+    value = record[field]
+    if type(value) is not int:
+        raise ConfigError(f"the {field!r} field must be an integer, "
+                          f"got {value!r}")
+    return value
 
 
 def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> None:

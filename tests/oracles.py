@@ -5,13 +5,20 @@ pruning, trading speed for obvious correctness. ``search_*`` functions and
 ``oracle_fit`` keep a production implementation that was replaced, for
 differential tests against its successor. Intended for graphs with at most
 eight to ten vertices.
+
+``generate`` and ``pipeline`` are the per-hypothesis conjecture pipeline:
+one conjecture for every hypothesis of every fit record, filtered over
+label sets, as a reference for ``run_pipeline``, which filters and ranks the
+records themselves.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from sharpbounds.engine import Conjecture, fit_records
 from sharpbounds.fitting import LOWER, UPPER, FitResult, SharpBoundingFunction
+from sharpbounds.graphs import mask_rows
 from sharpbounds.invariants import max_degree
 
 
@@ -245,3 +252,82 @@ def oracle_fit(points, direction):
     return FitResult(SharpBoundingFunction(m.as_integer_ratio(),
                                            b.as_integer_ratio(), direction),
                      touched_rows)
+
+
+def generate(table, config):
+    """The unfiltered conjecture list: every fit record of the sweep stated
+    under each hypothesis sharing its support, ordered by target, direction,
+    other property and hypothesis (smallest first, then by name)."""
+    out = []
+    for r in fit_records(table, config):
+        touch_set = frozenset(table.labels[i]
+                              for i in mask_rows(r.fit.touched))
+        for h in r.hypotheses:
+            out.append(Conjecture(
+                target=r.target, other=r.other, hypothesis=h, bound=r.fit.bound,
+                touch_set=touch_set, touch_number=len(touch_set),
+                support_size=r.support.bit_count()))
+    out.sort(key=lambda c: (c.target, c.direction, c.other,
+                            len(c.hypothesis.key), c.hypothesis.key))
+    return out
+
+
+def support_labels(table, hypothesis):
+    """Labels of the rows on which every predicate of ``hypothesis`` holds."""
+    return frozenset(label for i, label in enumerate(table.labels)
+                     if all(table.boolean[p][i] for p in hypothesis.key))
+
+
+def generality_filter(conjectures, table):
+    """Drop each conjecture whose support is a strict subset of the support
+    of another conjecture with the same bound, or equals it under a smaller
+    hypothesis; supports are label sets."""
+    supports = [support_labels(table, c.hypothesis) for c in conjectures]
+    same_bound = {}
+    for i, c in enumerate(conjectures):
+        same_bound.setdefault(c.bound_key(), []).append(i)
+    kept = []
+    for i, c in enumerate(conjectures):
+        if not any(supports[i] < supports[j]
+                   or (supports[i] == supports[j]
+                       and conjectures[j].hypothesis.key < c.hypothesis.key)
+                   for j in same_bound[c.bound_key()]):
+            kept.append(c)
+    return kept
+
+
+def rank(conjectures):
+    """Non-increasing touch number; ties by larger support, then statement."""
+    return sorted(conjectures, key=lambda c: (-c.touch_number,
+                                              -c.support_size, c.statement))
+
+
+def dalmatian_filter(conjectures):
+    """Keep a conjecture only if its touch set holds a label that no earlier
+    kept conjecture of the same target and direction touched."""
+    claimed = {}
+    kept = []
+    for c in conjectures:
+        pool = claimed.setdefault((c.target, c.direction), set())
+        if not c.touch_set <= pool:
+            pool |= c.touch_set
+            kept.append(c)
+    return kept
+
+
+def pipeline(conjectures, table, config):
+    """Filter, rank and cut ``generate``'s list to ``config.top_k`` per
+    (target, direction), as ``config.filters`` asks."""
+    if "generality" in config.filters:
+        conjectures = generality_filter(conjectures, table)
+    conjectures = rank(conjectures)
+    if "dalmatian" in config.filters:
+        conjectures = dalmatian_filter(conjectures)
+    counts = {}
+    out = []
+    for c in conjectures:
+        key = (c.target, c.direction)
+        counts[key] = counts.get(key, 0) + 1
+        if counts[key] <= config.top_k:
+            out.append(c)
+    return out

@@ -18,8 +18,8 @@ from sharpbounds import (
     dalmatian_filter,
     find_counterexample,
     fit_linear_bound,
+    fit_records,
     generality_filter,
-    generate,
     mask_rows,
     read_graph6_file,
     run_pipeline,
@@ -32,6 +32,7 @@ from sharpbounds import (
 from sharpbounds.cli import main
 
 import oracles
+from oracles import generate
 
 
 def _claim(target, other, slope, intercept, hypothesis, direction="upper"):
@@ -255,23 +256,23 @@ def test_criterion_7_filter_semantics(mixed_corpus_path):
     config = EngineConfig(
         targets=("independence_number", "zero_forcing_number"),
         min_support=4)
-    raw = generate(table, config)
+    raw = fit_records(table, config)
     assert raw
 
-    general = generality_filter(raw, table)
+    general = generality_filter(raw)
     assert _no_nested_same_bound_pairs(general, table)
 
     ranked = sort_conjectures(general)
-    touches = [c.touch_number for c in ranked]
+    touches = [r.touch_number for r in ranked]
     assert touches == sorted(touches, reverse=True)
 
     unions = {}
     accepted = dalmatian_filter(ranked)
     assert accepted
-    for c in accepted:
-        pool = unions.setdefault((c.target, c.direction), set())
-        assert c.touch_set - pool, c.statement
-        pool |= c.touch_set
+    for r in accepted:
+        pool = unions.get((r.target, r.direction), 0)
+        assert r.fit.touched & ~pool, r.statement
+        unions[r.target, r.direction] = pool | r.fit.touched
     print(f"criterion 7: PASS  {len(raw)} raw, {len(general)} general, "
           f"{len(accepted)} after dalmatian")
 

@@ -1,0 +1,24 @@
+"""The package's public names: ``__all__`` lists exactly what it binds."""
+
+import inspect
+
+import sharpbounds
+
+
+def test_all_equals_the_public_bindings():
+    # every public non-module binding is listed, and every listed name is
+    # bound; submodules (``engine``, ``cli``, ...) are reached by import
+    bound = {name for name, value in vars(sharpbounds).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert len(sharpbounds.__all__) == len(set(sharpbounds.__all__))
+    assert set(sharpbounds.__all__) - bound == set()
+    assert bound - set(sharpbounds.__all__) == set()
+
+
+def test_removed_names_stay_removed():
+    # the per-hypothesis conjecture list and the second corpus walk of
+    # verify are gone: fit_records and check_conjecture replace them
+    for name in ("generate", "touch_count_on"):
+        assert name not in sharpbounds.__all__
+        assert not hasattr(sharpbounds, name)
+        assert not hasattr(sharpbounds.engine, name)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from sharpbounds import (
     path,
     petersen,
     read_export,
+    read_graph6_file,
     star,
     write_export,
     write_graph6_file,
@@ -23,6 +25,7 @@ from sharpbounds import (
 from sharpbounds import cli
 from sharpbounds.cli import build_parser, main
 from sharpbounds.invariants import standard_invariants
+from sharpbounds.predicates import standard_predicates
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -469,6 +472,68 @@ def test_verify_name_field_must_be_a_list(tmp_path, capsys, field):
     assert out[0] == (f"ERROR {export}:1: the {field!r} field must be a list "
                       "of names, got 'claw-free'")
     assert out[1].startswith("HOLDS")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("slope", [True, 1], "must be a pair of integers, got [True, 1]"),
+    ("intercept", [10, True], "must be a pair of integers, got [10, True]"),
+    ("slope", [1], "must be a pair of integers, got [1]"),
+    ("slope", [3, 2, 1], "must be a pair of integers, got [3, 2, 1]"),
+    ("intercept", ["0", 1], "must be a pair of integers, got ['0', 1]"),
+    ("touch_number", True, "must be an integer, got True"),
+    ("touch_number", 1.0, "must be an integer, got 1.0"),
+    ("support_size", "abc", "must be an integer, got 'abc'"),
+    ("support_size", 5.0, "must be an integer, got 5.0"),
+], ids=["slope-bool", "intercept-bool", "slope-single", "slope-triple",
+        "intercept-string", "touch-bool", "touch-float", "support-string",
+        "support-float"])
+def test_verify_numeric_fields_must_be_plain_integers(tmp_path, capsys, field,
+                                                      value, message):
+    # JSON true is no integer here: read as 1 it would state another bound
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4), cycle(5)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="order")], export)
+    good = export.read_text()
+    bad = dict(json.loads(good), **{field: value})
+    export.write_text(json.dumps(bad) + "\n" + good)
+    code = main(["verify", str(export), str(corpus)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert out[0] == f"ERROR {export}:1: the {field!r} field {message}"
+    assert out[1].startswith("HOLDS")
+    assert len(out) == 2
+
+
+def test_verify_walks_the_corpus_once_per_record(tmp_path, capsys,
+                                                 monkeypatch):
+    # a record that holds is checked and touch-counted in one walk: each
+    # involved solver and predicate runs once per graph, and no other runs
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="matching_number",
+                                    hypothesis=("connected", "cubic"))], export)
+    calls = Counter()
+
+    def counting(registry):
+        def wrap(name, fn):
+            def counted(g):
+                calls[name, g.label] += 1
+                return fn(g)
+            return counted
+        return {name: wrap(name, fn) for name, fn in registry.items()}
+
+    monkeypatch.setattr(cli, "standard_invariants",
+                        lambda: counting(standard_invariants()))
+    monkeypatch.setattr(cli, "standard_predicates",
+                        lambda: counting(standard_predicates()))
+    code = main(["verify", str(export), str(corpus)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("HOLDS touch=4 ")
+    labels = [g.label for g in read_graph6_file(corpus)]
+    involved = ("independence_number", "matching_number", "connected", "cubic")
+    assert calls == Counter({(name, label): 1
+                             for name in involved for label in labels})
 
 
 def test_verify_output_ignores_hash_seed(tmp_path):

@@ -15,6 +15,7 @@ from sharpbounds import (
     Hypothesis,
     SharpBoundingFunction,
     build_table,
+    check_conjecture,
     complete,
     conjecture_from_record,
     conjecture_to_record,
@@ -25,7 +26,6 @@ from sharpbounds import (
     fit_linear_bound,
     fitting,
     generality_filter,
-    generate,
     mask_rows,
     path,
     petersen,
@@ -55,6 +55,25 @@ def make_conjecture(target="independence_number", other="matching_number",
                                     direction),
         touch_set=frozenset(touch_set), touch_number=len(set(touch_set)),
         support_size=support_size)
+
+
+def make_record(target="independence_number", other="matching_number",
+                direction="upper", hypothesis=(), slope=1, intercept=0,
+                touched=0b1, support=0b11111):
+    """A fit record stated under ``hypothesis`` alone; ``touched`` and
+    ``support`` are row masks."""
+    h = Hypothesis(hypothesis)
+    bound = SharpBoundingFunction(Fraction(slope).as_integer_ratio(),
+                                  Fraction(intercept).as_integer_ratio(),
+                                  direction)
+    return engine.FitRecord(target, other, support, FitResult(bound, touched),
+                            (h,), h)
+
+
+def same_records(got, want):
+    # FitRecord is unhashable and compares by field; the filters must hand
+    # back the very records they were given
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +126,7 @@ def test_direction_follows_the_bound():
     assert {r.direction for r in records} == {"upper", "lower"}
     assert all(r.direction == r.fit.bound.direction for r in records)
     assert all(c.direction == c.bound.direction
-               for c in generate(table, config))
+               for c in run_pipeline(table, replace(config, filters=())))
 
 
 # ---------------------------------------------------------------------------
@@ -124,32 +143,32 @@ def test_generate_single_row_table():
     config = EngineConfig(targets=("independence_number",),
                           directions=("upper",), min_support=1,
                           max_hypothesis_size=0)
-    out = generate(table, config)
+    out = engine.fit_records(table, config)
     assert out
-    for c in out:
-        assert c.touch_number == 1
-        assert c.touch_set == frozenset({"K4"})
+    for r in out:
+        assert r.touch_number == 1
+        assert r.fit.touched == r.support == 0b1  # the row of K4
 
 
 def test_generate_respects_min_support():
     table = build_table(cubic_like_corpus())
     config = EngineConfig(targets=("independence_number",),
                           directions=("upper",), min_support=4)
-    out = generate(table, config)
+    out = engine.fit_records(table, config)
     assert out
-    for c in out:
-        support = table.support(c.hypothesis)
-        points = table.select_rows(support, c.other, c.target)
+    for r in out:
+        assert all(table.support(h) == r.support for h in r.hypotheses)
+        points = table.select_rows(r.support, r.other, r.target)
         assert sum(rows.bit_count() for _, _, rows in points) >= 4
     # cubic selects two graphs only, below the support gate
-    assert all("cubic" not in c.hypothesis.predicates for c in out)
+    assert all("cubic" not in h.predicates for r in out for h in r.hypotheses)
 
 
 def test_generate_validates_target():
     table = build_table([complete(4), cycle(5)])
     config = EngineConfig(targets=("connected",), min_support=1)
     with pytest.raises(ConfigError):
-        generate(table, config)
+        engine.fit_records(table, config)
 
 
 def undercutting_fit(points, direction):
@@ -170,7 +189,7 @@ def test_generate_self_check_names_violated_row(monkeypatch):
     config = EngineConfig(targets=("order",), directions=("upper",),
                           max_hypothesis_size=0, min_support=1)
     with pytest.raises(AssertionError, match="violated on row C5: "):
-        generate(table, config)
+        engine.fit_records(table, config)
 
 
 def test_generate_self_check_names_lowest_violated_row(monkeypatch):
@@ -186,7 +205,7 @@ def test_generate_self_check_names_lowest_violated_row(monkeypatch):
     config = EngineConfig(targets=("y",), directions=("upper",),
                           max_hypothesis_size=0, min_support=1)
     with pytest.raises(AssertionError, match=r"violated on row a: y\(G\) ≤ 8$"):
-        generate(table, config)
+        engine.fit_records(table, config)
 
 
 def test_generate_fits_once_per_distinct_support(monkeypatch):
@@ -206,18 +225,18 @@ def test_generate_fits_once_per_distinct_support(monkeypatch):
     monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
     config = EngineConfig(targets=("y",), directions=("upper",),
                           max_hypothesis_size=2, min_support=3)
-    out = generate(table, config)
+    out = engine.fit_records(table, config)
     assert len(calls) == 2 == len(set(calls))
-    assert [c.hypothesis.key for c in out] == \
-        [(), ("always",), ("even",), ("always", "even")]
+    assert [[h.key for h in r.hypotheses] for r in out] == \
+        [[(), ("always",)], [("even",), ("always", "even")]]
+    # a record is stated under its lexicographically smallest key
+    assert [r.hypothesis.key for r in out] == [(), ("always", "even")]
 
-    (plain,) = generate(table, replace(config, max_hypothesis_size=0))
+    (plain,) = engine.fit_records(table, replace(config, max_hypothesis_size=0))
     assert len(calls) == 3
-    assert out[0] == plain
-    assert out[1] == replace(plain, hypothesis=Hypothesis({"always"}))
-    assert out[2].support_size == 3
-    assert out[2].touch_set == frozenset({"b", "d", "f"})
-    assert out[3] == replace(out[2], hypothesis=Hypothesis({"always", "even"}))
+    assert out[0] == replace(plain, hypotheses=out[0].hypotheses)
+    assert out[1].support_size == 3
+    assert out[1].fit.touched == 0b101010  # rows b, d and f
 
 
 def test_generate_fits_once_per_distinct_point_set(monkeypatch):
@@ -237,7 +256,7 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
         return fit_linear_bound(points, direction)
 
     monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
-    out = generate(table, config)
+    out = engine.fit_records(table, config)
 
     hypotheses = [(), ("all",), ("even",)]
     wanted = {(d, table.select_rows(table.support(Hypothesis(h)), other, "y"))
@@ -245,19 +264,20 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
     assert len(wanted) == 6  # 8 (direction, other, support) fits before
     assert len(calls) == len(set(calls)) == 6 and set(calls) == wanted
 
-    # the shared fit changes nothing: each conjecture is its own fresh fit
-    assert [(c.direction, c.other, c.hypothesis.key) for c in out] == \
-        [(d, other, h) for d in ("lower", "upper") for other in "uv"
-         for h in hypotheses]
-    for c in out:
-        support = table.support(c.hypothesis)
-        fit = fit_linear_bound(table.select_rows(support, c.other, "y"),
-                               c.direction)
-        assert c.bound == fit.bound
-        assert c.touch_set == {table.labels[i] for i in mask_rows(fit.touched)}
-        assert c.touch_number == fit.touch_number
-        assert c.support_size == support.bit_count()
-    even = [c for c in out if c.hypothesis.key == ("even",)]
+    # the shared fit changes nothing: each record holds its own fresh fit;
+    # "all" holds on every row, so it shares the empty hypothesis's record
+    assert [(r.direction, r.other, [h.key for h in r.hypotheses])
+            for r in out] == \
+        [(d, other, hs) for d in ("lower", "upper") for other in "uv"
+         for hs in (hypotheses[:2], hypotheses[2:])]
+    for r in out:
+        assert r.support == table.support(r.hypothesis)
+        fit = fit_linear_bound(table.select_rows(r.support, r.other, "y"),
+                               r.direction)
+        assert r.fit == fit
+        assert r.touch_number == fit.touch_number
+        assert r.support_size == r.support.bit_count()
+    even = [r for r in out if r.hypothesis.key == ("even",)]
     assert even[0].bound == even[1].bound and even[0].other != even[1].other
 
 
@@ -353,11 +373,14 @@ def test_generated_conjectures_hold_and_touch(random_suite):
                           min_support=3)
     invariants = standard_invariants()
     predicates = standard_predicates()
-    out = generate(table, config)
+    # no filter and no cut: one conjecture per hypothesis of every record
+    out = run_pipeline(table, replace(config, filters=(), top_k=10**6))
     assert out
     for c in out:
         assert c.touch_number >= 1
         assert find_counterexample(c, corpus, invariants, predicates) is None
+        assert check_conjecture(c, corpus, invariants, predicates) == \
+            (None, c.touch_number)
         support_labels = {table.labels[i]
                           for i in mask_rows(table.support(c.hypothesis))}
         assert c.touch_set <= support_labels
@@ -379,36 +402,43 @@ def test_pipeline_deterministic(random_suite):
 # Generality filter
 # ---------------------------------------------------------------------------
 
+def record_on(table, hypothesis, **fields):
+    # a record whose support is the hypothesis's support in ``table``
+    return make_record(hypothesis=hypothesis,
+                       support=table.support(Hypothesis(hypothesis)), **fields)
+
+
 def test_generality_removes_nested_support():
     corpus = [complete(4), prism(3), cycle(6), path(5), petersen()]
     table = build_table(corpus)
-    broad = make_conjecture(hypothesis=("connected",), slope=2, intercept=0,
-                            touch_set=("K4",), support_size=5)
-    narrow = make_conjecture(hypothesis=("connected", "bipartite"), slope=2,
-                             intercept=0, touch_set=("C6",), support_size=2)
-    kept = generality_filter([narrow, broad], table)
-    assert kept == [broad]
+    broad = record_on(table, ("connected",), slope=2, intercept=0,
+                      touched=0b00001)
+    narrow = record_on(table, ("connected", "bipartite"), slope=2,
+                       intercept=0, touched=0b00100)
+    assert broad.support_size == 5 and narrow.support_size == 2
+    kept = generality_filter([narrow, broad])
+    assert same_records(kept, [broad])
 
 
 def test_generality_keeps_different_bounds():
     corpus = [complete(4), prism(3), cycle(6), path(5)]
     table = build_table(corpus)
-    a = make_conjecture(hypothesis=("connected",), slope=2, intercept=0)
-    b = make_conjecture(hypothesis=("connected", "bipartite"), slope=2,
-                        intercept=1)
-    assert generality_filter([a, b], table) == [a, b]
-    single = [make_conjecture()]
-    assert generality_filter(single, table) == single
+    a = record_on(table, ("connected",), slope=2, intercept=0)
+    b = record_on(table, ("connected", "bipartite"), slope=2, intercept=1)
+    assert same_records(generality_filter([a, b]), [a, b])
+    single = [make_record()]
+    assert same_records(generality_filter(single), single)
 
 
 def test_generality_equal_support_prefers_smaller_hypothesis():
     corpus = [complete(4), prism(3)]  # both connected and cubic
     table = build_table(corpus)
-    plain = make_conjecture(hypothesis=("cubic",))
-    conj = make_conjecture(hypothesis=("connected", "cubic"))
-    empty = make_conjecture(hypothesis=())
-    kept = generality_filter([conj, plain, empty], table)
-    assert kept == [empty]
+    plain = record_on(table, ("cubic",))
+    conj = record_on(table, ("connected", "cubic"))
+    empty = record_on(table, ())
+    assert plain.support == conj.support == empty.support == 0b11
+    kept = generality_filter([conj, plain, empty])
+    assert same_records(kept, [empty])
 
 
 # ---------------------------------------------------------------------------
@@ -416,38 +446,51 @@ def test_generality_equal_support_prefers_smaller_hypothesis():
 # ---------------------------------------------------------------------------
 
 def test_dalmatian_rejects_repeat_touch_set():
-    a = make_conjecture(touch_set=("g1", "g2"))
-    b = make_conjecture(touch_set=("g1", "g2"), slope=2)
-    assert dalmatian_filter([a, b]) == [a]
+    a = make_record(touched=0b011)
+    b = make_record(touched=0b011, slope=2)
+    assert same_records(dalmatian_filter([a, b]), [a])
 
 
 def test_dalmatian_accepts_new_objects():
-    a = make_conjecture(touch_set=("g1",))
-    b = make_conjecture(touch_set=("g2",), slope=2)
-    c = make_conjecture(touch_set=("g2", "g3"), slope=3)
-    assert dalmatian_filter([a, b, c]) == [a, b, c]
+    a = make_record(touched=0b001)
+    b = make_record(touched=0b010, slope=2)
+    c = make_record(touched=0b110, slope=3)
+    assert same_records(dalmatian_filter([a, b, c]), [a, b, c])
 
 
 def test_dalmatian_groups_by_target_and_direction():
-    a = make_conjecture(touch_set=("g1",))
-    same_touch_other_target = make_conjecture(target="zero_forcing_number",
-                                              touch_set=("g1",))
-    assert dalmatian_filter([a, same_touch_other_target]) == \
-        [a, same_touch_other_target]
+    a = make_record(touched=0b001)
+    same_touch_other_target = make_record(target="zero_forcing_number",
+                                          touched=0b001)
+    same_touch_other_direction = make_record(direction="lower", touched=0b001)
+    assert same_records(
+        dalmatian_filter([a, same_touch_other_target,
+                          same_touch_other_direction]),
+        [a, same_touch_other_target, same_touch_other_direction])
 
 
 # ---------------------------------------------------------------------------
 # Sorting and truncation
 # ---------------------------------------------------------------------------
 
+def rows(n):
+    # the mask of the first n rows
+    return (1 << n) - 1
+
+
 def test_sort_by_touch_then_support():
-    a = make_conjecture(touch_set=("a", "b", "c"), support_size=4)
-    b = make_conjecture(touch_set=tuple("abcde"), slope=2, support_size=4)
-    c = make_conjecture(touch_set=("a",), support_size=9)
-    assert sort_conjectures([a, b, c]) == [b, a, c]
-    tie1 = make_conjecture(touch_set=("a", "b"), support_size=10)
-    tie2 = make_conjecture(touch_set=("a", "b"), slope=2, support_size=40)
-    assert sort_conjectures([tie1, tie2]) == [tie2, tie1]
+    a = make_record(touched=rows(3), support=rows(4))
+    b = make_record(touched=rows(5), slope=2, support=rows(5))
+    c = make_record(touched=rows(1), support=rows(9))
+    assert same_records(sort_conjectures([a, b, c]), [b, a, c])
+    tie1 = make_record(touched=rows(2), support=rows(10))
+    tie2 = make_record(touched=rows(2), slope=2, support=rows(40))
+    assert same_records(sort_conjectures([tie1, tie2]), [tie2, tie1])
+    # equal touch number and support: the statement decides
+    plain = make_record(touched=rows(2), support=rows(10), slope=2)
+    hyp = make_record(touched=rows(2), support=rows(10), hypothesis=("cubic",))
+    assert hyp.statement < plain.statement  # "I" sorts before "α"
+    assert same_records(sort_conjectures([plain, hyp]), [hyp, plain])
     assert sort_conjectures([]) == []
 
 
@@ -566,32 +609,32 @@ def test_filter_properties_on_random_corpora(corpus, min_support):
     table = build_table(corpus)
     config = EngineConfig(targets=("independence_number",),
                           min_support=min_support, max_hypothesis_size=2)
-    raw = generate(table, config)
-    general = generality_filter(raw, table)
+    records = engine.fit_records(table, config)
+    general = generality_filter(records)
 
-    # no same-bound pair with nested or equal supports survives
+    # no same-bound pair with nested or equal supports survives, and each
+    # survivor is stated under a hypothesis with its support
     supports = {}
-    for c in general:
-        key = c.bound_key()
-        sup = frozenset(table.labels[i]
-                        for i in mask_rows(table.support(c.hypothesis)))
+    for r in general:
+        assert r.support == table.support(r.hypothesis)
+        key = r.bound_key()
         for other in supports.get(key, []):
-            assert not sup < other and not other < sup and sup != other
-        supports.setdefault(key, []).append(sup)
+            assert r.support & other not in (r.support, other)
+        supports.setdefault(key, []).append(r.support)
 
     # dalmatian grows the union strictly with each acceptance
     accepted = dalmatian_filter(sort_conjectures(general))
     unions = {}
-    for c in accepted:
-        seen = unions.setdefault((c.target, c.direction), set())
-        assert c.touch_set - seen
-        seen |= c.touch_set
+    for r in accepted:
+        pool = unions.get((r.target, r.direction), 0)
+        assert r.fit.touched & ~pool
+        unions[r.target, r.direction] = pool | r.fit.touched
 
     # sorting is non-increasing in touch number
-    ranked = sort_conjectures(raw)
-    touches = [c.touch_number for c in ranked]
+    ranked = sort_conjectures(records)
+    touches = [r.touch_number for r in ranked]
     assert touches == sorted(touches, reverse=True)
 
-    # filters only remove
-    assert set(general) <= set(raw)
-    assert set(accepted) <= set(general)
+    # filters only remove; records are compared by identity
+    assert {id(r) for r in general} <= {id(r) for r in records}
+    assert {id(r) for r in accepted} <= {id(r) for r in general}

@@ -14,7 +14,6 @@ from sharpbounds import (
     complete,
     corpus_digest,
     cycle,
-    generate,
     load_or_build_table,
     load_table,
     mask_rows,
@@ -25,6 +24,8 @@ from sharpbounds import (
     standard_predicates,
     write_export,
 )
+
+from oracles import generate
 
 
 def small_registry():

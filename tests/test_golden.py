@@ -12,7 +12,6 @@ import pytest
 from sharpbounds import (
     EngineConfig,
     build_table,
-    generate,
     read_graph6_file,
     run_pipeline,
     standard_invariants,
@@ -20,6 +19,7 @@ from sharpbounds import (
 )
 
 from conftest import DATA
+from oracles import generate
 
 # corpus file -> (unfiltered generate export, generality+dalmatian pipeline export)
 GOLDEN = {

@@ -1,9 +1,10 @@
-"""Differential tests: ``run_pipeline`` filters fit records, not conjectures.
+"""Differential tests: ``run_pipeline`` against the per-hypothesis reference.
 
-``run_pipeline`` applies the generality filter to the sweep's fit records
-and builds a conjecture only for each survivor. It must return exactly what
-filtering, sorting and truncating ``generate``'s full list returns, for
-every filter choice and knob setting.
+``run_pipeline`` filters, ranks and truncates the sweep's fit records and
+builds a conjecture only for each listed one. It must return exactly what
+the reference in ``oracles`` returns: ``oracles.generate``'s list of one
+conjecture per hypothesis, filtered over label sets, ranked and truncated,
+for every filter choice and knob setting.
 """
 
 from dataclasses import replace
@@ -17,30 +18,16 @@ from sharpbounds import (
     EngineConfig,
     FeatureTable,
     build_table,
-    dalmatian_filter,
-    generality_filter,
-    generate,
     read_graph6_file,
     run_pipeline,
-    sort_conjectures,
     standard_invariants,
 )
-from sharpbounds.engine import truncate_per_group
 
+import oracles
 from conftest import DATA
 
 FILTERS = [(), ("generality",), ("dalmatian",), ("generality", "dalmatian")]
 TARGETS = tuple(standard_invariants())
-
-
-def reference_pipeline(conjectures, table, config):
-    """The pipeline written out over a given ``generate`` list."""
-    if "generality" in config.filters:
-        conjectures = generality_filter(conjectures, table)
-    conjectures = sort_conjectures(conjectures)
-    if "dalmatian" in config.filters:
-        conjectures = dalmatian_filter(conjectures)
-    return truncate_per_group(conjectures, config.top_k)
 
 
 def assert_same_conjectures(got, want):
@@ -63,13 +50,13 @@ def test_pipeline_equals_filtered_generate_on_bundled_corpora(
     table = corpus_tables[corpus]
     base = EngineConfig(targets=TARGETS, max_hypothesis_size=max_size,
                         min_support=min_support)
-    raw = generate(table, base)
+    raw = oracles.generate(table, base)
     assert raw
     for filters in FILTERS:
         for top_k in (1, 10**6):
             config = replace(base, filters=filters, top_k=top_k)
             assert_same_conjectures(run_pipeline(table, config),
-                                    reference_pipeline(raw, table, config))
+                                    oracles.pipeline(raw, table, config))
 
 
 @st.composite
@@ -100,7 +87,7 @@ def test_pipeline_equals_filtered_generate_on_random_tables(run):
     table, config = run
     assert_same_conjectures(
         run_pipeline(table, config),
-        reference_pipeline(generate(table, config), table, config))
+        oracles.pipeline(oracles.generate(table, config), table, config))
 
 
 def test_pipeline_builds_conjectures_only_for_survivors(corpus_tables,
@@ -108,8 +95,8 @@ def test_pipeline_builds_conjectures_only_for_survivors(corpus_tables,
     table = corpus_tables["cubic_connected_4_10.g6"]
     config = EngineConfig(targets=TARGETS, max_hypothesis_size=3,
                           filters=("generality",), top_k=10**6)
-    raw = generate(table, config)
-    kept = generality_filter(raw, table)
+    raw = oracles.generate(table, config)
+    kept = oracles.generality_filter(raw, table)
     assert len(kept) < len(raw)
 
     built = 0
@@ -122,5 +109,5 @@ def test_pipeline_builds_conjectures_only_for_survivors(corpus_tables,
 
     monkeypatch.setattr(Conjecture, "__post_init__", counting_check)
     out = run_pipeline(table, config)
-    assert out == sort_conjectures(kept)
+    assert out == oracles.rank(kept)
     assert 0 < built <= len(kept)
