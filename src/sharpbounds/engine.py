@@ -62,6 +62,8 @@ class Conjecture:
             raise ValueError("target and other property must differ")
         if self.touch_number != len(self.touch_set) or self.touch_number < 1:
             raise ValueError("touch_number must equal |touch_set| and be >= 1")
+        if self.support_size < self.touch_number:  # touched rows are supported
+            raise ValueError("support_size must be >= touch_number")
 
     @property
     def direction(self) -> str:

@@ -17,6 +17,7 @@ from itertools import combinations
 from math import lcm
 
 from sharpbounds.engine import Conjecture, fit_records
+from sharpbounds.errors import UndefinedInvariantError
 from sharpbounds.fitting import LOWER, UPPER, FitResult, SharpBoundingFunction
 from sharpbounds.graphs import mask_rows
 from sharpbounds.invariants import max_degree
@@ -110,6 +111,91 @@ def search_min_maximal_matching(g):
                 if all(em & used for em in masks):
                     return k
     raise AssertionError("unreachable: the full matching closure is maximal")
+
+
+def search_independence(g):
+    """The branch and bound that ``independence_number`` replaced.
+
+    Pick a maximum-degree vertex of the remaining graph, then either
+    exclude it or include it and delete its closed neighborhood.
+    """
+    rows = g.adjacency
+    best = 0
+
+    def grow(avail, have):
+        nonlocal best
+        if have + avail.bit_count() <= best:
+            return
+        if avail == 0:
+            best = max(best, have)
+            return
+        v = max(mask_rows(avail), key=lambda u: (rows[u] & avail).bit_count())
+        # include v first so the bound tightens quickly
+        grow(avail & ~(rows[v] | (1 << v)), have + 1)
+        grow(avail & ~(1 << v), have)
+
+    grow((1 << g.order) - 1, 0)
+    return best
+
+
+def search_domination(g):
+    """The subset loop that ``domination_number`` replaced: vertex sets in
+    order of size, from a lower bound, until one's closed neighborhoods
+    cover every vertex."""
+    n = g.order
+    closed = [g.adjacency[v] | (1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    start = -(-n // (max_degree(g) + 1))  # a vertex covers at most D+1 vertices
+    for k in range(max(1, start), n + 1):
+        for combo in combinations(range(n), k):
+            covered = 0
+            for v in combo:
+                covered |= closed[v]
+            if covered == full:
+                return k
+    raise AssertionError("unreachable: V dominates itself")
+
+
+def search_total_domination(g):
+    """The subset loop that ``total_domination_number`` replaced, over open
+    neighborhoods; raises :class:`UndefinedInvariantError` on a graph with
+    an isolated vertex."""
+    n = g.order
+    if any(row == 0 for row in g.adjacency):
+        raise UndefinedInvariantError(
+            "total domination is undefined with an isolated vertex")
+    full = (1 << n) - 1
+    start = max(2, -(-n // max_degree(g)))
+    for k in range(start, n + 1):
+        for combo in combinations(range(n), k):
+            covered = 0
+            for v in combo:
+                covered |= g.adjacency[v]
+            if covered == full:
+                return k
+    raise AssertionError("unreachable: V totally dominates itself when delta >= 1")
+
+
+def search_independent_domination(g):
+    """The subset loop that ``independent_domination_number`` replaced: it
+    ascends through independent sets until one dominates."""
+    n = g.order
+    closed = [g.adjacency[v] | (1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    start = -(-n // (max_degree(g) + 1))
+    for k in range(max(1, start), n + 1):
+        for combo in combinations(range(n), k):
+            picked = 0
+            covered = 0
+            for v in combo:
+                if g.adjacency[v] & picked:
+                    break
+                picked |= 1 << v
+                covered |= closed[v]
+            else:
+                if covered == full:
+                    return k
+    raise AssertionError("unreachable: greedy maximal independent sets exist")
 
 
 def oracle_domination(g):

@@ -505,6 +505,28 @@ def test_verify_numeric_fields_must_be_plain_integers(tmp_path, capsys, field,
     assert len(out) == 2
 
 
+@pytest.mark.parametrize("support", [-5, 0, 2],
+                         ids=["negative", "zero", "below-touch"])
+def test_verify_support_below_touch_number_is_an_error_line(tmp_path, capsys,
+                                                            support):
+    # every touched object satisfies the hypothesis, so no run can count
+    # fewer supporting objects than touched ones
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="order")], export)
+    good = export.read_text()
+    bad = dict(json.loads(good), touch_set=["a", "b", "c"], touch_number=3,
+               support_size=support)
+    export.write_text(json.dumps(bad) + "\n" + good)
+    code = main(["verify", str(export), str(corpus)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert out[0] == (f"ERROR {export}:1: malformed record: support_size "
+                      "must be >= touch_number")
+    assert out[1].startswith("HOLDS")
+    assert len(out) == 2
+
+
 def test_verify_walks_the_corpus_once_per_record(tmp_path, capsys,
                                                  monkeypatch):
     # a record that holds is checked and touch-counted in one walk: each

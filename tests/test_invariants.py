@@ -171,6 +171,15 @@ def test_min_maximal_matching_equals_edge_subset_search(data):
     assert min_maximal_matching(g) == oracles.search_min_maximal_matching(g)
 
 
+def value_or_none(solver, g):
+    # None where the invariant is undefined (total domination with an
+    # isolated vertex)
+    try:
+        return solver(g)
+    except UndefinedInvariantError:
+        return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_matching_solvers_ignore_vertex_labels(data):
@@ -181,6 +190,11 @@ def test_matching_solvers_ignore_vertex_labels(data):
     h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert min_maximal_matching(h) == min_maximal_matching(g)
     assert matching_number(h) == matching_number(g)
+    assert independence_number(h) == independence_number(g)
+    assert independent_domination_number(h) == independent_domination_number(g)
+    assert domination_number(h) == domination_number(g)
+    assert value_or_none(total_domination_number, h) == \
+        value_or_none(total_domination_number, g)
 
 
 def test_min_maximal_matching_closed_forms():
@@ -192,6 +206,61 @@ def test_min_maximal_matching_closed_forms():
             assert min_maximal_matching(cycle(n)) == -(-n // 3), n
         if 2 * n <= invariants.MAX_ORDER:
             assert min_maximal_matching(complete_bipartite(n)) == n, n
+
+
+# ---------------------------------------------------------------------------
+# Independence and domination against the searches they replaced
+# ---------------------------------------------------------------------------
+
+SEARCH_PAIRS = [
+    (independence_number, oracles.search_independence),
+    (independent_domination_number, oracles.search_independent_domination),
+    (domination_number, oracles.search_domination),
+    (total_domination_number, oracles.search_total_domination),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_independence_and_domination_equal_replaced_searches(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    densities = st.sampled_from([0, 0.1, 0.3, 0.5, 0.8])
+    n = data.draw(st.integers(1, 12))
+    g = random_graph(rng, n, data.draw(densities))
+    if n >= 2 and data.draw(st.booleans()):
+        # a disjoint union of two random graphs: several components, and
+        # isolated vertices at low density
+        k = data.draw(st.integers(1, n - 1))
+        a = random_graph(rng, k, data.draw(densities))
+        b = random_graph(rng, n - k, data.draw(densities))
+        g = Graph.from_edges(n, a.edges() + [(u + k, v + k) for u, v in b.edges()])
+    for solver, search in SEARCH_PAIRS:
+        assert value_or_none(solver, g) == \
+            value_or_none(search, g), solver.__name__
+
+
+def test_independence_and_domination_closed_forms():
+    # orders past the reach of the brute-force oracles
+    for n in range(1, invariants.MAX_ORDER + 1):
+        third = -(-n // 3)
+        gamma_t = n // 2 + -(-n // 4) - n // 4
+        edgeless = Graph.from_edges(n, [])
+        assert independence_number(path(n)) == -(-n // 2), n
+        assert independent_domination_number(path(n)) == third, n
+        assert domination_number(path(n)) == third, n
+        assert independence_number(edgeless) == n, n
+        assert independent_domination_number(edgeless) == n, n
+        assert domination_number(edgeless) == n, n
+        if n >= 2:
+            assert total_domination_number(path(n)) == gamma_t, n
+        if n >= 3:
+            assert independence_number(cycle(n)) == n // 2, n
+            assert independent_domination_number(cycle(n)) == third, n
+            assert domination_number(cycle(n)) == third, n
+            assert total_domination_number(cycle(n)) == gamma_t, n
+        if 2 * n <= invariants.MAX_ORDER:
+            assert independence_number(complete_bipartite(n)) == n, n
+            assert independent_domination_number(complete_bipartite(n)) == n, n
 
 
 # ---------------------------------------------------------------------------
