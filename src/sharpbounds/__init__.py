@@ -41,7 +41,13 @@ from .features import (
     save_table,
 )
 from .fitting import FitResult, SharpBoundingFunction, fit_linear_bound
-from .graph6 import parse_graph6, read_graph6_file, to_graph6, write_graph6_file
+from .graph6 import (
+    Graph6Corpus,
+    parse_graph6,
+    read_graph6_file,
+    to_graph6,
+    write_graph6_file,
+)
 from .graphs import (
     Graph,
     complete,
@@ -74,7 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Conjecture", "EngineConfig", "FeatureTable", "FitRecord", "FitResult",
-    "Graph",
+    "Graph", "Graph6Corpus",
     "Graph6Error", "Hypothesis", "SharpBoundingFunction", "SharpboundsError",
     "ConfigError", "CorpusError", "UndefinedInvariantError",
     "UnsupportedSizeError", "build_table", "check_conjecture", "complete",

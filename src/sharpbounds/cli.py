@@ -18,13 +18,15 @@ from pathlib import Path
 from . import engine
 from .errors import ConfigError, SharpboundsError
 from .features import load_or_build_table
-from .graph6 import read_graph6_file
+from .graph6 import Graph6Corpus, read_graph6_file
 from .invariants import resolve_column, standard_invariants
 from .predicates import standard_predicates
 
 
-def _read_corpus(path: str):
-    graphs = read_graph6_file(path)
+def _read_corpus(path: str, read=Graph6Corpus):
+    # ``invariants`` and ``conjecture`` read the corpus undecoded, so a table
+    # cache hit decodes nothing; ``verify`` passes read_graph6_file
+    graphs = read(path)
     if not graphs:
         raise ConfigError(f"empty corpus: {path}")
     return graphs
@@ -190,7 +192,7 @@ def _cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    corpus = _read_corpus(args.corpus)
+    corpus = _read_corpus(args.corpus, read_graph6_file)
     invariants = standard_invariants()
     predicates = standard_predicates()
 

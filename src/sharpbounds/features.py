@@ -4,7 +4,9 @@ A table maps an ordered corpus of labeled graphs to numeric invariant
 columns (cells may be missing where an invariant is undefined) and Boolean
 predicate columns. Tables are pure functions of corpus and registries and
 can be cached as tab-separated text keyed by a corpus digest, because the
-exact solvers are the expensive part of a run.
+exact solvers are the expensive part of a run. The digest of a
+:class:`~sharpbounds.graph6.Graph6Corpus` reads its labels and graph6 lines,
+so a cache hit decodes no graph.
 
 A set of rows is an ``int`` bitmask: bit ``i`` stands for row ``i``. A
 hypothesis's support is the AND of its predicates' column masks, and row
@@ -25,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
-from .graph6 import to_graph6
+from .graph6 import Graph6Corpus, to_graph6
 from .graphs import Graph, mask_rows  # noqa: F401  (re-exported)
 from .invariants import standard_invariants
 from .predicates import standard_predicates
@@ -126,7 +128,10 @@ class FeatureTable:
 
 
 def corpus_labels(corpus: Sequence[Graph]) -> tuple[str, ...]:
-    """Each graph's label, or ``g<position>`` (from 1) for unlabeled graphs."""
+    """Each graph's label, or ``g<position>`` (from 1) for unlabeled graphs.
+    A :class:`Graph6Corpus` gives its labels without decoding."""
+    if isinstance(corpus, Graph6Corpus):
+        return corpus.labels
     return tuple(g.label if g.label else f"g{i}" for i, g in enumerate(corpus, 1))
 
 
@@ -171,8 +176,19 @@ def build_table(corpus: Sequence[Graph],
 # ---------------------------------------------------------------------------
 
 def corpus_digest(corpus: Sequence[Graph]) -> str:
-    """Content digest of a labeled corpus (labels plus canonical graph6)."""
-    text = "\n".join(f"{g.label or ''} {to_graph6(g)}" for g in corpus)
+    """Content digest of a labeled corpus: each graph's label and graph6
+    string, one ``label graph6`` line per graph.
+
+    A :class:`Graph6Corpus` gives its labels and stripped file lines without
+    decoding; other graphs are encoded in canonical graph6. A file of
+    canonical lines therefore has the digest of its decoded graphs, and a
+    byte-different encoding of the same graphs only keys another cache file.
+    """
+    if isinstance(corpus, Graph6Corpus):
+        pairs = zip(corpus.labels, corpus.lines)
+    else:
+        pairs = ((g.label or "", to_graph6(g)) for g in corpus)
+    text = "\n".join(f"{label} {line}" for label, line in pairs)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -258,20 +274,21 @@ def load_or_build_table(corpus: Sequence[Graph],
                         ) -> FeatureTable:
     """Build the feature table, reusing a digest-keyed TSV cache when possible.
 
-    A cached file with exactly the corpus labels is reused: a file holding
-    every requested column is read and left as it is; otherwise only the
-    missing columns are computed and the file is rewritten with its old
-    columns plus the new ones. A file that cannot be read or whose labels
-    differ (one cut short, say) is rebuilt and overwritten.
+    The cache file is named by :func:`corpus_digest`. A cached file with
+    exactly the corpus labels is reused: a file holding every requested
+    column is read and left as it is, and the corpus graphs are not touched
+    (a :class:`Graph6Corpus` stays undecoded); otherwise only the missing
+    columns are computed and the file is rewritten with its old columns plus
+    the new ones. A file that cannot be read or whose labels differ (one cut
+    short, say) is rebuilt and overwritten. The cache directory is made only
+    to write a table into it.
     """
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
     if cache_dir is None:
         return build_table(corpus, invariants, predicates)
 
-    cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"{corpus_digest(corpus)}.tsv"
+    path = Path(cache_dir) / f"{corpus_digest(corpus)}.tsv"
     kept: dict[str, tuple[str, ...]] = {}
     if path.exists():
         labels = corpus_labels(corpus)
@@ -290,5 +307,6 @@ def load_or_build_table(corpus: Sequence[Graph],
         if kept.get("label") != labels:
             kept = {}
     table = build_table(corpus, invariants, predicates, kept)
+    path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, path, kept)
     return table

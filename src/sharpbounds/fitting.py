@@ -14,9 +14,10 @@ Two points may share coordinates, so one point per row is valid input too.
 Points are read in x order, the (x, y) order in which ``select_rows``
 returns them; input in any other order is sorted by x first.
 
-Only the highest point above each distinct x can touch a feasible line, and
-one pass over the points in x order finds it for every x. The
-candidate slopes are those of the edges of the upper convex hull of these
+Only the highest point above each distinct x can touch a feasible line. One
+pass reads each point once: it checks the row mask, mirrors y for a lower
+bound and keeps the highest point above every x, so input in x order is
+never copied or sorted. The candidate slopes are those of the edges of the upper convex hull of these
 points (Andrew's monotone chain), plus slope zero. This loses nothing: any
 feasible line can be translated to a tight one without losing touches; a
 tight feasible line touching two or more distinct points contains a hull
@@ -33,12 +34,13 @@ candidate's touches therefore takes time linear in the number of distinct x.
 Coordinates are ints, as every feature-table cell is, so the search runs
 in integers. Candidates are ranked by the key (most touches,
 least total slack, least |slope|, then the slope itself). Only candidates
-tied on touches need the rest of the key, so the weighted coordinate sums
-are taken only then. A candidate p/q has slack S/q, with S = npts*b -
-q*sum_y + p*sum_x, so multiplying the key's rational entries by the common
-denominator D of the tied candidates' q turns them into the integers
-S*(D/q), |p|*(D/q) and p*(D/q). Scaling by D > 0 keeps every comparison, so
-the integer key picks the same line as the rational one. The result is
+tied on touches need the rest of the key, so the weighted row count and x
+sum are taken only then. A candidate p/q has slack S/q - sum_y, with
+S = npts*b + p*sum_x, and sum_y is the same for every candidate, so
+multiplying the key's rational entries by the common denominator D of the
+tied candidates' q turns them into the integers S*(D/q), |p|*(D/q) and
+p*(D/q), up to the common term D*sum_y. Scaling by D > 0 keeps every
+comparison, so the integer key picks the same line as the rational one. The result is
 integer too: :class:`SharpBoundingFunction` holds the slope and intercept as
 reduced (numerator, denominator) pairs and compares a point against them by
 cross-multiplication. There is no tolerance anywhere; a touch means the
@@ -50,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import gt, itemgetter
+from operator import itemgetter
 from typing import Optional, Sequence
 
 UPPER = "upper"
@@ -148,33 +150,41 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     if not points:
         return None
 
-    xs, ys, rows = zip(*points)
-    if min(rows) <= 0:
-        raise ValueError("every point needs a non-empty row mask")
+    # One pass over the points checks each row mask, mirrors y for a lower
+    # bound and keeps the highest y above each distinct x with the mask of
+    # the rows there, in x order. A point out of x order ends the pass,
+    # which is then run once more on the points stably sorted by x.
     upper = direction == UPPER
-    if not upper:
-        # y >= m*x + b iff -y <= -m*x - b, with the same slack: fit the
-        # mirror as an upper bound, where the sign tie-break prefers the
-        # smaller slope, i.e. the larger one once negated back.
-        ys = [-y for y in ys]
-
-    if any(map(gt, xs, xs[1:])):
-        xs, ys, rows = zip(*sorted(zip(xs, ys, rows), key=itemgetter(0)))
-    # Highest y above each distinct x, with the mask of the rows there, in
-    # one pass over the points in x order.
-    hx: list[int] = []
-    hy: list[int] = []
-    hr: list[int] = []
-    for x, y, r in zip(xs, ys, rows):
-        if hx and hx[-1] == x:
-            if y > hy[-1]:
-                hy[-1], hr[-1] = y, r
-            elif y == hy[-1]:
-                hr[-1] |= r
-        else:
+    while True:
+        hx: list[int] = []
+        hy: list[int] = []
+        hr: list[int] = []
+        last = None
+        for x, y, r in points:
+            if r <= 0:
+                raise ValueError("every point needs a non-empty row mask")
+            if not upper:
+                # y >= m*x + b iff -y <= -m*x - b, with the same slack: fit
+                # the mirror as an upper bound, where the sign tie-break
+                # prefers the smaller slope, i.e. the larger one once
+                # negated back.
+                y = -y
+            if x == last:
+                if y > top:
+                    top = hy[-1] = y
+                    hr[-1] = r
+                elif y == top:
+                    hr[-1] |= r
+                continue
+            if last is not None and x < last:
+                break
+            last, top = x, y
             hx.append(x)
             hy.append(y)
             hr.append(r)
+        else:
+            break
+        points = sorted(points, key=itemgetter(0))
 
     # Upper hull, left to right, as positions in hx, without collinear
     # middle vertices.
@@ -220,18 +230,17 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     # Ties on touches go to the least (slack, |m|, m), compared as integers
     # scaled by the common denominator den (module docstring).
     if len(tied) > 1:
-        npts = sum_x = sum_y = 0
-        for x, y, r in zip(xs, ys, rows):
+        npts = sum_x = 0
+        for x, _, r in points:
             w = r.bit_count()
             npts += w
             sum_x += x * w
-            sum_y += y * w
         den = lcm(*(c[2] for c in tied))
 
         def key(candidate):
             _, p, q, b = candidate
             s = den // q
-            return ((npts * b - q * sum_y + p * sum_x) * s, abs(p) * s, p * s)
+            return ((npts * b + p * sum_x) * s, abs(p) * s, p * s)
 
         tied.sort(key=key)
     touched, p, q, b = tied[0]

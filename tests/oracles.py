@@ -1,9 +1,9 @@
 """Exhaustive reference implementations used to check the production solvers.
 
 The ``oracle_*`` functions enumerate subsets directly with set logic and no
-pruning, trading speed for obvious correctness. ``search_*`` functions and
-``oracle_fit`` keep a production implementation that was replaced, for
-differential tests against its successor. Intended for graphs with at most
+pruning, trading speed for obvious correctness. ``search_*`` functions,
+``oracle_fit`` and ``hull_fit`` keep a production implementation that was
+replaced, for differential tests against its successor. Intended for graphs with at most
 eight to ten vertices.
 
 ``generate`` and ``pipeline`` are the per-hypothesis conjecture pipeline:
@@ -14,7 +14,9 @@ records themselves.
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import gt, itemgetter
+from typing import Optional, Sequence
 
 from sharpbounds.engine import Conjecture, fit_records
 from sharpbounds.errors import UndefinedInvariantError
@@ -338,6 +340,130 @@ def oracle_fit(points, direction):
     return FitResult(SharpBoundingFunction(m.as_integer_ratio(),
                                            b.as_integer_ratio(), direction),
                      touched_rows)
+
+
+def hull_fit(points: Sequence[tuple], direction: str
+                     ) -> Optional[FitResult]:
+    """The two-pass hull-edge fitter that ``fit_linear_bound`` replaced.
+
+    It unzips the points, checks every row mask at once, mirrors y for a
+    lower bound into a new list, sorts out-of-order input by x, and only
+    then groups the highest point above each x. Same contract and result
+    as the production fitter: fit the touch-maximal sharp linear bound over
+    ``points``.
+
+    Parameters
+    ----------
+    points : sequence of (x, y, rows)
+        Coordinates are ints; ``rows`` is a non-empty row
+        bitmask, disjoint from every other point's, whose popcount is the
+        point's weight. Points in x order are read as given, any other
+        order is sorted by x. The touched rows come back as one mask.
+        Returns ``None`` on empty input.
+    direction : "upper" or "lower"
+
+    Ties on touch number are broken by smallest total slack, then smallest
+    |slope|; a final sign tie prefers the smaller slope for upper bounds and
+    the larger for lower bounds, which makes fitting mirror-symmetric under
+    negating y and flipping the direction.
+    """
+    if direction not in (UPPER, LOWER):
+        raise ValueError(f"direction must be {UPPER!r} or {LOWER!r}")
+    if not points:
+        return None
+
+    xs, ys, rows = zip(*points)
+    if min(rows) <= 0:
+        raise ValueError("every point needs a non-empty row mask")
+    upper = direction == UPPER
+    if not upper:
+        # y >= m*x + b iff -y <= -m*x - b, with the same slack: fit the
+        # mirror as an upper bound, where the sign tie-break prefers the
+        # smaller slope, i.e. the larger one once negated back.
+        ys = [-y for y in ys]
+
+    if any(map(gt, xs, xs[1:])):
+        xs, ys, rows = zip(*sorted(zip(xs, ys, rows), key=itemgetter(0)))
+    # Highest y above each distinct x, with the mask of the rows there, in
+    # one pass over the points in x order.
+    hx: list[int] = []
+    hy: list[int] = []
+    hr: list[int] = []
+    for x, y, r in zip(xs, ys, rows):
+        if hx and hx[-1] == x:
+            if y > hy[-1]:
+                hy[-1], hr[-1] = y, r
+            elif y == hy[-1]:
+                hr[-1] |= r
+        else:
+            hx.append(x)
+            hy.append(y)
+            hr.append(r)
+
+    # Upper hull, left to right, as positions in hx, without collinear
+    # middle vertices.
+    hull: list[int] = []
+    for k, (x, y) in enumerate(zip(hx, hy)):
+        while len(hull) >= 2:
+            i, j = hull[-2], hull[-1]
+            if (hx[j] - hx[i]) * (y - hy[i]) < (hy[j] - hy[i]) * (x - hx[i]):
+                break
+            hull.pop()
+        hull.append(k)
+
+    # Candidates (touch mask, p, q, b) for slope p/q (q > 0) and tight
+    # intercept numerator b: q*y - p*x <= b on every point, with equality
+    # exactly at the touches. A flat hull edge is the slope-zero line. A
+    # point left of an edge's start or right of its end lies strictly below
+    # the edge's line, so only the points between its ends can touch it.
+    # The candidates with the most touches are kept in ``tied``.
+    ymax = max(hy)
+    touched = 0
+    for y, r in zip(hy, hr):
+        if y == ymax:
+            touched |= r
+    tied = [(touched, 0, 1, ymax)]
+    most = touched.bit_count()
+    for i, j in zip(hull, hull[1:]):
+        dy, dx = hy[j] - hy[i], hx[j] - hx[i]
+        if dy == 0:
+            continue
+        g = gcd(dy, dx)
+        p, q = dy // g, dx // g
+        b = q * hy[i] - p * hx[i]
+        touched = 0
+        for k in range(i, j + 1):
+            if q * hy[k] - p * hx[k] == b:
+                touched |= hr[k]
+        n = touched.bit_count()
+        if n > most:
+            tied, most = [], n
+        if n == most:
+            tied.append((touched, p, q, b))
+
+    # Ties on touches go to the least (slack, |m|, m), compared as integers
+    # scaled by the common denominator den (module docstring).
+    if len(tied) > 1:
+        npts = sum_x = sum_y = 0
+        for x, y, r in zip(xs, ys, rows):
+            w = r.bit_count()
+            npts += w
+            sum_x += x * w
+            sum_y += y * w
+        den = lcm(*(c[2] for c in tied))
+
+        def key(candidate):
+            _, p, q, b = candidate
+            s = den // q
+            return ((npts * b - q * sum_y + p * sum_x) * s, abs(p) * s, p * s)
+
+        tied.sort(key=key)
+    touched, p, q, b = tied[0]
+    if not upper:
+        p, b = -p, -b
+    g = gcd(b, q)
+    return FitResult(SharpBoundingFunction((p, q), (b // g, q // g), direction),
+                     touched)
 
 
 def generate(table, config):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,20 +10,24 @@ from pathlib import Path
 import pytest
 
 from sharpbounds import (
+    CorpusError,
+    Graph,
     Hypothesis,
     SharpBoundingFunction,
     Conjecture,
     complete,
+    corpus_digest,
     cycle,
     path,
     petersen,
     read_export,
     read_graph6_file,
     star,
+    to_graph6,
     write_export,
     write_graph6_file,
 )
-from sharpbounds import cli
+from sharpbounds import cli, features
 from sharpbounds.cli import build_parser, main
 from sharpbounds.invariants import standard_invariants
 from sharpbounds.predicates import standard_predicates
@@ -604,6 +609,202 @@ def test_export_is_utf8_under_a_posix_locale(tmp_path):
     lines = check.stdout.splitlines()
     assert len(lines) == len(records) > 0
     assert all(line.startswith("HOLDS") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# table cache: a hit decodes nothing
+# ---------------------------------------------------------------------------
+
+BUNDLED = ["cubic_connected_4_10.g6", "mixed_graphs.g6"]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper counting its calls."""
+    original = getattr(owner, name)
+    counts = [0]
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def run_main(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def conjecture_argv(corpus, cache, export):
+    return ["conjecture", "--corpus", str(corpus), "--targets", "alpha,Z",
+            "--max-hypothesis-size", "3", "--filters", "both",
+            "--cache", str(cache), "--export", str(export)]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_warm_runs_decode_nothing_and_match_cold_runs(tmp_path, capsys,
+                                                      monkeypatch, name):
+    corpus = ROOT / "data" / name
+    cache = tmp_path / "cache"
+    cold = run_main(capsys, *conjecture_argv(corpus, cache, tmp_path / "cold.jsonl"))
+    cold_invariants = run_main(capsys, "invariants", str(corpus))
+    assert cold[0] == cold_invariants[0] == 0
+
+    graphs = count_calls(monkeypatch, Graph, "__post_init__")
+    built = count_calls(monkeypatch, features, "build_table")
+    warm = run_main(capsys, *conjecture_argv(corpus, cache, tmp_path / "warm.jsonl"))
+    warm_invariants = run_main(capsys, "invariants", str(corpus), "--cache", str(cache))
+    assert (graphs[0], built[0]) == (0, 0)
+    assert warm == cold and warm_invariants == cold_invariants
+    assert (tmp_path / "warm.jsonl").read_bytes() == \
+        (tmp_path / "cold.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_digest_of_the_decoded_file_names_the_cache_file(tmp_path, capsys, name):
+    corpus = ROOT / "data" / name
+    assert run_main(capsys, "invariants", str(corpus), "--cache",
+                    str(tmp_path))[0] == 0
+    assert [f.name for f in tmp_path.iterdir()] == \
+        [f"{corpus_digest(read_graph6_file(corpus))}.tsv"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cache_keyed_on_decoded_graphs_is_reused(tmp_path, capsys, monkeypatch,
+                                                 name):
+    # earlier releases keyed the cache on each decoded graph's label and
+    # canonical graph6 string; a file they wrote is read, not rebuilt
+    corpus = ROOT / "data" / name
+    graphs = read_graph6_file(corpus)
+    key = "\n".join(f"{g.label} {to_graph6(g)}" for g in graphs)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    table_file = cache / f"{hashlib.sha256(key.encode()).hexdigest()}.tsv"
+    features.save_table(features.build_table(graphs), table_file)
+    before = table_file.read_bytes()
+
+    built = count_calls(monkeypatch, features, "build_table")
+    decoded = count_calls(monkeypatch, Graph, "__post_init__")
+    code, out, err = run_main(capsys, "invariants", str(corpus), "--cache", str(cache))
+    assert (code, err, built[0], decoded[0]) == (0, "", 0, 0)
+    assert list(cache.iterdir()) == [table_file]
+    assert table_file.read_bytes() == before
+    monkeypatch.undo()
+    assert run_main(capsys, "invariants", str(corpus)) == (0, out, "")
+
+
+def test_prefixed_and_padded_lines_hit_their_own_cache(tmp_path, capsys,
+                                                       monkeypatch):
+    plain = tmp_path / "plain.g6"
+    write_graph6_file([petersen(), cycle(5), path(4)], plain)
+    lines = plain.read_text().splitlines()
+    corpus = tmp_path / "dressed.g6"
+    corpus.write_text(f">>graph6<<{lines[0]}\n\n  {lines[1]}\t\n"
+                      f"  >>graph6<<{lines[2]}  \n")
+    cache = tmp_path / "cache"
+    first = run_main(capsys, "invariants", str(corpus), "--cache", str(cache))
+    assert first[0] == 0
+    (table_file,) = cache.iterdir()
+
+    built = count_calls(monkeypatch, features, "build_table")
+    decoded = count_calls(monkeypatch, Graph, "__post_init__")
+    assert run_main(capsys, "invariants", str(corpus), "--cache", str(cache)) == first
+    assert (built[0], decoded[0]) == (0, 0)
+    assert list(cache.iterdir()) == [table_file]
+
+
+def test_other_encoding_of_the_same_graphs_only_misses(tmp_path, capsys):
+    # "B" is "B?" with its padding character cut: the same empty graph on
+    # three vertices, but other bytes, so another cache file
+    cache = tmp_path / "cache"
+    outputs = []
+    for text in ("B?\nBw\n", "B\nBw\n"):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text(text)
+        outputs.append(run_main(capsys, "invariants", str(corpus), "--cache",
+                                str(cache)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert len(list(cache.iterdir())) == 2
+
+
+@pytest.mark.parametrize("command", ["invariants", "conjecture"])
+def test_malformed_line_on_a_miss_names_the_line(tmp_path, capsys, command):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("A_\n\nA_?\n")
+    with pytest.raises(CorpusError) as expected:
+        read_graph6_file(corpus)
+    cache = tmp_path / "cache"
+    argv = (["invariants", str(corpus)] if command == "invariants" else
+            ["conjecture", "--corpus", str(corpus), "--targets", "alpha"])
+    code, out, err = run_main(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err == f"error: {expected.value}\n"
+    assert err.startswith("error: bad.g6:3: ")
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("command", ["invariants", "conjecture"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfeC~\n", "not UTF-8 text"),
+    (b"\n  \n", "empty corpus"),
+])
+def test_unreadable_or_empty_corpus_fails_with_a_warm_cache(
+        tmp_path, capsys, petersen_file, command, content, message):
+    cache = tmp_path / "cache"
+    assert run_main(capsys, "invariants", str(petersen_file), "--cache",
+                    str(cache))[0] == 0
+    # a table under the digest of the empty corpus must not be served either
+    empty_key = hashlib.sha256(b"").hexdigest()
+    (cache / f"{empty_key}.tsv").write_text("label\torder\tsize\n")
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(content)
+    argv = (["invariants", str(corpus)] if command == "invariants" else
+            ["conjecture", "--corpus", str(corpus), "--targets", "alpha"])
+    code, out, err = run_main(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert message in err and err.startswith("error: ")
+
+
+def test_cache_with_other_labels_is_rebuilt(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([petersen(), cycle(5), path(4)], corpus)
+    cache = tmp_path / "cache"
+    first = run_main(capsys, "invariants", str(corpus), "--cache", str(cache))
+    (table_file,) = cache.iterdir()
+    good = table_file.read_text()
+    table_file.write_text(good.replace("c#2", "c#9"))
+
+    built = count_calls(monkeypatch, features, "build_table")
+    assert run_main(capsys, "invariants", str(corpus), "--cache", str(cache)) == first
+    assert built[0] == 1
+    assert table_file.read_text() == good
+
+
+def test_verify_malformed_corpus_is_one_error_line(tmp_path, capsys):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("A_\n!!\n")
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(), conjecture_record(other="girth")], export)
+    code, out, err = run_main(capsys, "verify", str(export), str(corpus))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad.g6:2: ") and err.count("\n") == 1
+
+
+def test_cli_reaches_the_table_cache_through_its_own_binding(tmp_path, capsys,
+                                                            monkeypatch):
+    # perfbench/spans.py times load_or_build_table through cli's binding and
+    # reads a cache hit as a call with no build_table inside it
+    loads = count_calls(monkeypatch, cli, "load_or_build_table")
+    builds = count_calls(monkeypatch, features, "build_table")
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cache = tmp_path / "cache"
+    assert run_main(capsys, "invariants", str(corpus), "--cache", str(cache))[0] == 0
+    assert (loads[0], builds[0]) == (1, 1)
+    assert run_main(capsys, *conjecture_argv(corpus, cache, tmp_path / "e.jsonl"))[0] == 0
+    assert (loads[0], builds[0]) == (2, 1)
 
 
 # ---------------------------------------------------------------------------

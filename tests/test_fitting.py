@@ -181,6 +181,60 @@ def test_grouped_points_fit_like_one_point_per_row(points):
             fit_fields(by_row) == fit_fields(oracles.oracle_fit(points, direction))
 
 
+@st.composite
+def weighted_inputs(draw):
+    """Points in any order, with negative coordinates, several points per x,
+    repeated coordinates and disjoint masks of one to three rows each."""
+    coordinate = st.integers(-6, 6)
+    pairs = draw(st.lists(st.tuples(coordinate, coordinate),
+                          min_size=1, max_size=10))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    pairs += [(pairs[0][0], y) for y in draw(st.lists(coordinate, max_size=3))]
+    pairs = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        pairs.sort()
+    points, low = [], 0
+    for (x, y), width in zip(pairs, draw(st.lists(
+            st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))):
+        points.append((x, y, ((1 << width) - 1) << low))
+        low += width
+    return points
+
+
+def fit_key(result):
+    return (result.bound.slope, result.bound.intercept, result.bound.direction,
+            result.touched)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_inputs())
+@example([(1, 0, 1), (0, 2, 0b110), (1, 3, 0b1000), (0, 2, 0b10000)])
+@example([(0, -1, 1), (2, -1, 2), (1, -1, 0b1100), (1, -3, 0b10000)])
+def test_single_pass_matches_the_two_pass_fitter(points):
+    # the one-pass grouping must give the replaced fitter's bound and touches
+    # exactly, in x order or not
+    for direction in ("upper", "lower"):
+        assert fit_key(fit_linear_bound(points, direction)) == \
+            fit_key(oracles.hull_fit(points, direction))
+
+
+@pytest.mark.parametrize("bad", [0, -1, -6])
+@pytest.mark.parametrize("base", [
+    [(0, 1, 1), (1, 3, 2), (1, 2, 4), (2, 0, 8)],   # in x order
+    [(2, 0, 1), (0, 1, 2), (1, 3, 4), (1, 2, 8)],   # out of order at once
+    [(0, 1, 1), (2, 0, 2), (1, 3, 4), (1, 2, 8)],   # out of order later
+])
+def test_empty_or_negative_mask_rejected_anywhere(base, bad):
+    # a bad mask is found wherever it sits: before or after the first point
+    # out of x order, and at any x
+    for at in range(len(base) + 1):
+        for x in (-1, 1, 3):
+            points = base[:at] + [(x, 5, bad)] + base[at:]
+            for direction in ("upper", "lower"):
+                with pytest.raises(ValueError):
+                    fit_linear_bound(points, direction)
+
+
 def test_weights_decide_the_touch_maximal_line():
     # both hull edges touch two points; the one with three rows at an end wins
     r = fit_linear_bound([(0, 0, 0b111), (1, 2, 0b1000), (3, 3, 0b10000)],

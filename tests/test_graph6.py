@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sharpbounds import (
     CorpusError,
     Graph,
+    Graph6Corpus,
     Graph6Error,
     UnsupportedSizeError,
     complete,
@@ -124,3 +125,17 @@ def test_blank_lines_and_header_skipped(tmp_path):
     assert [g.size for g in graphs] == [1, 0, 3]
     # labels number the graphs, not the lines: Bw sits on line 4
     assert [g.label for g in graphs] == ["h#1", "h#2", "h#3"]
+
+
+def test_corpus_lines_and_labels_come_before_decoding(tmp_path):
+    target = tmp_path / "lazy.g6"
+    target.write_text(" >>graph6<<A_ \n\n>>graph6<<>>graph6<<A_\nBw\t\n")
+    corpus = Graph6Corpus(target)
+    assert corpus.lines == ("A_", ">>graph6<<A_", "Bw")
+    assert corpus.labels == ("lazy#1", "lazy#2", "lazy#3")
+    assert len(corpus) == 3
+    # decoding starts at the first access and names the file line
+    with pytest.raises(CorpusError, match="lazy.g6:3: "):
+        corpus[0]
+    with pytest.raises(CorpusError, match="lazy.g6:3: "):
+        read_graph6_file(target)
