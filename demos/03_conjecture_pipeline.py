@@ -5,6 +5,7 @@ Run from the repository root:  python3 demos/03_conjecture_pipeline.py
 """
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +48,8 @@ print("the top line, Z(G) ≤ α(G) + 1, is a famous open question for "
 
 print()
 print("== how much the filters trim ==")
-raw = fit_records(table2, config2)
+# every fit of the sweep: no filter
+raw = fit_records(table2, replace(config2, filters=()))
 filtered = run_pipeline(table2, config2)
 print(f"raw fits with a touch: {len(raw)}, one per distinct hypothesis "
       f"support ({sum(len(r.hypotheses) for r in raw)} bounds stated under "

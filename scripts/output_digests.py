@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Print one sha256 per output combination of the command line.
+
+For each bundled corpus, each ``--filters`` choice (``both``, ``none``,
+``generality``, ``dalmatian``) and each ``--format`` (``text``,
+``structured``), with all registered targets and hypotheses of up to three
+predicates, one digest covers:
+
+- the exit code, stdout and stderr of ``conjecture``;
+- the ``--export`` file it writes;
+- the exit code, stdout and stderr of ``verify`` of that export on both
+  bundled corpora;
+- the table cache file.
+
+Two checkouts give the same bytes exactly when they print the same lines:
+
+    python3 scripts/output_digests.py > a.txt    # in one checkout
+    python3 scripts/output_digests.py > b.txt    # in the other
+    diff a.txt b.txt
+
+It imports the package from this checkout's ``src/`` and works in a
+temporary directory, removed at exit, on copies of the corpora under their
+own names, so no path of either checkout reaches the outputs. Each corpus
+gets one fresh cache: its first combination builds the table, the others
+read it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from sharpbounds import cli  # noqa: E402
+from sharpbounds.invariants import standard_invariants  # noqa: E402
+
+CORPORA = ("cubic_connected_4_10.g6", "mixed_graphs.g6")
+FILTERS = ("both", "none", "generality", "dalmatian")
+FORMATS = ("text", "structured")
+
+
+def run(digest, argv: list[str]) -> None:
+    """Run the command line in process; hash its exit code and output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        digest.update(part.encode() + b"\0")
+
+
+def main() -> int:
+    targets = ",".join(standard_invariants())
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        for corpus in CORPORA:
+            shutil.copyfile(ROOT / "data" / corpus, corpus)
+        for corpus in CORPORA:
+            cache = Path(f"cache-{corpus}")
+            for filters in FILTERS:
+                for fmt in FORMATS:
+                    digest = hashlib.sha256()
+                    export = Path("export.jsonl")
+                    run(digest, ["conjecture", "--corpus", corpus,
+                                 "--targets", targets, "--filters", filters,
+                                 "--max-hypothesis-size", "3",
+                                 "--format", fmt, "--cache", str(cache),
+                                 "--export", str(export)])
+                    digest.update(export.read_bytes() + b"\0")
+                    for against in CORPORA:
+                        run(digest, ["verify", str(export), against])
+                    for table in sorted(cache.iterdir()):
+                        digest.update(table.name.encode() + b"\0"
+                                      + table.read_bytes() + b"\0")
+                    export.unlink()
+                    print(f"{corpus} {filters} {fmt} {digest.hexdigest()}")
+        os.chdir(ROOT)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

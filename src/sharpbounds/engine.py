@@ -7,16 +7,21 @@ the sweep fits once per distinct support and returns one :class:`FitRecord`
 per (target, direction, other property, support): the integer bound and
 touched-row mask of the fit, the support mask, and every hypothesis sharing
 the support. Row sets are ``int`` bitmasks throughout (see
-:mod:`sharpbounds.features`).
+:mod:`sharpbounds.features`). Within a target, each distinct selection is
+looked up once and fitted and self-checked once per direction.
 
 Filtering removes records that are strictly less general than an identical
 bound (generality filter) or that touch no row untouched by an earlier
-accepted record (the touch-cover form of the Dalmatian filter). The
-filters, the ranking and the per-group truncation take fit records only,
-and :func:`run_pipeline` builds a :class:`Conjecture` (with its label touch
-set) only for each listed record. Conjectures are presented in
-non-increasing touch-number order. :func:`check_conjecture` re-checks a
-conjecture on any corpus in one walk over it.
+accepted record (the touch-cover form of the Dalmatian filter). Every group
+of identical bounds lies inside one (target, other property, direction) and
+holds distinct supports, so the sweep runs the generality filter on each
+(target, other property) as it goes, on the bounds and supports alone, and
+builds a record only for a survivor. The Dalmatian filter, the ranking and
+the per-group truncation take fit records, and :func:`run_pipeline` builds a
+:class:`Conjecture` (with its label touch set) only for each listed record.
+Conjectures are presented in non-increasing touch-number order.
+:func:`check_conjecture` re-checks a conjecture on any corpus in one walk
+over it.
 """
 from __future__ import annotations
 
@@ -24,9 +29,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import ConfigError, UndefinedInvariantError
 from .features import (FeatureTable, Hypothesis, corpus_labels,
@@ -134,8 +139,8 @@ class FitRecord:
     ``fit`` holds the integer bound and the touched-row mask, ``support``
     the row mask, and ``hypotheses`` every enumerated hypothesis with that
     support, in enumeration order. ``hypothesis`` is the smallest of them by
-    key, the most general name of the support: the one the generality filter
-    keeps among equal supports and the one a listed record is stated under.
+    key, the most general name of the support: the one a record that stands
+    for its support is stated under.
     ``bound``, ``direction``, ``touch_number``, ``support_size``,
     ``statement`` and :meth:`bound_key` read as the record's conjecture's
     would. The filters and the ranking take records only; a record becomes
@@ -169,15 +174,18 @@ class FitRecord:
 def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     """Run the fitting sweep; one record per (target, direction, other
     property, distinct hypothesis support) with at least ``min_support``
-    selected rows.
+    selected rows, and only the generality survivors among them when
+    ``config.filters`` names ``"generality"``.
 
     Hypotheses are grouped by support once per call. For each (target,
     other property), rows are selected once per distinct support that holds
     at least ``min_support`` rows with both values defined (counted on the
     masks, before any selection), and fitted in every direction from that
-    one selection. Within a target, fits are memoised by (direction, grouped
-    points), so columns that agree on the selected rows share one fit and
-    one self-check.
+    one selection. Within a target, fits are memoised by the selected
+    points, one entry holding the fit of every direction, so columns that
+    agree on the selected rows share one fit and one self-check per
+    direction. With the generality filter, :func:`generality_filter` runs
+    on each (target, other property) before any record is built.
     Records are ordered by target, direction, other property and first
     hypothesis, and are a pure function of table and config.
     """
@@ -195,31 +203,39 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     defined = {name: sum(1 << i for i, v in enumerate(col) if v is not None)
                for name, col in table.numeric.items()}
     directions = sorted(config.directions)
+    general = "generality" in config.filters
     out: list[FitRecord] = []
     for target in sorted(config.targets):
         by_direction: dict[str, list[FitRecord]] = {d: [] for d in directions}
-        # (direction, points) -> self-checked fit, for this target only
-        memo: dict[tuple, FitResult] = {}
+        # points -> self-checked fit per direction, for this target only
+        memo: dict[tuple, list[FitResult]] = {}
         for other in sorted(table.numeric):
             if other == target:
                 continue
             both = defined[other] & defined[target]
-            for support, hypotheses, smallest in supports:
+            # (bound, support, fit, support entry) per fit, in support order;
+            # the bound identifies its group within (target, other)
+            found = []
+            for entry in supports:
+                support = entry[0]
                 # the selection would hold exactly these rows
                 if (support & both).bit_count() < config.min_support:
                     continue
                 points = table.select_rows(support, x=other, y=target)
-                for direction in directions:
-                    key = (direction, points)
-                    fit = memo.get(key)
-                    first = fit is None
-                    if first:
-                        fit = memo[key] = fit_linear_bound(points, direction)
-                    record = FitRecord(target, other, support, fit,
-                                       hypotheses, smallest)
-                    if first:
-                        _self_check(record, points, table.labels)
-                    by_direction[direction].append(record)
+                fits = memo.get(points)
+                if fits is None:
+                    fits = memo[points] = [fit_linear_bound(points, d)
+                                           for d in directions]
+                    _self_check(fits, points, table.labels, target, other,
+                                entry)
+                for fit in fits:
+                    found.append((fit.bound, support, fit, entry))
+            if general:
+                found = generality_filter(found, key=itemgetter(0, 1))
+            for bound, support, fit, (_, hypotheses, smallest) in found:
+                by_direction[bound.direction].append(
+                    FitRecord(target, other, support, fit, hypotheses,
+                              smallest))
         for direction in directions:
             out.extend(by_direction[direction])
     return out
@@ -245,47 +261,79 @@ def _conjecture(record: FitRecord, labels: Sequence[str]) -> Conjecture:
     )
 
 
-def _self_check(record: FitRecord, points: Sequence[tuple[int, int, int]],
-                labels: Sequence[str]) -> None:
-    # Defense in depth against fitter regressions: re-verify the inequality
-    # on every fitted point with the comparison verify uses. The lowest bit
-    # of the violation mask is the lowest violating row.
-    violated = record.bound.violations(points)
-    if violated:
-        raise AssertionError(
-            f"generated conjecture violated on row "
-            f"{labels[next(mask_rows(violated))]}: {record.statement}")
+def _self_check(fits: Sequence[FitResult],
+                points: Sequence[tuple[int, int, int]],
+                labels: Sequence[str], target: str, other: str,
+                entry: tuple) -> None:
+    # Defense in depth against fitter regressions: re-verify each fit's
+    # inequality on every fitted point with the comparison verify uses. The
+    # lowest bit of the violation mask is the lowest violating row, and the
+    # message states the fit under the support's smallest hypothesis.
+    for fit in fits:
+        violated = fit.bound.violations(points)
+        if violated:
+            support, hypotheses, smallest = entry
+            record = FitRecord(target, other, support, fit, hypotheses,
+                               smallest)
+            raise AssertionError(
+                f"generated conjecture violated on row "
+                f"{labels[next(mask_rows(violated))]}: {record.statement}")
 
 
 # ---------------------------------------------------------------------------
 # Filters and ordering
 # ---------------------------------------------------------------------------
 
-def generality_filter(records: Sequence[FitRecord]) -> list[FitRecord]:
+_R = TypeVar("_R")
+
+
+def _bound_and_support(record: FitRecord) -> tuple[tuple, int]:
+    return record.bound_key(), record.support
+
+
+def generality_filter(records: Sequence[_R],
+                      key: Callable[[_R], tuple[Hashable, int]]
+                      = _bound_and_support) -> list[_R]:
     """Drop records strictly less general than an identical bound.
 
-    Within each group sharing (target, other, direction, slope, intercept),
-    a record whose support mask is a strict subset of another's is removed;
-    among equal supports the one with the lexicographically smallest
-    :attr:`FitRecord.hypothesis` stays. The kept records come back in input
+    ``key`` gives a record's bound identity and support mask; by default a
+    :class:`FitRecord`'s :meth:`~FitRecord.bound_key` and ``support``. Within
+    each group sharing a bound, a record whose support is a strict subset of
+    another's is removed. A group holds distinct supports, as the sweep
+    yields one record per support: two records with the same bound and
+    support raise :class:`ValueError`. The kept records come back in input
     order.
     """
-    # bound -> support -> index of its representative; among equal supports
-    # the smallest hypothesis wins
-    groups: dict[tuple, dict[int, int]] = {}
-    for idx, record in enumerate(records):
-        by_support = groups.setdefault(record.bound_key(), {})
-        cur = by_support.get(record.support)
-        if cur is None or record.hypothesis.key < records[cur].hypothesis.key:
-            by_support[record.support] = idx
+    # bound -> support -> index of its record
+    groups: dict[Hashable, dict[int, int]] = {}
+    for idx, (bound, support) in enumerate(map(key, records)):
+        by_support = groups.get(bound)
+        if by_support is None:
+            groups[bound] = {support: idx}
+        elif support in by_support:
+            raise ValueError("two records share a bound and a support")
+        else:
+            by_support[support] = idx
 
-    keep: set[int] = set()
+    keep: list[int] = []
     for by_support in groups.values():
-        # strict subsets of any other support are removed
-        for sup, idx in by_support.items():
-            if not any(sup & other == sup and sup != other for other in by_support):
-                keep.add(idx)
-    return [record for i, record in enumerate(records) if i in keep]
+        if len(by_support) == 1:
+            keep.extend(by_support.values())
+            continue
+        # A support is a strict subset of another iff it lies inside a
+        # maximal one. Every strict superset has more rows, so in order of
+        # falling row count the maximal supports met so far are all there
+        # is to test, and a support inside none of them is maximal too.
+        maximal: list[int] = []
+        for sup in sorted(by_support, key=int.bit_count, reverse=True):
+            for big in maximal:
+                if sup & big == sup:
+                    break
+            else:
+                maximal.append(sup)
+                keep.append(by_support[sup])
+    keep.sort()
+    return [records[i] for i in keep]
 
 
 def sort_conjectures(records: Sequence[FitRecord]) -> list[FitRecord]:
@@ -333,13 +381,11 @@ def run_pipeline(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
 
     Filtering, ranking and truncation run on the fit records, before any
     conjecture exists, and each listed record becomes one conjecture. With
-    the generality filter a record stands for its smallest hypothesis;
-    without it, for each of its hypotheses.
+    the generality filter (run inside :func:`fit_records`) a record stands
+    for its smallest hypothesis; without it, for each of its hypotheses.
     """
     records = fit_records(table, config)
-    if "generality" in config.filters:
-        records = generality_filter(records)
-    else:
+    if "generality" not in config.filters:
         records = _per_hypothesis(records)
     records = sort_conjectures(records)
     if "dalmatian" in config.filters:

@@ -151,7 +151,10 @@ def build_table(corpus: Sequence[Graph],
 
     Rows are named by :func:`corpus_labels`. An invariant that raises
     :class:`UndefinedInvariantError` leaves a missing cell. A requested
-    column found in ``cached`` (name -> cell texts) is parsed, not computed.
+    column found in ``cached`` (name -> cell texts) is parsed, not computed,
+    unless a cell does not parse: an integer or an empty cell in a numeric
+    column, ``true`` or ``false`` in a Boolean one. Such a column is
+    computed from the graphs.
     """
     if not corpus:
         raise ConfigError("empty corpus")
@@ -165,9 +168,12 @@ def build_table(corpus: Sequence[Graph],
             numeric[name] = _parse_numeric(cached[name])
         except (KeyError, ValueError):
             numeric[name] = tuple(_cell(fn, g) for g in corpus)
-    boolean = {name: _parse_boolean(cached[name]) if name in cached
-               else tuple(fn(g) for g in corpus)
-               for name, fn in predicates.items()}
+    boolean: dict[str, tuple[bool, ...]] = {}
+    for name, fn in predicates.items():
+        try:
+            boolean[name] = _parse_boolean(cached[name])
+        except (KeyError, ValueError):
+            boolean[name] = tuple(fn(g) for g in corpus)
     return FeatureTable(corpus_labels(corpus), numeric, boolean)
 
 
@@ -242,10 +248,16 @@ def _read_cells(path: str | Path) -> dict[str, tuple[str, ...]]:
 
 
 def _parse_numeric(cells: Sequence[str]) -> tuple[Optional[int], ...]:
+    # an empty cell is a missing value; any other non-integer raises
+    if "" not in cells:
+        return tuple(map(int, cells))
     return tuple(None if c == "" else int(c) for c in cells)
 
 
 def _parse_boolean(cells: Sequence[str]) -> tuple[bool, ...]:
+    # save_table writes only these two cells; any other raises
+    if not set(cells) <= {"true", "false"}:
+        raise ValueError("Boolean cells must read 'true' or 'false'")
     return tuple(c == "true" for c in cells)
 
 
@@ -256,7 +268,10 @@ def load_table(path: str | Path,
 
     The caller says which columns are numeric and which Boolean. Only those
     columns are parsed, in the file's column order; any other column of the
-    file is left unread, so a wider table file serves a narrower request.
+    file is left unread, so a wider table file serves a narrower request. A
+    parsed cell that :func:`save_table` cannot have written (a numeric cell
+    that is neither empty nor an integer, a Boolean cell other than ``true``
+    and ``false``) raises :class:`ValueError`.
     """
     numeric_names, boolean_names = set(numeric_names), set(boolean_names)
     cells = _read_cells(path)
@@ -279,7 +294,9 @@ def load_or_build_table(corpus: Sequence[Graph],
     column is read and left as it is, and the corpus graphs are not touched
     (a :class:`Graph6Corpus` stays undecoded); otherwise only the missing
     columns are computed and the file is rewritten with its old columns plus
-    the new ones. A file that cannot be read or whose labels differ (one cut
+    the new ones. A requested column with a cell that does not parse (see
+    :func:`load_table`) counts as missing: it is computed again and
+    rewritten. A file that cannot be read or whose labels differ (one cut
     short, say) is rebuilt and overwritten. The cache directory is made only
     to write a table into it.
     """

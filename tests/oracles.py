@@ -12,6 +12,7 @@ label sets, as a reference for ``run_pipeline``, which filters and ranks the
 records themselves.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -469,9 +470,10 @@ def hull_fit(points: Sequence[tuple], direction: str
 def generate(table, config):
     """The unfiltered conjecture list: every fit record of the sweep stated
     under each hypothesis sharing its support, ordered by target, direction,
-    other property and hypothesis (smallest first, then by name)."""
+    other property and hypothesis (smallest first, then by name). The sweep
+    is asked for every record, whatever filters ``config`` names."""
     out = []
-    for r in fit_records(table, config):
+    for r in fit_records(table, replace(config, filters=())):
         touch_set = frozenset(table.labels[i]
                               for i in mask_rows(r.fit.touched))
         for h in r.hypotheses:

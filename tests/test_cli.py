@@ -783,6 +783,31 @@ def test_cache_with_other_labels_is_rebuilt(tmp_path, capsys, monkeypatch):
     assert table_file.read_text() == good
 
 
+@pytest.mark.parametrize("numeric", [None, "4.0"])
+@pytest.mark.parametrize("cell", ["TRUE", "1", ""])
+def test_bad_boolean_cache_cell_is_recomputed(tmp_path, capsys, cell, numeric):
+    # K4 is the first graph of the census and cubic; a cell other than
+    # true/false must not read as false, alone or beside a bad numeric cell
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cache = tmp_path / "cache"
+    argv = ("invariants", str(corpus), "--columns", "cubic,bipartite",
+            "--cache", str(cache))
+    first = run_main(capsys, *argv)
+    assert first[0] == 0
+    assert first[1].splitlines()[1] == "cubic_connected_4_10#1 true false"
+    (table_file,) = cache.iterdir()
+    good = table_file.read_text()
+    header, *rows = [line.split("\t") for line in good.splitlines()]
+    rows[0][header.index("cubic")] = cell
+    if numeric is not None:
+        rows[1][header.index("order")] = numeric
+    table_file.write_text("".join("\t".join(r) + "\n"
+                                  for r in [header, *rows]))
+
+    assert run_main(capsys, *argv) == first
+    assert table_file.read_text() == good
+
+
 def test_verify_malformed_corpus_is_one_error_line(tmp_path, capsys):
     corpus = tmp_path / "bad.g6"
     corpus.write_text("A_\n!!\n")

@@ -223,8 +223,9 @@ def test_generate_fits_once_per_distinct_support(monkeypatch):
         return fit_linear_bound(points, direction)
 
     monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
+    # every record of the sweep, not the generality survivors only
     config = EngineConfig(targets=("y",), directions=("upper",),
-                          max_hypothesis_size=2, min_support=3)
+                          max_hypothesis_size=2, min_support=3, filters=())
     out = engine.fit_records(table, config)
     assert len(calls) == 2 == len(set(calls))
     assert [[h.key for h in r.hypotheses] for r in out] == \
@@ -248,7 +249,8 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
                  "u": (1, 2, 3, 4, 5, 6, 7, 8),
                  "v": (1, 2, 0, 4, 9, 6, 1, 8)},
         boolean={"all": (True,) * 8, "even": (False, True) * 4})
-    config = EngineConfig(targets=("y",), max_hypothesis_size=1, min_support=3)
+    config = EngineConfig(targets=("y",), max_hypothesis_size=1, min_support=3,
+                          filters=())
     calls = []
 
     def counting_fit(points, direction):
@@ -346,6 +348,56 @@ def test_rows_selected_only_for_supports_with_enough_rows(monkeypatch):
     assert {(r.other, r.support) for r in records} == wanted
 
 
+def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
+        monkeypatch):
+    # the fitter makes its reduced pairs itself and skips the public
+    # constructors' checks; with the generality filter on, the sweep builds
+    # a record for each survivor only; and every (direction, distinct
+    # selection) of a target is fitted exactly once
+    table = build_table(read_graph6_file(DATA / "mixed_graphs.g6"))
+    config = EngineConfig(targets=tuple(standard_invariants()),
+                          max_hypothesis_size=3,
+                          filters=("generality", "dalmatian"))
+    unfiltered = engine.fit_records(table, replace(config, filters=()))
+    survivors = generality_filter(unfiltered)
+    assert len(survivors) < len(unfiltered)
+
+    counts = {"bounds": 0, "fits": 0, "records": 0}
+
+    def counted(kind, original):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    bound_new = vars(SharpBoundingFunction)["__new__"]
+    monkeypatch.setattr(SharpBoundingFunction, "__new__",
+                        staticmethod(counted("bounds", bound_new)))
+    monkeypatch.setattr(FitResult, "__new__", staticmethod(
+        counted("fits", vars(FitResult)["__new__"])))
+    monkeypatch.setattr(engine.FitRecord, "__init__",
+                        counted("records", engine.FitRecord.__init__))
+    calls = []
+    out = []
+    for target in sorted(config.targets):
+        def recording_fit(points, direction, target=target):
+            calls.append((target, direction, points))
+            return fit_linear_bound(points, direction)
+
+        monkeypatch.setattr(engine, "fit_linear_bound", recording_fit)
+        out += engine.fit_records(table, replace(config, targets=(target,)))
+    assert [(r.target, r.other, r.direction, r.support) for r in out] == \
+        [(r.target, r.other, r.direction, r.support) for r in survivors]
+    assert counts == {"bounds": 0, "fits": 0, "records": len(survivors)}
+
+    # one fit per (target, direction, distinct selection), none repeated
+    wanted = {(r.target, r.direction,
+               table.select_rows(r.support, r.other, r.target))
+              for r in unfiltered}
+    assert len(calls) == len(set(calls)) == len(wanted) < len(unfiltered)
+    assert set(calls) == wanted
+
+
 @pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
 def test_pipeline_builds_only_the_listed_conjectures(corpus, monkeypatch):
     # ranking and both filters run on fit records; a conjecture is built
@@ -430,15 +482,22 @@ def test_generality_keeps_different_bounds():
     assert same_records(generality_filter(single), single)
 
 
-def test_generality_equal_support_prefers_smaller_hypothesis():
+def test_generality_rejects_equal_supports_in_one_bound_group():
+    # the sweep yields one record per support, so a bound group is a set of
+    # distinct supports; two records with one bound and one support are a
+    # caller's error, whatever hypotheses they are stated under
     corpus = [complete(4), prism(3)]  # both connected and cubic
     table = build_table(corpus)
     plain = record_on(table, ("cubic",))
     conj = record_on(table, ("connected", "cubic"))
     empty = record_on(table, ())
     assert plain.support == conj.support == empty.support == 0b11
-    kept = generality_filter([conj, plain, empty])
-    assert same_records(kept, [empty])
+    for pair in ([conj, plain], [empty, conj], [plain, plain]):
+        with pytest.raises(ValueError, match="share a bound and a support"):
+            generality_filter(pair)
+    # the same supports under different bounds are different groups
+    other = record_on(table, ("cubic",), intercept=1)
+    assert same_records(generality_filter([plain, other]), [plain, other])
 
 
 # ---------------------------------------------------------------------------

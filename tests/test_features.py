@@ -24,6 +24,7 @@ from sharpbounds import (
     standard_predicates,
     write_export,
 )
+from sharpbounds import features
 
 from oracles import generate
 
@@ -195,6 +196,47 @@ def test_cache_reuse_and_rebuild(tmp_path):
     # a different corpus gets its own cache file
     load_or_build_table([path(3)], tmp_path, inv, pred)
     assert len(list(tmp_path.glob("*.tsv"))) == 2
+
+
+def plant_cells(cached, cells):
+    """Overwrite cells of a cache file: (row index, column name) -> text."""
+    header, *rows = [line.split("\t")
+                     for line in cached.read_text().splitlines()]
+    for (row, name), text in cells.items():
+        rows[row][header.index(name)] = text
+    cached.write_text("".join("\t".join(r) + "\n" for r in [header, *rows]))
+
+
+@pytest.mark.parametrize("beside", [{}, {(1, "matching_number"): "x"}],
+                         ids=["alone", "with-bad-numeric"])
+@pytest.mark.parametrize("cell", ["TRUE", "1", ""])
+def test_boolean_cache_cells_are_strict(tmp_path, cell, beside):
+    # only true and false parse; any other Boolean cell is treated like a
+    # non-integer numeric cell: its column is computed again and rewritten,
+    # also when another bad column is what forced the rebuild
+    corpus = [complete(4), cycle(5), path(4)]
+    inv, pred = small_registry(), standard_predicates()
+    good = load_or_build_table(corpus, tmp_path, inv, pred)
+    assert good.boolean["cubic"] == (True, False, False)
+    (cached,) = tmp_path.glob("*.tsv")
+    text = cached.read_text()
+    plant_cells(cached, {(0, "cubic"): cell, **beside})
+    with pytest.raises(ValueError):
+        load_table(cached, list(inv), list(pred))
+    assert load_or_build_table(corpus, tmp_path, inv, pred) == good
+    assert cached.read_text() == text
+
+
+def test_numeric_cells_parse_with_and_without_missing_values():
+    # the all-integer fast path and the path with empty cells agree
+    table = FeatureTable(("a", "b", "c"),
+                         {"x": (1, None, -3), "y": (0, 2, 10)},
+                         {"p": (True, False, True)})
+    assert features._parse_numeric(("1", "", "-3")) == table.numeric["x"]
+    assert features._parse_numeric(("0", "2", "10")) == table.numeric["y"]
+    for bad in (("1", "x"), ("", "1.5"), ("true",)):
+        with pytest.raises(ValueError):
+            features._parse_numeric(bad)
 
 
 def test_narrower_request_reuses_wider_cache(tmp_path):

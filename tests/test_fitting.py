@@ -181,6 +181,16 @@ def test_grouped_points_fit_like_one_point_per_row(points):
             fit_fields(by_row) == fit_fields(oracles.oracle_fit(points, direction))
 
 
+def with_row_masks(draw, pairs):
+    """(x, y) pairs as points with disjoint masks of one to three rows."""
+    points, low = [], 0
+    for (x, y), width in zip(pairs, draw(st.lists(
+            st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))):
+        points.append((x, y, ((1 << width) - 1) << low))
+        low += width
+    return points
+
+
 @st.composite
 def weighted_inputs(draw):
     """Points in any order, with negative coordinates, several points per x,
@@ -193,12 +203,28 @@ def weighted_inputs(draw):
     pairs = draw(st.permutations(pairs))
     if draw(st.booleans()):
         pairs.sort()
-    points, low = [], 0
-    for (x, y), width in zip(pairs, draw(st.lists(
-            st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))):
-        points.append((x, y, ((1 << width) - 1) << low))
-        low += width
-    return points
+    return with_row_masks(draw, pairs)
+
+
+@st.composite
+def line_inputs(draw):
+    """Points on one to three lines, flat ones included, plus a few points
+    off them: collinear runs whose interior points carry several rows,
+    flat hull edges, and hull edges tied on touches with each other and
+    with slope zero. Negative coordinates, any order."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        p, q = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+        b = draw(st.integers(-4, 4))
+        xs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4,
+                           unique=True))
+        pairs += [(q * x, p * x + b) for x in xs]
+    pairs += draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                           max_size=3))
+    pairs = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        pairs.sort()
+    return with_row_masks(draw, pairs)
 
 
 def fit_key(result):
@@ -206,10 +232,23 @@ def fit_key(result):
             result.touched)
 
 
-@settings(max_examples=300, deadline=None)
-@given(weighted_inputs())
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(weighted_inputs(), line_inputs()))
 @example([(1, 0, 1), (0, 2, 0b110), (1, 3, 0b1000), (0, 2, 0b10000)])
 @example([(0, -1, 1), (2, -1, 2), (1, -1, 0b1100), (1, -3, 0b10000)])
+# collinear interior points with multi-row masks, and a point below
+@example([(0, 0, 1), (1, 1, 0b110), (2, 2, 0b111000), (3, 3, 0b1000000),
+          (1, -1, 0b10000000)])
+# a flat hull edge with a heavy interior point
+@example([(0, 2, 1), (1, 2, 0b110), (2, 2, 0b1000), (3, 0, 0b10000)])
+# slope zero tied with an edge: two rows each
+@example([(0, 0, 1), (1, 2, 0b10), (2, 2, 0b100)])
+# three edges tied on two touches each
+@example([(0, 0, 1), (1, 2, 0b10), (3, 3, 0b100), (5, 2, 0b1000)])
+# a single distinct x
+@example([(3, 1, 1), (3, 5, 0b110), (3, 5, 0b1000)])
+# negative coordinates, out of x order
+@example([(-1, -5, 1), (-3, -2, 0b10), (-2, 4, 0b1100), (-2, -7, 0b10000)])
 def test_single_pass_matches_the_two_pass_fitter(points):
     # the one-pass grouping must give the replaced fitter's bound and touches
     # exactly, in x order or not
