@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 from .errors import ConfigError, UndefinedInvariantError
 from .graph6 import Graph6Corpus, to_graph6
 from .graphs import Graph, mask_rows  # noqa: F401  (re-exported)
-from .invariants import standard_invariants
+from .invariants import DISPLAY_SYMBOLS, standard_invariants
 from .predicates import standard_predicates
 
 
@@ -174,7 +174,44 @@ def build_table(corpus: Sequence[Graph],
             boolean[name] = _parse_boolean(cached[name])
         except (KeyError, ValueError):
             boolean[name] = tuple(fn(g) for g in corpus)
-    return FeatureTable(corpus_labels(corpus), numeric, boolean)
+    table = FeatureTable(corpus_labels(corpus), numeric, boolean)
+    _check_identities(table)
+    return table
+
+
+# Identities between the exact invariants, as (statement, columns, test):
+# a row that breaks one holds a wrong solver value
+_IDENTITIES = (
+    ("α + β = n", ("independence_number", "vertex_cover_number", "order"),
+     lambda alpha, beta, n: alpha + beta == n),
+    ("γ ≤ i ≤ α", ("domination_number", "independent_domination_number",
+                   "independence_number"),
+     lambda gamma, i, alpha: gamma <= i <= alpha),
+    ("μ* ≤ μ ≤ 2μ*", ("min_maximal_matching", "matching_number"),
+     lambda mu_star, mu: mu_star <= mu <= 2 * mu_star),
+    ("μ ≤ β ≤ 2μ", ("matching_number", "vertex_cover_number"),
+     lambda mu, beta: mu <= beta <= 2 * mu),
+    ("γ ≤ γ_t ≤ 2γ", ("domination_number", "total_domination_number"),
+     lambda gamma, gamma_t: gamma <= gamma_t <= 2 * gamma),
+    ("Z ≥ δ", ("zero_forcing_number", "min_degree"),
+     lambda z, delta: z >= delta),
+)
+
+
+def _check_identities(table: FeatureTable, source: str = "feature table") -> None:
+    # Every identity whose columns the table holds, on every row where they
+    # are all present; a violation is a ConfigError naming the row, the
+    # identity and the values. Tables built by hand are not checked.
+    for statement, names, holds in _IDENTITIES:
+        if not all(name in table.numeric for name in names):
+            continue
+        columns = zip(*(table.numeric[name] for name in names))
+        for label, values in zip(table.labels, columns):
+            if None not in values and not holds(*values):
+                shown = ", ".join(f"{DISPLAY_SYMBOLS[name]} = {value}"
+                                  for name, value in zip(names, values))
+                raise ConfigError(f"{source}: row {label}: {statement} "
+                                  f"fails with {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +353,7 @@ def load_or_build_table(corpus: Sequence[Graph],
         if table is not None and table.labels == labels \
                 and set(table.numeric) == set(invariants) \
                 and set(table.boolean) == set(predicates):
+            _check_identities(table, f"table cache {path}")
             return table
         try:
             kept = _read_cells(path)

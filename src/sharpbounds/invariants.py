@@ -17,9 +17,10 @@ from .errors import ConfigError, UndefinedInvariantError
 from .graphs import Graph, mask_rows
 
 # Largest order the exponential solvers accept. Slowest call of each over the
-# 29 order-20 graphs listed in README (best of three, Python 3.11.7, shared
-# 2-vCPU VM): zero forcing 6.5 s, vertex cover 1.3 s, domination 0.59 s,
-# total domination 0.47 s, and under 0.01 s for the other four.
+# 29 order-20 graphs of scripts/time_solvers.py (best of three, Python 3.11.7,
+# shared 2-vCPU VM): zero forcing 6.5 s, total domination 0.017 s, matching
+# 0.012 s, and at most 0.004 s for the other five. Zero forcing alone keeps
+# the limit at 20.
 MAX_ORDER = 20
 
 
@@ -102,31 +103,40 @@ def _maximal_independent_sets(rows: tuple[int, ...]) -> Iterator[int]:
 def vertex_cover_number(g: Graph) -> int:
     """Minimum size of a vertex set meeting every edge.
 
-    Direct branch and bound on an uncovered edge (u, v): every cover
-    contains u or v. Computed independently of the independence solver so
-    the two can cross-check each other.
+    Iterative branch and bound over the vertices still in play: a vertex v
+    of largest remaining degree is either in the cover, or all its
+    remaining neighbors are. A branch stops once the cover so far plus
+    ceil(remaining edges / largest remaining degree), the fewest vertices
+    that can meet the remaining edges, reaches the best cover found.
+    Computed independently of the independence solver so the two can
+    cross-check each other (alpha + beta = n).
     """
     _require_order(g)
     rows = g.adjacency
-    n = g.order
-    best = n
-
-    def cover(chosen: int, have: int) -> None:
-        nonlocal best
-        if have >= best:
-            return
-        for u in range(n):
-            if chosen >> u & 1:
-                continue
-            white = rows[u] & ~chosen
-            if white:
-                v = (white & -white).bit_length() - 1
-                cover(chosen | (1 << u), have + 1)
-                cover(chosen | (1 << v), have + 1)
-                return
-        best = have
-
-    cover(0, 0)
+    best = g.order
+    # (vertices still in play, cover size so far)
+    stack = [((1 << g.order) - 1, 0)]
+    while stack:
+        alive, have = stack.pop()
+        degree_sum = top = 0
+        scan = alive
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            d = (rows[low.bit_length() - 1] & alive).bit_count()
+            degree_sum += d
+            if d > top:
+                top, v = d, low
+        if not top:
+            best = min(best, have)
+            continue
+        if have + -(-(degree_sum >> 1) // top) >= best:
+            continue
+        alive ^= v
+        nbrs = rows[v.bit_length() - 1] & alive
+        # popped first: taking v, the branch that finds small covers soonest
+        stack.append((alive & ~nbrs, have + top))
+        stack.append((alive, have + 1))
     return best
 
 
@@ -199,40 +209,102 @@ def min_maximal_matching(g: Graph) -> int:
 
 def domination_number(g: Graph) -> int:
     """Minimum size of a set whose closed neighborhoods cover all vertices:
-    the fewest closed rows whose union is every vertex."""
+    the fewest closed rows whose union is every vertex.
+
+    Summed over the connected components. An isolated vertex or an edge
+    needs one vertex. In a larger component some minimum dominating set
+    holds the neighbor of every leaf (a leaf in the set can be traded for
+    its neighbor), so those vertices go in first.
+    """
     _require_order(g)
-    closed = [row | (1 << v) for v, row in enumerate(g.adjacency)]
-    # a vertex covers at most D+1 vertices
-    return _smallest_cover(closed, max(1, -(-g.order // (max_degree(g) + 1))))
+    rows = g.adjacency
+    closed = [row | (1 << v) for v, row in enumerate(rows)]
+    forced = _leaf_neighbors(rows)
+    total = 0
+    for comp in _components(rows):
+        if comp.bit_count() <= 2:
+            total += 1
+        else:
+            total += _forced_cover(closed, comp, forced & comp)
+    return total
 
 
 def total_domination_number(g: Graph) -> int:
     """Minimum size of a set whose open neighborhoods cover all vertices:
     the fewest open rows whose union is every vertex.
 
-    Undefined when the graph has an isolated vertex; raises
+    Summed over the connected components; the neighbor of every leaf is in
+    every total dominating set, so those vertices go in first. Undefined
+    when the graph has an isolated vertex; raises
     :class:`UndefinedInvariantError` in that case.
     """
     _require_order(g)
-    if any(row == 0 for row in g.adjacency):
+    rows = g.adjacency
+    if 0 in rows:
         raise UndefinedInvariantError(
             "total domination is undefined with an isolated vertex")
-    return _smallest_cover(g.adjacency, max(2, -(-g.order // max_degree(g))))
+    forced = _leaf_neighbors(rows)
+    return sum(_forced_cover(rows, comp, forced & comp)
+               for comp in _components(rows))
 
 
-def _smallest_cover(rows: Sequence[int], start: int) -> int:
-    # Fewest of ``rows`` whose union is every vertex, trying sizes upward
-    # from ``start``, which must not exceed the answer. All rows together
-    # must cover every vertex.
-    full = (1 << len(rows)) - 1
-    for k in range(start, len(rows) + 1):
+def _components(rows: Sequence[int]) -> Iterator[int]:
+    # the vertex mask of each connected component
+    left = (1 << len(rows)) - 1
+    while left:
+        comp = todo = left & -left
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = rows[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo |= new
+        left ^= comp
+        yield comp
+
+
+def _leaf_neighbors(rows: Sequence[int]) -> int:
+    # mask of the vertices adjacent to a degree-1 vertex
+    forced = 0
+    for row in rows:
+        if row & (row - 1) == 0:  # no neighbor or exactly one
+            forced |= row
+    return forced
+
+
+def _forced_cover(rows: Sequence[int], comp: int, forced: int) -> int:
+    # Fewest rows of the vertices of ``comp`` whose union is ``comp``, given
+    # that the vertices in ``forced`` are taken: the search covers only what
+    # the forced rows leave, with each other row cut down to that.
+    left = comp
+    scan = forced
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        left &= ~rows[low.bit_length() - 1]
+    if not left:
+        return forced.bit_count()
+    # every row cut down to ``left``, once per distinct nonempty cut; the
+    # rows of forced vertices and of other components cut down to nothing
+    useful = dict.fromkeys(row & left for row in rows)
+    useful.pop(0, None)
+    return forced.bit_count() + _smallest_cover(useful, left)
+
+
+def _smallest_cover(rows: Iterable[int], target: int) -> int:
+    # Fewest of ``rows`` whose union is ``target``, trying sizes upward from
+    # ceil(|target| / largest row), which cannot exceed the answer. All rows
+    # together must cover ``target``. Larger rows come first, so that a
+    # cover of the right size comes up early.
+    rows = sorted(rows, key=int.bit_count, reverse=True)
+    for k in range(-(-target.bit_count() // rows[0].bit_count()), len(rows) + 1):
         for combo in combinations(rows, k):
             covered = 0
             for row in combo:
                 covered |= row
-            if covered == full:
+            if covered == target:
                 return k
-    raise AssertionError("unreachable: all rows together cover every vertex")
+    raise AssertionError("unreachable: all rows together cover the target")
 
 
 def independent_domination_number(g: Graph) -> int:

@@ -141,6 +141,32 @@ def search_independence(g):
     return best
 
 
+def search_vertex_cover(g):
+    """The branch and bound that ``vertex_cover_number`` replaced: branch on
+    an uncovered edge (u, v), since every cover contains u or v."""
+    rows = g.adjacency
+    n = g.order
+    best = n
+
+    def cover(chosen: int, have: int) -> None:
+        nonlocal best
+        if have >= best:
+            return
+        for u in range(n):
+            if chosen >> u & 1:
+                continue
+            white = rows[u] & ~chosen
+            if white:
+                v = (white & -white).bit_length() - 1
+                cover(chosen | (1 << u), have + 1)
+                cover(chosen | (1 << v), have + 1)
+                return
+        best = have
+
+    cover(0, 0)
+    return best
+
+
 def search_domination(g):
     """The subset loop that ``domination_number`` replaced: vertex sets in
     order of size, from a lower bound, until one's closed neighborhoods

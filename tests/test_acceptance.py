@@ -214,8 +214,9 @@ def test_criterion_5_classical_identities(cubic_corpus_path, mixed_corpus_path,
         idom = inv["independent_domination_number"](g)
         assert alpha + beta == n, g.label
         assert gamma <= idom <= alpha, g.label
-        assert mu_star <= mu, g.label
+        assert mu_star <= mu <= 2 * mu_star, g.label
         assert mu <= beta <= 2 * mu, g.label
+        assert inv["zero_forcing_number"](g) >= inv["min_degree"](g), g.label
         if all(g.degree(v) > 0 for v in range(n)):
             gamma_t = inv["total_domination_number"](g)
             assert gamma <= gamma_t <= 2 * gamma, g.label

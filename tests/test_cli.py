@@ -27,7 +27,7 @@ from sharpbounds import (
     write_export,
     write_graph6_file,
 )
-from sharpbounds import cli, features
+from sharpbounds import cli, features, invariants
 from sharpbounds.cli import build_parser, main
 from sharpbounds.invariants import standard_invariants
 from sharpbounds.predicates import standard_predicates
@@ -806,6 +806,58 @@ def test_bad_boolean_cache_cell_is_recomputed(tmp_path, capsys, cell, numeric):
 
     assert run_main(capsys, *argv) == first
     assert table_file.read_text() == good
+
+
+# K4, the first census graph: n = 4, delta = 3, alpha = 1, beta = 3, mu = 2,
+# mu* = 2, gamma = 1, i = 1, gamma_t = 2, Z = 3. Each planted cell breaks
+# one identity and none checked before it.
+BROKEN_IDENTITIES = [
+    ("vertex_cover_number", "4", "α + β = n", "α = 1, β = 4, n = 4"),
+    ("independent_domination_number", "2", "γ ≤ i ≤ α", "γ = 1, i = 2, α = 1"),
+    ("min_maximal_matching", "3", "μ* ≤ μ ≤ 2μ*", "μ* = 3, μ = 2"),
+    ("matching_number", "4", "μ ≤ β ≤ 2μ", "μ = 4, β = 3"),
+    ("total_domination_number", "3", "γ ≤ γ_t ≤ 2γ", "γ = 1, γ_t = 3"),
+    ("zero_forcing_number", "2", "Z ≥ δ", "Z = 2, δ = 3"),
+]
+
+
+@pytest.mark.parametrize("column,cell,identity,values", BROKEN_IDENTITIES,
+                         ids=[case[0] for case in BROKEN_IDENTITIES])
+def test_cache_cell_breaking_an_identity_is_refused(tmp_path, capsys, column,
+                                                    cell, identity, values):
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cache = tmp_path / "cache"
+    argv = ("invariants", str(corpus), "--cache", str(cache))
+    assert run_main(capsys, *argv)[0] == 0
+    (table_file,) = cache.iterdir()
+    header, *rows = [line.split("\t")
+                     for line in table_file.read_text().splitlines()]
+    rows[0][header.index(column)] = cell
+    planted = "".join("\t".join(r) + "\n" for r in [header, *rows])
+    table_file.write_text(planted)
+
+    for run in (argv, conjecture_argv(corpus, cache, tmp_path / "e.jsonl")):
+        code, out, err = run_main(capsys, *run)
+        assert (code, out) == (2, "")
+        assert err == (f"error: table cache {table_file}: row "
+                       f"cubic_connected_4_10#1: {identity} fails with "
+                       f"{values}\n")
+    assert table_file.read_text() == planted
+
+
+def test_wrong_solver_is_refused_before_the_cache_is_written(tmp_path, capsys,
+                                                            monkeypatch):
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cache = tmp_path / "cache"
+    solver = invariants.vertex_cover_number
+    monkeypatch.setattr(invariants, "vertex_cover_number",
+                        lambda g: solver(g) + 1)
+    code, out, err = run_main(capsys, "invariants", str(corpus),
+                              "--cache", str(cache))
+    assert (code, out) == (2, "")
+    assert err == ("error: feature table: row cubic_connected_4_10#1: "
+                   "α + β = n fails with α = 1, β = 4, n = 4\n")
+    assert not cache.exists()
 
 
 def test_verify_malformed_corpus_is_one_error_line(tmp_path, capsys):

@@ -20,6 +20,7 @@ from sharpbounds import (
     path,
     petersen,
     standard_invariants,
+    star,
     total_domination_number,
     vertex_cover_number,
     zero_forcing_number,
@@ -195,6 +196,8 @@ def test_matching_solvers_ignore_vertex_labels(data):
     assert domination_number(h) == domination_number(g)
     assert value_or_none(total_domination_number, h) == \
         value_or_none(total_domination_number, g)
+    assert vertex_cover_number(h) == vertex_cover_number(g)
+    assert zero_forcing_number(h) == zero_forcing_number(g)
 
 
 def test_min_maximal_matching_closed_forms():
@@ -209,7 +212,7 @@ def test_min_maximal_matching_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# Independence and domination against the searches they replaced
+# Independence, domination and vertex cover against the searches they replaced
 # ---------------------------------------------------------------------------
 
 SEARCH_PAIRS = [
@@ -217,6 +220,7 @@ SEARCH_PAIRS = [
     (independent_domination_number, oracles.search_independent_domination),
     (domination_number, oracles.search_domination),
     (total_domination_number, oracles.search_total_domination),
+    (vertex_cover_number, oracles.search_vertex_cover),
 ]
 
 
@@ -261,6 +265,36 @@ def test_independence_and_domination_closed_forms():
         if 2 * n <= invariants.MAX_ORDER:
             assert independence_number(complete_bipartite(n)) == n, n
             assert independent_domination_number(complete_bipartite(n)) == n, n
+
+
+def disjoint_union(*parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.order
+    return Graph.from_edges(offset, edges)
+
+
+def test_vertex_cover_and_domination_closed_forms():
+    # orders past the reach of the brute-force oracles
+    limit = invariants.MAX_ORDER
+    for n in range(1, limit + 1):
+        assert vertex_cover_number(Graph.from_edges(n, [])) == 0, n
+        assert vertex_cover_number(complete(n)) == n - 1, n
+        assert vertex_cover_number(path(n)) == n // 2, n
+        if n >= 3:
+            assert vertex_cover_number(cycle(n)) == -(-n // 2), n
+        for a in range(1, min(n, limit - n) + 1):
+            assert vertex_cover_number(complete_bipartite(a, n)) == a, (a, n)
+    for k in range(1, limit // 4 + 1):
+        k4s = disjoint_union(*[complete(4)] * k)
+        assert domination_number(k4s) == k, k
+        assert total_domination_number(k4s) == 2 * k, k
+    # the neighbor of every leaf is forced: five K2 and the star's center
+    star_and_edges = disjoint_union(star(9), *[complete(2)] * 5)
+    assert star_and_edges.order == limit
+    assert domination_number(star_and_edges) == 6
+    assert total_domination_number(star_and_edges) == 12
 
 
 # ---------------------------------------------------------------------------
