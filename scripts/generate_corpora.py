@@ -34,6 +34,7 @@ from sharpbounds import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     parse_graph6,
     path,
     petersen,
@@ -202,11 +203,6 @@ def audit_cubic(classes: dict[int, list[Graph]]) -> None:
 # ---------------------------------------------------------------------------
 # Mixed corpus
 # ---------------------------------------------------------------------------
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = a.edges() + [(u + a.order, v + a.order) for u, v in b.edges()]
-    return Graph.from_edges(a.order + b.order, edges)
-
 
 def random_connected(rng: random.Random, n: int) -> Graph:
     while True:

@@ -9,12 +9,12 @@ in 0.03, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, the edges drawn by
 multiple of 4, scales the same families (``--order 8`` gives ``2K_4``,
 ``K_1,3 + 2K_2``, ...).
 
-Each call is timed best of ``--repeat``; the table gives, per solver, its
-slowest graph and that time. ``--values`` also prints every solver value
-(``-`` where undefined), so two checkouts can be compared with ``diff``.
+Every solver but the four that take no search is timed, best of three
+calls per graph; the table gives, per solver, its slowest graph and that
+time. ``--values`` also prints every solver value (``-`` where undefined),
+so two checkouts can be compared with ``diff``.
 
-    python3 scripts/time_solvers.py                      # order 20, all solvers
-    python3 scripts/time_solvers.py --solvers beta,gamma,gamma_t
+    python3 scripts/time_solvers.py                  # order 20
     python3 scripts/time_solvers.py --order 8 --values
 
 It imports the package from this checkout's ``src/``.
@@ -31,27 +31,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from sharpbounds import Graph, complete, complete_bipartite, cycle, path  # noqa: E402
-from sharpbounds.errors import UndefinedInvariantError  # noqa: E402
-from sharpbounds.invariants import (  # noqa: E402
-    MAX_ORDER,
-    resolve_column,
-    standard_invariants,
+from sharpbounds import (  # noqa: E402
+    Graph,
+    complete,
+    complete_bipartite,
+    cycle,
+    disjoint_union,
+    path,
 )
+from sharpbounds.errors import UndefinedInvariantError  # noqa: E402
+from sharpbounds.invariants import MAX_ORDER, standard_invariants  # noqa: E402
 
 DENSITIES = (0.03, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7)
 SEEDS = (1, 2, 3)
 # invariants that take no search
 CHEAP = ("order", "size", "min_degree", "max_degree")
-
-
-def union(label: str, *parts: Graph) -> Graph:
-    """Disjoint union, vertices numbered part after part."""
-    edges, offset = [], 0
-    for part in parts:
-        edges += [(u + offset, v + offset) for u, v in part.edges()]
-        offset += part.order
-    return Graph.from_edges(offset, edges, label)
+REPEAT = 3
 
 
 def hard_graphs(n: int) -> list[Graph]:
@@ -63,9 +58,10 @@ def hard_graphs(n: int) -> list[Graph]:
         complete_bipartite(half).relabeled(f"K_{half},{half}"),
         cycle(n).relabeled(f"C_{n}"),
         path(n).relabeled(f"P_{n}"),
-        union(f"{quarter}K_4", *[complete(4)] * quarter),
-        union(f"{half}K_2", *[complete(2)] * half),
-        union(f"K_1,{half - 1} + {quarter}K_2", star, *[complete(2)] * quarter),
+        disjoint_union(*[complete(4)] * quarter).relabeled(f"{quarter}K_4"),
+        disjoint_union(*[complete(2)] * half).relabeled(f"{half}K_2"),
+        disjoint_union(star, *[complete(2)] * quarter).relabeled(
+            f"K_1,{half - 1} + {quarter}K_2"),
     ]
     pairs = [(u, v) for v in range(n) for u in range(v)]
     for p in DENSITIES:
@@ -77,10 +73,10 @@ def hard_graphs(n: int) -> list[Graph]:
     return graphs
 
 
-def best_time(solver, g: Graph, repeat: int) -> tuple[float, str]:
-    """Fastest of ``repeat`` calls, and the value as text."""
+def best_time(solver, g: Graph) -> tuple[float, str]:
+    """Fastest of ``REPEAT`` calls, and the value as text."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         started = time.perf_counter()
         try:
             value = str(solver(g))
@@ -93,22 +89,13 @@ def best_time(solver, g: Graph, repeat: int) -> tuple[float, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--order", type=int, default=MAX_ORDER)
-    parser.add_argument("--solvers", default="",
-                        help="comma-separated names or aliases (default: all)")
-    parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--values", action="store_true",
                         help="also print every solver value per graph")
     args = parser.parse_args(argv)
     if args.order % 4 or not 4 <= args.order <= MAX_ORDER:
         parser.error(f"--order must be a multiple of 4 in 4..{MAX_ORDER}")
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
     registry = standard_invariants()
-    names = [resolve_column(s.strip()) for s in args.solvers.split(",")
-             if s.strip()] or [s for s in registry if s not in CHEAP]
-    for name in names:
-        if name not in registry:
-            parser.error(f"unknown solver {name!r}")
+    names = [name for name in registry if name not in CHEAP]
 
     graphs = hard_graphs(args.order)
     width = max(len(g.label) for g in graphs)
@@ -116,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     for g in graphs:
         values = []
         for name in names:
-            seconds, value = best_time(registry[name], g, args.repeat)
+            seconds, value = best_time(registry[name], g)
             values.append(value)
             if seconds > slowest.get(name, (-1.0, ""))[0]:
                 slowest[name] = (seconds, g.label)
@@ -124,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{g.label:<{width}}  " + " ".join(
                 f"{name}={value}" for name, value in zip(names, values)))
     print(f"{'solver':<30} {'slowest_s':>10}  graph "
-          f"({len(graphs)} graphs of order {args.order}, best of {args.repeat})")
+          f"({len(graphs)} graphs of order {args.order}, best of {REPEAT})")
     for name in names:
         seconds, label = slowest[name]
         print(f"{name:<30} {seconds:>10.4f}  {label}")

@@ -53,6 +53,7 @@ from .graphs import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     graph_names,
     mask_rows,
     named_graph,
@@ -85,7 +86,8 @@ __all__ = [
     "ConfigError", "CorpusError", "UndefinedInvariantError",
     "UnsupportedSizeError", "build_table", "check_conjecture", "complete",
     "complete_bipartite", "conjecture_from_record", "conjecture_to_record",
-    "corpus_digest", "cycle", "dalmatian_filter", "domination_number",
+    "corpus_digest", "cycle", "dalmatian_filter", "disjoint_union",
+    "domination_number",
     "evaluate_predicates", "find_counterexample", "fit_linear_bound",
     "fit_records", "forcing_closure", "generality_filter", "graph_names",
     "independence_number", "independent_domination_number",

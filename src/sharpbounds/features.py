@@ -146,6 +146,7 @@ def build_table(corpus: Sequence[Graph],
                 invariants: dict[str, Callable[[Graph], int]] | None = None,
                 predicates: dict[str, Callable[[Graph], bool]] | None = None,
                 cached: dict[str, Sequence[str]] | None = None,
+                cache_path: str | Path | None = None,
                 ) -> FeatureTable:
     """Evaluate both registries on every corpus graph.
 
@@ -154,7 +155,9 @@ def build_table(corpus: Sequence[Graph],
     column found in ``cached`` (name -> cell texts) is parsed, not computed,
     unless a cell does not parse: an integer or an empty cell in a numeric
     column, ``true`` or ``false`` in a Boolean one. Such a column is
-    computed from the graphs.
+    computed from the graphs. ``cache_path`` names the file ``cached`` was
+    read from: an identity that fails on a column parsed from it names that
+    file in its :class:`ConfigError`.
     """
     if not corpus:
         raise ConfigError("empty corpus")
@@ -163,9 +166,11 @@ def build_table(corpus: Sequence[Graph],
     cached = cached or {}
 
     numeric: dict[str, tuple[Optional[int], ...]] = {}
+    parsed: set[str] = set()
     for name, fn in invariants.items():
         try:
             numeric[name] = _parse_numeric(cached[name])
+            parsed.add(name)
         except (KeyError, ValueError):
             numeric[name] = tuple(_cell(fn, g) for g in corpus)
     boolean: dict[str, tuple[bool, ...]] = {}
@@ -175,7 +180,7 @@ def build_table(corpus: Sequence[Graph],
         except (KeyError, ValueError):
             boolean[name] = tuple(fn(g) for g in corpus)
     table = FeatureTable(corpus_labels(corpus), numeric, boolean)
-    _check_identities(table)
+    _check_identities(table, cache_path, parsed)
     return table
 
 
@@ -198,10 +203,13 @@ _IDENTITIES = (
 )
 
 
-def _check_identities(table: FeatureTable, source: str = "feature table") -> None:
+def _check_identities(table: FeatureTable, cache: str | Path | None = None,
+                      parsed: set[str] | None = None) -> None:
     # Every identity whose columns the table holds, on every row where they
     # are all present; a violation is a ConfigError naming the row, the
-    # identity and the values. Tables built by hand are not checked.
+    # identity and the values, and the cache file when one of the
+    # identity's columns was read from it (every column when ``parsed`` is
+    # None). Tables built by hand are not checked.
     for statement, names, holds in _IDENTITIES:
         if not all(name in table.numeric for name in names):
             continue
@@ -210,6 +218,9 @@ def _check_identities(table: FeatureTable, source: str = "feature table") -> Non
             if None not in values and not holds(*values):
                 shown = ", ".join(f"{DISPLAY_SYMBOLS[name]} = {value}"
                                   for name, value in zip(names, values))
+                read = cache is not None and (
+                    parsed is None or not parsed.isdisjoint(names))
+                source = f"table cache {cache}" if read else "feature table"
                 raise ConfigError(f"{source}: row {label}: {statement} "
                                   f"fails with {shown}")
 
@@ -353,7 +364,7 @@ def load_or_build_table(corpus: Sequence[Graph],
         if table is not None and table.labels == labels \
                 and set(table.numeric) == set(invariants) \
                 and set(table.boolean) == set(predicates):
-            _check_identities(table, f"table cache {path}")
+            _check_identities(table, path)
             return table
         try:
             kept = _read_cells(path)
@@ -361,7 +372,7 @@ def load_or_build_table(corpus: Sequence[Graph],
             pass
         if kept.get("label") != labels:
             kept = {}
-    table = build_table(corpus, invariants, predicates, kept)
+    table = build_table(corpus, invariants, predicates, kept, path)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, path, kept)
     return table

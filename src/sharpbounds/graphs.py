@@ -155,6 +155,17 @@ def petersen() -> Graph:
     return Graph.from_edges(10, edges, "petersen")
 
 
+def disjoint_union(*parts: Graph) -> Graph:
+    """Disjoint union of one or more graphs, numbered part after part."""
+    if not parts:
+        raise ValueError("disjoint union needs at least one graph")
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.order
+    return Graph.from_edges(offset, edges)
+
+
 # Families that take a size parameter, with their minimum legal value.
 _PARAMETRIC = {
     "complete": (complete, 1),

@@ -836,13 +836,19 @@ def test_cache_cell_breaking_an_identity_is_refused(tmp_path, capsys, column,
     planted = "".join("\t".join(r) + "\n" for r in [header, *rows])
     table_file.write_text(planted)
 
-    for run in (argv, conjecture_argv(corpus, cache, tmp_path / "e.jsonl")):
-        code, out, err = run_main(capsys, *run)
-        assert (code, out) == (2, "")
-        assert err == (f"error: table cache {table_file}: row "
-                       f"cubic_connected_4_10#1: {identity} fails with "
-                       f"{values}\n")
-    assert table_file.read_text() == planted
+    # a hit, then a partial rebuild: a Boolean cell the cache cannot have
+    # written sends the run to build_table with the bad cell still parsed
+    rows[1][header.index("cubic")] = "TRUE"
+    unparsed = "".join("\t".join(r) + "\n" for r in [header, *rows])
+    for text in (planted, unparsed):
+        table_file.write_text(text)
+        for run in (argv, conjecture_argv(corpus, cache, tmp_path / "e.jsonl")):
+            code, out, err = run_main(capsys, *run)
+            assert (code, out) == (2, "")
+            assert err == (f"error: table cache {table_file}: row "
+                           f"cubic_connected_4_10#1: {identity} fails with "
+                           f"{values}\n")
+        assert table_file.read_text() == text
 
 
 def test_wrong_solver_is_refused_before_the_cache_is_written(tmp_path, capsys,

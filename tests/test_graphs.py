@@ -8,6 +8,7 @@ from sharpbounds import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     evaluate_predicates,
     graph_names,
     named_graph,
@@ -35,6 +36,14 @@ def test_graph_validation():
 def test_label_ignored_by_equality():
     assert cycle(4).relabeled("x") == cycle(4).relabeled("y")
     assert hash(cycle(4).relabeled("x")) == hash(cycle(4))
+
+
+def test_disjoint_union_numbers_parts_in_turn():
+    g = disjoint_union(star(2), complete(2), Graph.from_edges(1, []))
+    assert (g.order, g.edges(), g.label) == (6, [(0, 1), (0, 2), (3, 4)], None)
+    assert disjoint_union(cycle(5)) == cycle(5)
+    with pytest.raises(ValueError):
+        disjoint_union()
 
 
 def test_named_families():

@@ -11,6 +11,7 @@ from sharpbounds import (
     complete,
     complete_bipartite,
     cycle,
+    disjoint_union,
     domination_number,
     forcing_closure,
     independence_number,
@@ -237,7 +238,7 @@ def test_independence_and_domination_equal_replaced_searches(data):
         k = data.draw(st.integers(1, n - 1))
         a = random_graph(rng, k, data.draw(densities))
         b = random_graph(rng, n - k, data.draw(densities))
-        g = Graph.from_edges(n, a.edges() + [(u + k, v + k) for u, v in b.edges()])
+        g = disjoint_union(a, b)
     for solver, search in SEARCH_PAIRS:
         assert value_or_none(solver, g) == \
             value_or_none(search, g), solver.__name__
@@ -265,14 +266,6 @@ def test_independence_and_domination_closed_forms():
         if 2 * n <= invariants.MAX_ORDER:
             assert independence_number(complete_bipartite(n)) == n, n
             assert independent_domination_number(complete_bipartite(n)) == n, n
-
-
-def disjoint_union(*parts):
-    edges, offset = [], 0
-    for part in parts:
-        edges += [(u + offset, v + offset) for u, v in part.edges()]
-        offset += part.order
-    return Graph.from_edges(offset, edges)
 
 
 def test_vertex_cover_and_domination_closed_forms():

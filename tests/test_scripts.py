@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_time_solvers_smoke():
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "time_solvers.py"),
-         "--order", "8", "--repeat", "1", "--values"],
+         "--order", "8", "--values"],
         capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (0, "")
     lines = result.stdout.splitlines()
@@ -19,7 +19,7 @@ def test_time_solvers_smoke():
     assert "total_domination_number=6" in values["K_1,3 + 2K_2"]
     assert "total_domination_number=- " in values["E_8"]
     header, *table = lines[29:]
-    assert header.startswith("solver") and "29 graphs of order 8" in header
+    assert header.startswith("solver") and "29 graphs of order 8, best of 3" in header
     assert [row.split()[0] for row in table] == [
         "independence_number", "matching_number", "domination_number",
         "total_domination_number", "independent_domination_number",
