@@ -10,14 +10,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sharpbounds import (
+    complete,
     complete_bipartite,
     cycle,
-    evaluate_predicates,
     forcing_closure,
-    named_graph,
     parse_graph6,
     petersen,
+    prism,
     standard_invariants,
+    standard_predicates,
     to_graph6,
 )
 
@@ -28,8 +29,7 @@ print(f"C5 encodes as {line!r} and round-trips: {parse_graph6(line) == c5}")
 
 print()
 print("== named graphs ==")
-for name, parameter in [("complete", 4), ("petersen", None), ("prism", 3)]:
-    g = named_graph(name, parameter)
+for g in [complete(4), petersen(), prism(3)]:
     print(f"{g.label}: {g.order} vertices, {g.size} edges, "
           f"degrees {sorted(set(g.degrees()))}")
 
@@ -42,8 +42,9 @@ for name, solver in invariants.items():
 
 print()
 print("== Boolean predicates ==")
+predicates = standard_predicates()
 for g in [p, cycle(6), complete_bipartite(3)]:
-    flags = [name for name, value in evaluate_predicates(g).items() if value]
+    flags = [name for name, holds in predicates.items() if holds(g)]
     print(f"  {g.label}: {', '.join(flags)}")
 
 print()

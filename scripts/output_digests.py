@@ -12,6 +12,11 @@ predicates, one digest covers:
   bundled corpora;
 - the table cache file.
 
+Then, for each bundled corpus, one digest covers the exit code, stdout and
+stderr of ``invariants`` for each of three column requests: the full
+registry, ``--columns alpha`` and ``--columns connected,order``. Each of
+these runs gets a fresh cache of its own, and its cache file is not hashed.
+
 Two checkouts give the same bytes exactly when they print the same lines:
 
     python3 scripts/output_digests.py > a.txt    # in one checkout
@@ -21,8 +26,8 @@ Two checkouts give the same bytes exactly when they print the same lines:
 It imports the package from this checkout's ``src/`` and works in a
 temporary directory, removed at exit, on copies of the corpora under their
 own names, so no path of either checkout reaches the outputs. Each corpus
-gets one fresh cache: its first combination builds the table, the others
-read it.
+gets one fresh cache for ``conjecture``: its first combination builds the
+table, the others read it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ from sharpbounds.invariants import standard_invariants  # noqa: E402
 CORPORA = ("cubic_connected_4_10.g6", "mixed_graphs.g6")
 FILTERS = ("both", "none", "generality", "dalmatian")
 FORMATS = ("text", "structured")
+# ``invariants`` column requests, by the name each digest line gives them
+COLUMNS = {"all": (), "alpha": ("--columns", "alpha"),
+           "connected,order": ("--columns", "connected,order")}
 
 
 def run(digest, argv: list[str]) -> None:
@@ -81,6 +89,12 @@ def main() -> int:
                                       + table.read_bytes() + b"\0")
                     export.unlink()
                     print(f"{corpus} {filters} {fmt} {digest.hexdigest()}")
+        for corpus in CORPORA:
+            for name, columns in COLUMNS.items():
+                digest = hashlib.sha256()
+                run(digest, ["invariants", corpus, *columns, "--cache",
+                             f"cache-invariants-{corpus}-{name}"])
+                print(f"{corpus} invariants {name} {digest.hexdigest()}")
         os.chdir(ROOT)
     return 0
 

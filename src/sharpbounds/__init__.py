@@ -54,9 +54,7 @@ from .graphs import (
     complete_bipartite,
     cycle,
     disjoint_union,
-    graph_names,
     mask_rows,
-    named_graph,
     path,
     petersen,
     prism,
@@ -75,7 +73,7 @@ from .invariants import (
     vertex_cover_number,
     zero_forcing_number,
 )
-from .predicates import evaluate_predicates, standard_predicates
+from .predicates import standard_predicates
 
 __version__ = "0.1.0"
 
@@ -87,13 +85,12 @@ __all__ = [
     "UnsupportedSizeError", "build_table", "check_conjecture", "complete",
     "complete_bipartite", "conjecture_from_record", "conjecture_to_record",
     "corpus_digest", "cycle", "dalmatian_filter", "disjoint_union",
-    "domination_number",
-    "evaluate_predicates", "find_counterexample", "fit_linear_bound",
-    "fit_records", "forcing_closure", "generality_filter", "graph_names",
+    "domination_number", "find_counterexample", "fit_linear_bound",
+    "fit_records", "forcing_closure", "generality_filter",
     "independence_number", "independent_domination_number",
     "load_or_build_table", "load_table", "mask_rows", "matching_number",
-    "min_maximal_matching", "named_graph", "parse_graph6", "path", "petersen",
-    "prism", "read_export", "read_graph6_file", "render_conjecture",
+    "min_maximal_matching", "parse_graph6", "path", "petersen", "prism",
+    "read_export", "read_graph6_file", "render_conjecture",
     "resolve_column", "run_pipeline", "save_table", "sort_conjectures",
     "standard_invariants", "standard_predicates", "star", "to_graph6",
     "total_domination_number", "vertex_cover_number",

@@ -89,15 +89,10 @@ def _cmd_invariants(args) -> int:
                 raise ConfigError(f"unknown column {name!r}")
             if columns.count(name) > 1:
                 raise ConfigError(f"column {name!r} is given more than once")
-        # only the named columns are computed; a table needs two numeric
-        # columns, and order and size take no solver
         predicates = {name: predicates[name] for name in columns
                       if name in predicates}
-        named = {name: invariants[name] for name in columns if name in invariants}
-        for name in ("order", "size"):
-            if len(named) < 2:
-                named.setdefault(name, invariants[name])
-        invariants = named
+        invariants = {name: invariants[name] for name in columns
+                      if name in invariants}
 
     table = load_or_build_table(corpus, args.cache, invariants, predicates)
     print(" ".join(["label"] + columns))

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
 from .graph6 import Graph6Corpus, to_graph6
-from .graphs import Graph, mask_rows  # noqa: F401  (re-exported)
+from .graphs import Graph
 from .invariants import DISPLAY_SYMBOLS, standard_invariants
 from .predicates import standard_predicates
 
@@ -70,8 +70,6 @@ class FeatureTable:
             raise ConfigError("empty corpus")
         if len(set(self.labels)) != n:
             raise ConfigError("corpus labels are not unique")
-        if len(self.numeric) < 2:
-            raise ConfigError("a feature table needs at least two numeric columns")
         for name, col in list(self.numeric.items()) + list(self.boolean.items()):
             if len(col) != n:
                 raise ConfigError(f"column {name!r} has wrong length")

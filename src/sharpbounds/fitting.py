@@ -16,8 +16,8 @@ returns them; input in any other order is sorted by x first.
 
 Only the highest point above each distinct x can touch a feasible line. One
 pass reads each point once: it checks the row mask and keeps the highest
-point above every x (the lowest for a lower bound, mirrored once the pass is
-done, so the per-point loop has no mirroring branch), and input in x order
+point above every x, reading each y as -y for a lower bound so that both
+directions share one loop with no mirroring branch, and input in x order
 is never copied or sorted. The candidate slopes are those of the edges of
 the upper convex hull of these points (Andrew's monotone chain), plus slope
 zero. This loses nothing: any feasible line can be translated to a tight one
@@ -172,58 +172,38 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
     if not points:
         return None
 
-    # One pass over the points checks each row mask and keeps the highest y
-    # above each distinct x (the lowest for a lower bound) with the mask of
-    # the rows there, in x order. A point out of x order ends the pass,
-    # which is then run once more on the points stably sorted by x.
+    # y >= m*x + b iff -y <= -m*x - b, with the same slack: a lower bound is
+    # fitted as an upper bound on -y, where the sign tie-break prefers the
+    # smaller slope, i.e. the larger one once negated back. One pass over
+    # the points checks each row mask and keeps the highest y * sign above
+    # each distinct x with the mask of the rows there, in x order. A point
+    # out of x order ends the pass, which is then run once more on the
+    # points stably sorted by x.
+    sign = 1 if upper else -1
     while True:
         hx: list[int] = []
         hy: list[int] = []
         hr: list[int] = []
         last = None
-        if upper:
-            for x, y, r in points:
-                if r <= 0:
-                    raise ValueError("every point needs a non-empty row mask")
-                if x == last:
-                    if y > top:
-                        top = hy[-1] = y
-                        hr[-1] = r
-                    elif y == top:
-                        hr[-1] |= r
-                    continue
-                if last is not None and x < last:
-                    break
-                last, top = x, y
-                hx.append(x)
-                hy.append(y)
-                hr.append(r)
-            else:
+        for x, y, r in points:
+            if r <= 0:
+                raise ValueError("every point needs a non-empty row mask")
+            y *= sign
+            if x == last:
+                if y > top:
+                    top = hy[-1] = y
+                    hr[-1] = r
+                elif y == top:
+                    hr[-1] |= r
+                continue
+            if last is not None and x < last:
                 break
+            last, top = x, y
+            hx.append(x)
+            hy.append(y)
+            hr.append(r)
         else:
-            for x, y, r in points:
-                if r <= 0:
-                    raise ValueError("every point needs a non-empty row mask")
-                if x == last:
-                    if y < top:
-                        top = hy[-1] = y
-                        hr[-1] = r
-                    elif y == top:
-                        hr[-1] |= r
-                    continue
-                if last is not None and x < last:
-                    break
-                last, top = x, y
-                hx.append(x)
-                hy.append(y)
-                hr.append(r)
-            else:
-                # y >= m*x + b iff -y <= -m*x - b, with the same slack: fit
-                # the mirror as an upper bound, where the sign tie-break
-                # prefers the smaller slope, i.e. the larger one once
-                # negated back.
-                hy = [-y for y in hy]
-                break
+            break
         points = sorted(points, key=itemgetter(0))
 
     # Upper hull, left to right, as positions in hx, without collinear

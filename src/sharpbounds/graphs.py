@@ -164,43 +164,3 @@ def disjoint_union(*parts: Graph) -> Graph:
         edges += [(u + offset, v + offset) for u, v in part.edges()]
         offset += part.order
     return Graph.from_edges(offset, edges)
-
-
-# Families that take a size parameter, with their minimum legal value.
-_PARAMETRIC = {
-    "complete": (complete, 1),
-    "cycle": (cycle, 3),
-    "path": (path, 1),
-    "star": (star, 1),
-    "complete_bipartite": (complete_bipartite, 1),
-    "prism": (prism, 3),
-}
-
-_FIXED = {
-    "petersen": petersen,
-}
-
-
-def named_graph(name: str, parameter: Optional[int] = None) -> Graph:
-    """Look up a named family and build the requested member.
-
-    Raises ``KeyError`` for an unknown family name and ``ValueError`` when the
-    parameter is missing or below the family minimum.
-    """
-    if name in _FIXED:
-        if parameter is not None:
-            raise ValueError(f"{name!r} does not take a parameter")
-        return _FIXED[name]()
-    if name in _PARAMETRIC:
-        builder, minimum = _PARAMETRIC[name]
-        if parameter is None:
-            raise ValueError(f"{name!r} requires a size parameter")
-        if parameter < minimum:
-            raise ValueError(f"{name!r} requires parameter >= {minimum}")
-        return builder(parameter)
-    raise KeyError(name)
-
-
-def graph_names() -> list[str]:
-    """Names accepted by :func:`named_graph`."""
-    return sorted(_PARAMETRIC) + sorted(_FIXED)

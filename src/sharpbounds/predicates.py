@@ -86,11 +86,3 @@ def standard_predicates() -> dict[str, Callable[[Graph], bool]]:
         "has_isolated_vertex": has_isolated_vertex,
         "is_tree": is_tree,
     }
-
-
-def evaluate_predicates(g: Graph,
-                        registry: dict[str, Callable[[Graph], bool]] | None = None
-                        ) -> dict[str, bool]:
-    """Evaluate every registered predicate on one graph."""
-    registry = registry if registry is not None else standard_predicates()
-    return {name: fn(g) for name, fn in registry.items()}

@@ -17,8 +17,14 @@ def test_all_equals_the_public_bindings():
 
 def test_removed_names_stay_removed():
     # the per-hypothesis conjecture list and the second corpus walk of
-    # verify are gone: fit_records and check_conjecture replace them
-    for name in ("generate", "touch_count_on"):
-        assert name not in sharpbounds.__all__
-        assert not hasattr(sharpbounds, name)
-        assert not hasattr(sharpbounds.engine, name)
+    # verify are gone: fit_records and check_conjecture replace them; so are
+    # the family-name lookup and the one-graph predicate dict: call the
+    # builders and standard_predicates() directly
+    removed = {sharpbounds.engine: ("generate", "touch_count_on"),
+               sharpbounds.graphs: ("named_graph", "graph_names"),
+               sharpbounds.predicates: ("evaluate_predicates",)}
+    for module, names in removed.items():
+        for name in names:
+            assert name not in sharpbounds.__all__
+            assert not hasattr(sharpbounds, name)
+            assert not hasattr(module, name)

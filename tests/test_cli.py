@@ -147,8 +147,38 @@ def test_invariants_computes_only_named_columns(petersen_file, capsys,
     code = main(["invariants", str(petersen_file), "--columns", "alpha"])
     assert code == 0
     assert capsys.readouterr().out == "label independence_number\npetersen 4\n"
-    # one cheap column pads the table to the two numeric columns it needs
-    assert called == {"independence_number", "order"}
+    assert called == {"independence_number"}
+
+
+def test_narrow_invariants_cache_serves_a_later_conjecture(petersen_file,
+                                                           tmp_path, capsys,
+                                                           monkeypatch):
+    # the cache holds exactly the named column; a full run computes the
+    # others and keeps it
+    cache = tmp_path / "cache"
+    assert run_main(capsys, "invariants", str(petersen_file), "--columns",
+                    "alpha", "--cache", str(cache))[0] == 0
+    (table_file,) = cache.iterdir()
+    assert table_file.read_text() == "label\tindependence_number\npetersen\t4\n"
+
+    called = set()
+
+    def counting_registry():
+        return {name: (lambda g, _name=name, _fn=fn:
+                       called.add(_name) or _fn(g))
+                for name, fn in standard_invariants().items()}
+
+    monkeypatch.setattr(cli, "standard_invariants", counting_registry)
+    assert run_main(capsys, "conjecture", "--corpus", str(petersen_file),
+                    "--targets", "alpha", "--cache", str(cache))[0] == 0
+    assert called == set(standard_invariants()) - {"independence_number"}
+    header, row = (line.split("\t")
+                   for line in table_file.read_text().splitlines())
+    assert header[:2] == ["label", "independence_number"]
+    assert sorted(header[2:]) == sorted(
+        set(standard_invariants()) - {"independence_number"}
+        | set(standard_predicates()))
+    assert row[:2] == ["petersen", "4"]
 
 
 @pytest.mark.parametrize("columns, repeated", [
@@ -563,6 +593,21 @@ def test_verify_walks_the_corpus_once_per_record(tmp_path, capsys,
                              for name in involved for label in labels})
 
 
+def test_verify_never_solves_a_graph_outside_the_support(tmp_path, capsys):
+    # P21 is above the solvers' order limit, but not cubic, so alpha is
+    # never asked of it and the record holds on the two cubic graphs
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4), petersen(), path(21)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="order", hypothesis=("cubic",),
+                                    slope=Fraction(1, 2))], export)
+    code = main(["verify", str(export), str(corpus)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == ("HOLDS touch=0 If G is a cubic graph, then "
+                            "α(G) ≤ (1/2)·n(G)\n")
+
+
 def test_verify_output_ignores_hash_seed(tmp_path):
     # unknown predicates are reported in sorted order, not in set order
     corpus = tmp_path / "c.g6"
@@ -790,11 +835,11 @@ def test_bad_boolean_cache_cell_is_recomputed(tmp_path, capsys, cell, numeric):
     # true/false must not read as false, alone or beside a bad numeric cell
     corpus = ROOT / "data" / "cubic_connected_4_10.g6"
     cache = tmp_path / "cache"
-    argv = ("invariants", str(corpus), "--columns", "cubic,bipartite",
+    argv = ("invariants", str(corpus), "--columns", "cubic,bipartite,order",
             "--cache", str(cache))
     first = run_main(capsys, *argv)
     assert first[0] == 0
-    assert first[1].splitlines()[1] == "cubic_connected_4_10#1 true false"
+    assert first[1].splitlines()[1] == "cubic_connected_4_10#1 true false 4"
     (table_file,) = cache.iterdir()
     good = table_file.read_text()
     header, *rows = [line.split("\t") for line in good.splitlines()]

@@ -145,11 +145,18 @@ def test_build_table_is_pure():
     assert a == b
 
 
-def test_table_needs_two_numeric_columns():
+@pytest.mark.parametrize("names", [("independence_number",), ()])
+def test_table_with_fewer_than_two_numeric_columns_round_trips(tmp_path,
+                                                               names):
+    # fitting needs two numeric columns; a table does not
     inv = standard_invariants()
-    with pytest.raises(ConfigError):
-        build_table([complete(3)], {"order": inv["order"]},
-                    standard_predicates())
+    table = build_table([complete(4), cycle(5), complete(1)],
+                        {name: inv[name] for name in names},
+                        standard_predicates())
+    assert tuple(table.numeric) == names
+    target = tmp_path / "table.tsv"
+    save_table(table, target)
+    assert load_table(target, names, list(standard_predicates())) == table
 
 
 def test_tsv_round_trip(tmp_path):

@@ -9,13 +9,11 @@ from sharpbounds import (
     complete_bipartite,
     cycle,
     disjoint_union,
-    evaluate_predicates,
-    graph_names,
-    named_graph,
     path,
     petersen,
     prism,
     star,
+    standard_predicates,
 )
 from sharpbounds.predicates import is_bipartite, is_claw_free
 
@@ -47,11 +45,11 @@ def test_disjoint_union_numbers_parts_in_turn():
 
 
 def test_named_families():
-    k4 = named_graph("complete", 4)
+    k4 = complete(4)
     assert k4.order == 4 and k4.size == 6 and all(d == 3 for d in k4.degrees())
-    c5 = named_graph("cycle", 5)
+    c5 = cycle(5)
     assert c5.size == 5 and all(d == 2 for d in c5.degrees())
-    p = named_graph("petersen")
+    p = petersen()
     assert p.order == 10 and p.size == 15
     assert all(d == 3 for d in p.degrees())
     # girth five: no triangles and no four-cycles through brute force
@@ -67,16 +65,19 @@ def test_named_families():
                         and p.has_edge(c, d) and p.has_edge(d, a))
 
 
-def test_named_graph_errors():
-    with pytest.raises(KeyError):
-        named_graph("torus")
+BELOW_MINIMUM = [(complete, 0), (cycle, 2), (path, 0), (star, 0),
+                 (complete_bipartite, 0), (prism, 2)]
+
+
+@pytest.mark.parametrize("builder, size", BELOW_MINIMUM,
+                         ids=[f"{b.__name__}-{n}" for b, n in BELOW_MINIMUM])
+def test_builders_refuse_sizes_below_their_minimum(builder, size):
     with pytest.raises(ValueError):
-        named_graph("cycle", 2)
-    with pytest.raises(ValueError):
-        named_graph("cycle")
-    with pytest.raises(ValueError):
-        named_graph("petersen", 3)
-    assert "petersen" in graph_names()
+        builder(size)
+
+
+def evaluate_predicates(g):
+    return {name: fn(g) for name, fn in standard_predicates().items()}
 
 
 def test_predicates_on_known_graphs():
