@@ -17,6 +17,16 @@ stderr of ``invariants`` for each of three column requests: the full
 registry, ``--columns alpha`` and ``--columns connected,order``. Each of
 these runs gets a fresh cache of its own, and its cache file is not hashed.
 
+Then, for each bundled corpus, one digest covers a ``conjecture --config``
+run that sets every config key: its exit code, stdout and stderr, the export
+and the table cache file. One digest covers each config error (an unknown
+key, a repeated key, a line with no ``=``, a non-integer value, a
+``filters`` or ``format`` value outside its choices): the exit code, stdout
+and stderr, which name the config file by a relative path. Last, one digest
+covers the exit code, stdout and stderr of ``--help`` of the parser and of
+each subcommand, with ``COLUMNS=80`` so the wrapping does not depend on the
+terminal.
+
 Two checkouts give the same bytes exactly when they print the same lines:
 
     python3 scripts/output_digests.py > a.txt    # in one checkout
@@ -53,15 +63,29 @@ FORMATS = ("text", "structured")
 # ``invariants`` column requests, by the name each digest line gives them
 COLUMNS = {"all": (), "alpha": ("--columns", "alpha"),
            "connected,order": ("--columns", "connected,order")}
+# a config that sets every key; each config error is written into it
+CONFIG = ("corpus = {corpus}\ntargets = {targets}\ndirections = lower,upper\n"
+          "max_hypothesis_size = 3\nmin_support = 4\nfilters = both\n"
+          "top_k = 7\nformat = structured\nexport = config-export.jsonl\n"
+          "cache = {cache}\n")
 
 
 def run(digest, argv: list[str]) -> None:
     """Run the command line in process; hash its exit code and output."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's --help
+            code = exc.code
     for part in (str(code), out.getvalue(), err.getvalue()):
         digest.update(part.encode() + b"\0")
+
+
+def hash_tables(digest, cache: Path) -> None:
+    """Hash the name and bytes of each table cache file."""
+    for table in sorted(cache.iterdir()):
+        digest.update(table.name.encode() + b"\0" + table.read_bytes() + b"\0")
 
 
 def main() -> int:
@@ -84,9 +108,7 @@ def main() -> int:
                     digest.update(export.read_bytes() + b"\0")
                     for against in CORPORA:
                         run(digest, ["verify", str(export), against])
-                    for table in sorted(cache.iterdir()):
-                        digest.update(table.name.encode() + b"\0"
-                                      + table.read_bytes() + b"\0")
+                    hash_tables(digest, cache)
                     export.unlink()
                     print(f"{corpus} {filters} {fmt} {digest.hexdigest()}")
         for corpus in CORPORA:
@@ -95,6 +117,35 @@ def main() -> int:
                 run(digest, ["invariants", corpus, *columns, "--cache",
                              f"cache-invariants-{corpus}-{name}"])
                 print(f"{corpus} invariants {name} {digest.hexdigest()}")
+        for corpus in CORPORA:
+            digest = hashlib.sha256()
+            cache = Path(f"cache-config-{corpus}")
+            Path("every-key.cfg").write_text(CONFIG.format(
+                corpus=corpus, targets=targets, cache=cache))
+            run(digest, ["conjecture", "--config", "every-key.cfg"])
+            export = Path("config-export.jsonl")
+            digest.update(export.read_bytes() + b"\0")
+            export.unlink()
+            hash_tables(digest, cache)
+            print(f"{corpus} config {digest.hexdigest()}")
+        base = CONFIG.format(corpus=CORPORA[0], targets="alpha",
+                             cache="cache-config-errors")
+        errors = {"unknown-key": base + "top-k = 3\n",
+                  "repeated-key": base + "top_k = 3\n",
+                  "no-equals": base + "top_k 3\n",
+                  "non-integer": base.replace("top_k = 7", "top_k = seven"),
+                  "bad-filters": base.replace("= both", "= all"),
+                  "bad-format": base.replace("= structured", "= json")}
+        for name, text in errors.items():
+            Path(f"{name}.cfg").write_text(text)
+            digest = hashlib.sha256()
+            run(digest, ["conjecture", "--config", f"{name}.cfg"])
+            print(f"config-error {name} {digest.hexdigest()}")
+        os.environ["COLUMNS"] = "80"
+        for command in (None, "invariants", "conjecture", "verify"):
+            digest = hashlib.sha256()
+            run(digest, [command, "--help"] if command else ["--help"])
+            print(f"help {command or 'sharpbounds'} {digest.hexdigest()}")
         os.chdir(ROOT)
     return 0
 

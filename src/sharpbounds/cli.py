@@ -36,10 +36,28 @@ def _split_names(raw: str) -> list[str]:
     return [resolve_column(part.strip()) for part in raw.split(",") if part.strip()]
 
 
-# the keys a ``--config`` file may set, one per ``conjecture`` option; any
-# other key, or one given twice, is a ConfigError at path:line
-CONFIG_KEYS = ("corpus", "targets", "directions", "max_hypothesis_size",
-               "min_support", "filters", "top_k", "format", "export", "cache")
+_FILTER_CHOICES = {
+    "both": ("generality", "dalmatian"),
+    "none": (),
+    "generality": ("generality",),
+    "dalmatian": ("dalmatian",),
+}
+
+# every ``conjecture`` option but --config, as name -> (type, default,
+# choices, help): its flag is the name with "_" written "-", and the keys a
+# ``--config`` file may set are exactly these names
+_CONJECTURE_OPTIONS = {
+    "corpus": (str, None, None, None),
+    "targets": (str, None, None, "comma-separated target invariants"),
+    "directions": (str, "upper,lower", None, "upper, lower or both"),
+    "max_hypothesis_size": (int, 2, None, None),
+    "min_support": (int, 5, None, None),
+    "filters": (str, "generality", sorted(_FILTER_CHOICES), "filter selection"),
+    "top_k": (int, 10, None, "conjectures listed per target and direction"),
+    "format": (str, "text", ["text", "structured"], None),
+    "export": (str, None, None, "write the structured record file here"),
+    "cache": (str, None, None, "feature table cache directory"),
+}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -56,21 +74,13 @@ def _parse_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _CONJECTURE_OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in options:
             raise ConfigError(f"{path}:{lineno}: key {key!r} is given more "
                               "than once")
         options[key] = value.strip()
     return options
-
-
-_FILTER_CHOICES = {
-    "both": ("generality", "dalmatian"),
-    "none": (),
-    "generality": ("generality",),
-    "dalmatian": ("dalmatian",),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -112,50 +122,40 @@ def _cmd_invariants(args) -> int:
 # conjecture
 # ---------------------------------------------------------------------------
 
-def _merged_option(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _int_option(args, config: dict, key: str, default: int) -> int:
-    value = _merged_option(args, config, key, default)
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+def _conjecture_options(args) -> dict:
+    """Each ``conjecture`` option: its flag, else its ``--config`` value, else
+    its default. A config value passes the same type and choice check as the
+    flag."""
+    config = _parse_config_file(args.config) if args.config else {}
+    options = {}
+    for key, (kind, default, choices, _) in _CONJECTURE_OPTIONS.items():
+        value = getattr(args, key)
+        if value is None and key in config:
+            try:
+                value = kind(config[key])
+            except ValueError:
+                raise ConfigError(f"{key} must be an integer, got "
+                                  f"{config[key]!r}") from None
+            if choices and value not in choices:
+                raise ConfigError(f"{key} must be one of {choices}")
+        options[key] = default if value is None else value
+    return options
 
 
 def _cmd_conjecture(args) -> int:
-    config = _parse_config_file(args.config) if args.config else {}
-
-    corpus_path = _merged_option(args, config, "corpus", None)
-    if not corpus_path:
+    options = _conjecture_options(args)
+    if not options["corpus"]:
         raise ConfigError("a corpus path is required (flag --corpus or config key)")
-    raw_targets = _merged_option(args, config, "targets", None)
-    if not raw_targets:
+    if not options["targets"]:
         raise ConfigError("at least one target is required (--targets)")
-
-    directions = _split_names(str(_merged_option(args, config, "directions", "upper,lower")))
-    filters_name = str(_merged_option(args, config, "filters", "generality"))
-    if filters_name not in _FILTER_CHOICES:
-        raise ConfigError(f"filters must be one of {sorted(_FILTER_CHOICES)}")
     engine_config = engine.EngineConfig(
-        targets=tuple(_split_names(str(raw_targets))),
-        directions=tuple(directions),
-        max_hypothesis_size=_int_option(args, config, "max_hypothesis_size", 2),
-        min_support=_int_option(args, config, "min_support", 5),
-        filters=_FILTER_CHOICES[filters_name],
-        top_k=_int_option(args, config, "top_k", 10),
+        targets=tuple(_split_names(options["targets"])),
+        directions=tuple(_split_names(options["directions"])),
+        max_hypothesis_size=options["max_hypothesis_size"],
+        min_support=options["min_support"],
+        filters=_FILTER_CHOICES[options["filters"]],
+        top_k=options["top_k"],
     )
-    output_format = str(_merged_option(args, config, "format", "text"))
-    if output_format not in ("text", "structured"):
-        raise ConfigError("format must be 'text' or 'structured'")
-    export_path = _merged_option(args, config, "export", None)
-    cache_dir = _merged_option(args, config, "cache", None)
 
     invariants = standard_invariants()
     predicates = standard_predicates()
@@ -163,11 +163,11 @@ def _cmd_conjecture(args) -> int:
         if target not in invariants:
             raise ConfigError(f"unknown target invariant {target!r}")
 
-    corpus = _read_corpus(corpus_path)
-    table = load_or_build_table(corpus, cache_dir, invariants, predicates)
+    corpus = _read_corpus(options["corpus"])
+    table = load_or_build_table(corpus, options["cache"], invariants, predicates)
     conjectures = engine.run_pipeline(table, engine_config)
 
-    if output_format == "text":
+    if options["format"] == "text":
         print(f"# {len(conjectures)} conjectures from {table.n_rows} graphs")
         for rank, c in enumerate(conjectures, 1):
             print(f"{rank}. (touch {c.touch_number}, support {c.support_size}) "
@@ -177,8 +177,8 @@ def _cmd_conjecture(args) -> int:
         for c in conjectures:
             print(json.dumps(engine.conjecture_to_record(c), ensure_ascii=False))
 
-    if export_path:
-        engine.write_export(conjectures, export_path)
+    if options["export"]:
+        engine.write_export(conjectures, options["export"])
     return 0
 
 
@@ -234,21 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj = sub.add_parser("conjecture", help="generate ranked conjectures")
     p_conj.add_argument("--config", default=None,
                         help="key = value config file; flags override it")
-    p_conj.add_argument("--corpus", default=None)
-    p_conj.add_argument("--targets", default=None,
-                        help="comma-separated target invariants")
-    p_conj.add_argument("--directions", default=None, help="upper, lower or both")
-    p_conj.add_argument("--max-hypothesis-size", dest="max_hypothesis_size",
-                        type=int, default=None)
-    p_conj.add_argument("--min-support", dest="min_support", type=int, default=None)
-    p_conj.add_argument("--filters", default=None,
-                        choices=sorted(_FILTER_CHOICES), help="filter selection")
-    p_conj.add_argument("--top-k", dest="top_k", type=int, default=None,
-                        help="conjectures listed per target and direction")
-    p_conj.add_argument("--format", default=None, choices=["text", "structured"])
-    p_conj.add_argument("--export", default=None,
-                        help="write the structured record file here")
-    p_conj.add_argument("--cache", default=None, help="feature table cache directory")
+    for key, (kind, _, choices, text) in _CONJECTURE_OPTIONS.items():
+        p_conj.add_argument("--" + key.replace("_", "-"), type=kind,
+                            choices=choices, help=text)
     p_conj.set_defaults(func=_cmd_conjecture)
 
     p_ver = sub.add_parser("verify", help="check an exported conjecture list")

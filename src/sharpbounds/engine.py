@@ -25,6 +25,7 @@ over it.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +75,9 @@ class Conjecture:
     def direction(self) -> str:
         return self.bound.direction
 
-    @property
+    @functools.cached_property
     def statement(self) -> str:
+        # rendered once, then shared by the listing and the export
         return render_conjecture(self)
 
     def bound_key(self) -> tuple:
@@ -167,7 +169,7 @@ class FitRecord:
         return self.support.bit_count()
 
     direction = Conjecture.direction
-    statement = Conjecture.statement
+    statement = property(Conjecture.statement.func)
     bound_key = Conjecture.bound_key
 
 

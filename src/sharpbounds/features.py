@@ -201,13 +201,13 @@ _IDENTITIES = (
 )
 
 
-def _check_identities(table: FeatureTable, cache: str | Path | None = None,
-                      parsed: set[str] | None = None) -> None:
+def _check_identities(table: FeatureTable, cache: str | Path | None,
+                      parsed: set[str]) -> None:
     # Every identity whose columns the table holds, on every row where they
     # are all present; a violation is a ConfigError naming the row, the
     # identity and the values, and the cache file when one of the
-    # identity's columns was read from it (every column when ``parsed`` is
-    # None). Tables built by hand are not checked.
+    # identity's columns is in ``parsed``, the columns read from it. Tables
+    # built by hand are not checked.
     for statement, names, holds in _IDENTITIES:
         if not all(name in table.numeric for name in names):
             continue
@@ -216,8 +216,7 @@ def _check_identities(table: FeatureTable, cache: str | Path | None = None,
             if None not in values and not holds(*values):
                 shown = ", ".join(f"{DISPLAY_SYMBOLS[name]} = {value}"
                                   for name, value in zip(names, values))
-                read = cache is not None and (
-                    parsed is None or not parsed.isdisjoint(names))
+                read = cache is not None and not parsed.isdisjoint(names)
                 source = f"table cache {cache}" if read else "feature table"
                 raise ConfigError(f"{source}: row {label}: {statement} "
                                   f"fails with {shown}")
@@ -362,7 +361,7 @@ def load_or_build_table(corpus: Sequence[Graph],
         if table is not None and table.labels == labels \
                 and set(table.numeric) == set(invariants) \
                 and set(table.boolean) == set(predicates):
-            _check_identities(table, path)
+            _check_identities(table, path, set(table.numeric))
             return table
         try:
             kept = _read_cells(path)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -316,8 +317,77 @@ def test_conjecture_config_unknown_or_repeated_key(tmp_path, capsys, lines,
 def test_config_keys_match_the_conjecture_options():
     # every option of ``conjecture`` but --config itself is a config key
     options = vars(build_parser().parse_args(["conjecture"]))
-    assert set(cli.CONFIG_KEYS) == set(options) - {"command", "func", "config"}
-    assert len(cli.CONFIG_KEYS) == 10
+    keys = set(cli._CONJECTURE_OPTIONS)
+    assert keys == set(options) - {"command", "func", "config"}
+    assert len(keys) == 10
+    assert list(OPTION_VALUES) == list(cli._CONJECTURE_OPTIONS)
+
+
+# a value for each ``conjecture`` option that differs from its default
+OPTION_VALUES = {
+    "corpus": str(ROOT / "data" / "mixed_graphs.g6"),
+    "targets": "alpha",
+    "directions": "upper",
+    "max_hypothesis_size": "1",
+    "min_support": "20",
+    "filters": "both",
+    "top_k": "2",
+    "format": "structured",
+    "export": "E.jsonl",
+    "cache": "C",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._CONJECTURE_OPTIONS))
+def test_conjecture_option_by_flag_or_config_key(tmp_path, capsys,
+                                                 monkeypatch, key):
+    # the same value means the same run, given as a flag or as a config key
+    monkeypatch.chdir(tmp_path)
+    flags = [arg for name in ("corpus", "targets") if name != key
+             for arg in ("--" + name, OPTION_VALUES[name])]
+    Path("run.cfg").write_text(f"{key} = {OPTION_VALUES[key]}\n")
+    runs = {}
+    for given, extra in (
+            ("flag", ["--" + key.replace("_", "-"), OPTION_VALUES[key]]),
+            ("config", ["--config", "run.cfg"]), ("neither", [])):
+        code = main(["conjecture", *flags, *extra])
+        export = Path("E.jsonl")
+        runs[given] = (code, capsys.readouterr().out,
+                       export.read_text() if export.exists() else None,
+                       sorted(os.listdir("C")) if Path("C").exists() else None)
+        export.unlink(missing_ok=True)
+        shutil.rmtree("C", ignore_errors=True)
+    assert runs["flag"] == runs["config"]
+    assert runs["flag"][0] == 0
+    # the value is read: leaving it out changes the run
+    assert runs["neither"] != runs["flag"]
+
+
+@pytest.mark.parametrize("key, choices", [
+    ("filters", "['both', 'dalmatian', 'generality', 'none']"),
+    ("format", "['text', 'structured']"),
+])
+def test_conjecture_config_value_outside_its_choices(tmp_path, capsys, key,
+                                                     choices):
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {corpus}\ntargets = alpha\n{key} = json\n")
+    code = main(["conjecture", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be one of {choices}\n"
+
+
+def test_conjecture_config_value_overridden_by_its_flag_is_not_read(
+        tmp_path, capsys):
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"corpus = {corpus}\ntargets = alpha\ndirections = upper\n"
+                   "top_k = five\n")
+    code = main(["conjecture", "--config", str(cfg), "--top-k", "1"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("# 1 conjectures")
 
 
 def test_conjecture_structured_output(tmp_path, capsys):
