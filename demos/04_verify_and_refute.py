@@ -15,7 +15,7 @@ from sharpbounds import (
     Conjecture,
     Hypothesis,
     SharpBoundingFunction,
-    find_counterexample,
+    check_conjecture,
     read_graph6_file,
     standard_invariants,
     standard_predicates,
@@ -40,13 +40,13 @@ predicates = standard_predicates()
 
 print("== a confirmed bound survives a mixed corpus ==")
 good = claim("zero_forcing_number", "vertex_cover_number", 1, 0, ("claw-free",))
-witness = find_counterexample(good, corpus, invariants, predicates)
+witness, _ = check_conjecture(good, corpus, invariants, predicates)
 print(f"{good.statement}: counterexample -> {witness}")
 
 print()
 print("== a false claim is pinned to a concrete graph ==")
 bad = claim("independence_number", "min_degree", 1, 0, ("connected",))
-witness = find_counterexample(bad, corpus, invariants, predicates)
+witness, _ = check_conjecture(bad, corpus, invariants, predicates)
 label, lhs, rhs = witness
 print(f"{bad.statement}: fails on {label} with α = {lhs} > {rhs}")
 

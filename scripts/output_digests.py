@@ -22,10 +22,14 @@ run that sets every config key: its exit code, stdout and stderr, the export
 and the table cache file. One digest covers each config error (an unknown
 key, a repeated key, a line with no ``=``, a non-integer value, a
 ``filters`` or ``format`` value outside its choices): the exit code, stdout
-and stderr, which name the config file by a relative path. Last, one digest
-covers the exit code, stdout and stderr of ``--help`` of the parser and of
-each subcommand, with ``COLUMNS=80`` so the wrapping does not depend on the
-terminal.
+and stderr, which name the config file by a relative path. One digest covers
+the exit code, stdout and stderr of ``verify`` on both bundled corpora of an
+export that holds each kind of record ``verify`` cannot check beside a
+record that holds and one that fails. One line says whether the stdout of
+every ``--format structured`` run above equals the ``--export`` file it
+wrote. Last, one digest covers the exit code, stdout and stderr of
+``--help`` of the parser and of each subcommand, with ``COLUMNS=80`` so the
+wrapping does not depend on the terminal.
 
 Two checkouts give the same bytes exactly when they print the same lines:
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -68,10 +73,24 @@ CONFIG = ("corpus = {corpus}\ntargets = {targets}\ndirections = lower,upper\n"
           "max_hypothesis_size = 3\nmin_support = 4\nfilters = both\n"
           "top_k = 7\nformat = structured\nexport = config-export.jsonl\n"
           "cache = {cache}\n")
+# alpha <= n holds on every graph, alpha <= delta fails on the mixed corpus
+GOOD = {"target": "independence_number", "other": "order",
+        "direction": "upper", "slope": [1, 1], "intercept": [0, 1],
+        "hypothesis": [], "touch_number": 1, "support_size": 1,
+        "touch_set": ["x"], "statement": "α(G) ≤ n(G)"}
+FALSE = dict(GOOD, other="min_degree", statement="α(G) ≤ δ(G)")
+# each kind of record verify reports as an ERROR line and does not check
+BAD = [dict(GOOD, other="girth"), dict(GOOD, direction="sideways"),
+       {k: v for k, v in GOOD.items() if k != "other"}, [1, 2],
+       dict(GOOD, other=GOOD["target"]), dict(GOOD, hypothesis=["planar"]),
+       dict(GOOD, touch_number=2), dict(GOOD, slope=[1, 0]),
+       dict(GOOD, hypothesis="connected"), dict(GOOD, touch_number=True),
+       dict(GOOD, support_size=0)]
 
 
-def run(digest, argv: list[str]) -> None:
-    """Run the command line in process; hash its exit code and output."""
+def run(digest, argv: list[str]) -> str:
+    """Run the command line in process; hash its exit code and output, and
+    return its stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -80,6 +99,7 @@ def run(digest, argv: list[str]) -> None:
             code = exc.code
     for part in (str(code), out.getvalue(), err.getvalue()):
         digest.update(part.encode() + b"\0")
+    return out.getvalue()
 
 
 def hash_tables(digest, cache: Path) -> None:
@@ -94,18 +114,23 @@ def main() -> int:
         os.chdir(work)
         for corpus in CORPORA:
             shutil.copyfile(ROOT / "data" / corpus, corpus)
+        structured_is_export = True
         for corpus in CORPORA:
             cache = Path(f"cache-{corpus}")
             for filters in FILTERS:
                 for fmt in FORMATS:
                     digest = hashlib.sha256()
                     export = Path("export.jsonl")
-                    run(digest, ["conjecture", "--corpus", corpus,
-                                 "--targets", targets, "--filters", filters,
-                                 "--max-hypothesis-size", "3",
-                                 "--format", fmt, "--cache", str(cache),
-                                 "--export", str(export)])
+                    out = run(digest, ["conjecture", "--corpus", corpus,
+                                       "--targets", targets,
+                                       "--filters", filters,
+                                       "--max-hypothesis-size", "3",
+                                       "--format", fmt, "--cache", str(cache),
+                                       "--export", str(export)])
                     digest.update(export.read_bytes() + b"\0")
+                    if fmt == "structured":
+                        structured_is_export &= \
+                            out.encode() == export.read_bytes()
                     for against in CORPORA:
                         run(digest, ["verify", str(export), against])
                     hash_tables(digest, cache)
@@ -141,6 +166,15 @@ def main() -> int:
             digest = hashlib.sha256()
             run(digest, ["conjecture", "--config", f"{name}.cfg"])
             print(f"config-error {name} {digest.hexdigest()}")
+        export = Path("bad-records.jsonl")
+        export.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n"
+                                  for record in [*BAD, GOOD, FALSE]),
+                          encoding="utf-8")
+        digest = hashlib.sha256()
+        for against in CORPORA:
+            run(digest, ["verify", str(export), against])
+        print(f"verify bad-records {digest.hexdigest()}")
+        print(f"structured-stdout-equals-export {structured_is_export}")
         os.environ["COLUMNS"] = "80"
         for command in (None, "invariants", "conjecture", "verify"):
             digest = hashlib.sha256()

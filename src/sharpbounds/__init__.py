@@ -14,10 +14,10 @@ from .engine import (
     conjecture_from_record,
     conjecture_to_record,
     dalmatian_filter,
-    find_counterexample,
+    export_text,
     fit_records,
     generality_filter,
-    read_export,
+    read_numbered_export,
     render_conjecture,
     run_pipeline,
     sort_conjectures,
@@ -85,12 +85,12 @@ __all__ = [
     "UnsupportedSizeError", "build_table", "check_conjecture", "complete",
     "complete_bipartite", "conjecture_from_record", "conjecture_to_record",
     "corpus_digest", "cycle", "dalmatian_filter", "disjoint_union",
-    "domination_number", "find_counterexample", "fit_linear_bound",
+    "domination_number", "export_text", "fit_linear_bound",
     "fit_records", "forcing_closure", "generality_filter",
     "independence_number", "independent_domination_number",
     "load_or_build_table", "load_table", "mask_rows", "matching_number",
     "min_maximal_matching", "parse_graph6", "path", "petersen", "prism",
-    "read_export", "read_graph6_file", "render_conjecture",
+    "read_graph6_file", "read_numbered_export", "render_conjecture",
     "resolve_column", "run_pipeline", "save_table", "sort_conjectures",
     "standard_invariants", "standard_predicates", "star", "to_graph6",
     "total_domination_number", "vertex_cover_number",

@@ -49,7 +49,7 @@ _FILTER_CHOICES = {
 _CONJECTURE_OPTIONS = {
     "corpus": (str, None, None, None),
     "targets": (str, None, None, "comma-separated target invariants"),
-    "directions": (str, "upper,lower", None, "upper, lower or both"),
+    "directions": (str, "upper,lower", None, "comma-separated upper and lower"),
     "max_hypothesis_size": (int, 2, None, None),
     "min_support": (int, 5, None, None),
     "filters": (str, "generality", sorted(_FILTER_CHOICES), "filter selection"),
@@ -173,9 +173,7 @@ def _cmd_conjecture(args) -> int:
             print(f"{rank}. (touch {c.touch_number}, support {c.support_size}) "
                   f"{c.statement}")
     else:
-        import json
-        for c in conjectures:
-            print(json.dumps(engine.conjecture_to_record(c), ensure_ascii=False))
+        print(engine.export_text(conjectures), end="")
 
     if options["export"]:
         engine.write_export(conjectures, options["export"])

@@ -30,9 +30,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
 from .features import (FeatureTable, Hypothesis, corpus_labels,
@@ -79,13 +79,6 @@ class Conjecture:
     def statement(self) -> str:
         # rendered once, then shared by the listing and the export
         return render_conjecture(self)
-
-    def bound_key(self) -> tuple:
-        """Identity of the bound as a plain tuple: both properties, the
-        direction and the reduced slope and intercept pairs, which are equal
-        exactly when the bounds are."""
-        b = self.bound
-        return (self.target, self.other, b.direction, b.slope, b.intercept)
 
 
 @dataclass(frozen=True)
@@ -143,10 +136,10 @@ class FitRecord:
     support, in enumeration order. ``hypothesis`` is the smallest of them by
     key, the most general name of the support: the one a record that stands
     for its support is stated under.
-    ``bound``, ``direction``, ``touch_number``, ``support_size``,
-    ``statement`` and :meth:`bound_key` read as the record's conjecture's
-    would. The filters and the ranking take records only; a record becomes
-    a :class:`Conjecture` once it is listed.
+    ``bound``, ``direction``, ``touch_number``, ``support_size`` and
+    ``statement`` read as the record's conjecture's would. The filters and
+    the ranking take records only; a record becomes a :class:`Conjecture`
+    once it is listed.
     """
 
     target: str
@@ -170,7 +163,6 @@ class FitRecord:
 
     direction = Conjecture.direction
     statement = property(Conjecture.statement.func)
-    bound_key = Conjecture.bound_key
 
 
 def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
@@ -215,8 +207,7 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
             if other == target:
                 continue
             both = defined[other] & defined[target]
-            # (bound, support, fit, support entry) per fit, in support order;
-            # the bound identifies its group within (target, other)
+            # (fit, support entry) per fit, in support order
             found = []
             for entry in supports:
                 support = entry[0]
@@ -230,12 +221,13 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
                                            for d in directions]
                     _self_check(fits, points, table.labels, target, other,
                                 entry)
-                for fit in fits:
-                    found.append((fit.bound, support, fit, entry))
+                found.extend((fit, entry) for fit in fits)
             if general:
-                found = generality_filter(found, key=itemgetter(0, 1))
-            for bound, support, fit, (_, hypotheses, smallest) in found:
-                by_direction[bound.direction].append(
+                # the bound alone identifies its group within (target, other)
+                found = [found[i] for i in generality_filter(
+                    [(fit.bound, entry[0]) for fit, entry in found])]
+            for fit, (support, hypotheses, smallest) in found:
+                by_direction[fit.bound.direction].append(
                     FitRecord(target, other, support, fit, hypotheses,
                               smallest))
         for direction in directions:
@@ -286,34 +278,23 @@ def _self_check(fits: Sequence[FitResult],
 # Filters and ordering
 # ---------------------------------------------------------------------------
 
-_R = TypeVar("_R")
+def generality_filter(pairs: Sequence[tuple[Hashable, int]]) -> list[int]:
+    """The positions of the ``(bound, support mask)`` pairs that no
+    identical bound makes strictly less general, in input order.
 
-
-def _bound_and_support(record: FitRecord) -> tuple[tuple, int]:
-    return record.bound_key(), record.support
-
-
-def generality_filter(records: Sequence[_R],
-                      key: Callable[[_R], tuple[Hashable, int]]
-                      = _bound_and_support) -> list[_R]:
-    """Drop records strictly less general than an identical bound.
-
-    ``key`` gives a record's bound identity and support mask; by default a
-    :class:`FitRecord`'s :meth:`~FitRecord.bound_key` and ``support``. Within
-    each group sharing a bound, a record whose support is a strict subset of
-    another's is removed. A group holds distinct supports, as the sweep
-    yields one record per support: two records with the same bound and
-    support raise :class:`ValueError`. The kept records come back in input
-    order.
+    A bound is any hashable identity: ``(target, other, bound)`` across
+    properties. Within each group sharing a bound, a pair whose support is a
+    strict subset of another's is removed. The sweep yields one fit per
+    support, so two pairs with one bound and support raise ValueError.
     """
-    # bound -> support -> index of its record
+    # bound -> support -> position of its pair
     groups: dict[Hashable, dict[int, int]] = {}
-    for idx, (bound, support) in enumerate(map(key, records)):
+    for idx, (bound, support) in enumerate(pairs):
         by_support = groups.get(bound)
         if by_support is None:
             groups[bound] = {support: idx}
         elif support in by_support:
-            raise ValueError("two records share a bound and a support")
+            raise ValueError("two pairs share a bound and a support")
         else:
             by_support[support] = idx
 
@@ -335,7 +316,7 @@ def generality_filter(records: Sequence[_R],
                 maximal.append(sup)
                 keep.append(by_support[sup])
     keep.sort()
-    return [records[i] for i in keep]
+    return keep
 
 
 def sort_conjectures(records: Sequence[FitRecord]) -> list[FitRecord]:
@@ -479,14 +460,6 @@ def check_conjecture(c: Conjecture, corpus: Sequence[Graph],
     return None, touches
 
 
-def find_counterexample(c: Conjecture, corpus: Sequence[Graph],
-                        invariants: dict[str, Callable[[Graph], int]],
-                        predicates: dict[str, Callable[[Graph], bool]],
-                        ) -> Optional[tuple[str, Fraction, Fraction]]:
-    """The counterexample of :func:`check_conjecture`, or ``None``."""
-    return check_conjecture(c, corpus, invariants, predicates)[0]
-
-
 # ---------------------------------------------------------------------------
 # Structured export (one JSON record per line)
 # ---------------------------------------------------------------------------
@@ -564,16 +537,15 @@ def _int(record: dict, field: str) -> int:
     return value
 
 
+def export_text(conjectures: Iterable[Conjecture]) -> str:
+    """One JSON record per line, each line ending in a newline."""
+    return "".join(json.dumps(conjecture_to_record(c), ensure_ascii=False)
+                   + "\n" for c in conjectures)
+
+
 def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> None:
-    """Write one JSON record per line, atomically (see :func:`write_text_atomic`)."""
-    lines = [json.dumps(conjecture_to_record(c), ensure_ascii=False)
-             for c in conjectures]
-    write_text_atomic(path, "".join(line + "\n" for line in lines))
-
-
-def read_export(path: str | Path) -> list[dict]:
-    """Raw records; a line that is not JSON raises ConfigError at path:line."""
-    return [record for _, record in read_numbered_export(path)]
+    """Write :func:`export_text` atomically (see :func:`write_text_atomic`)."""
+    write_text_atomic(path, export_text(conjectures))
 
 
 def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:

@@ -243,6 +243,11 @@ def corpus_digest(corpus: Sequence[Graph]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def cache_file(corpus: Sequence[Graph], cache_dir: str | Path) -> Path:
+    """The table cache file of ``corpus`` in ``cache_dir``."""
+    return Path(cache_dir) / f"{corpus_digest(corpus)}.tsv"
+
+
 def save_table(table: FeatureTable, path: str | Path,
                keep: dict[str, Sequence[str]] | None = None) -> None:
     """Write the table as TSV: label column first, missing cells empty.
@@ -334,12 +339,12 @@ def load_or_build_table(corpus: Sequence[Graph],
                         ) -> FeatureTable:
     """Build the feature table, reusing a digest-keyed TSV cache when possible.
 
-    The cache file is named by :func:`corpus_digest`. A cached file with
-    exactly the corpus labels is reused: a file holding every requested
-    column is read and left as it is, and the corpus graphs are not touched
-    (a :class:`Graph6Corpus` stays undecoded); otherwise only the missing
-    columns are computed and the file is rewritten with its old columns plus
-    the new ones. A requested column with a cell that does not parse (see
+    The cache file is :func:`cache_file`. A cached file with exactly the
+    corpus labels is reused: a file holding every requested column is read
+    and left as it is, and the corpus graphs are not touched (a
+    :class:`Graph6Corpus` stays undecoded); otherwise only the missing columns
+    are computed and the file is rewritten with its old columns plus the new
+    ones. A requested column with a cell that does not parse (see
     :func:`load_table`) counts as missing: it is computed again and
     rewritten. A file that cannot be read or whose labels differ (one cut
     short, say) is rebuilt and overwritten. The cache directory is made only
@@ -350,7 +355,7 @@ def load_or_build_table(corpus: Sequence[Graph],
     if cache_dir is None:
         return build_table(corpus, invariants, predicates)
 
-    path = Path(cache_dir) / f"{corpus_digest(corpus)}.tsv"
+    path = cache_file(corpus, cache_dir)
     kept: dict[str, tuple[str, ...]] = {}
     if path.exists():
         labels = corpus_labels(corpus)

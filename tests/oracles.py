@@ -525,13 +525,13 @@ def generality_filter(conjectures, table):
     supports = [support_labels(table, c.hypothesis) for c in conjectures]
     same_bound = {}
     for i, c in enumerate(conjectures):
-        same_bound.setdefault(c.bound_key(), []).append(i)
+        same_bound.setdefault((c.target, c.other, c.bound), []).append(i)
     kept = []
     for i, c in enumerate(conjectures):
         if not any(supports[i] < supports[j]
                    or (supports[i] == supports[j]
                        and conjectures[j].hypothesis.key < c.hypothesis.key)
-                   for j in same_bound[c.bound_key()]):
+                   for j in same_bound[(c.target, c.other, c.bound)]):
             kept.append(c)
     return kept
 

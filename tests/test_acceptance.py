@@ -15,8 +15,8 @@ from sharpbounds import (
     SharpBoundingFunction,
     UndefinedInvariantError,
     build_table,
+    check_conjecture,
     dalmatian_filter,
-    find_counterexample,
     fit_linear_bound,
     fit_records,
     generality_filter,
@@ -51,10 +51,11 @@ def _no_nested_same_bound_pairs(conjectures, table):
     for c in conjectures:
         sup = frozenset(table.labels[i]
                         for i in mask_rows(table.support(c.hypothesis)))
-        for other in seen.get(c.bound_key(), []):
+        key = (c.target, c.other, c.bound)
+        for other in seen.get(key, []):
             if sup < other or other < sup or sup == other:
                 return False
-        seen.setdefault(c.bound_key(), []).append(sup)
+        seen.setdefault(key, []).append(sup)
     return True
 
 
@@ -82,8 +83,8 @@ def test_criterion_1_alpha_mu_rediscovery(cubic_corpus_path):
     cubic_support = table.support(Hypothesis({"connected", "cubic"}))
     assert cubic_support & table.support(conj.hypothesis) == cubic_support
 
-    assert find_counterexample(conj, corpus, standard_invariants(),
-                               standard_predicates()) is None
+    assert check_conjecture(conj, corpus, standard_invariants(),
+                            standard_predicates())[0] is None
     elapsed = time.monotonic() - started
     assert elapsed < 60
     print(f"criterion 1: PASS  {conj.statement!r} touch={conj.touch_number} "
@@ -117,7 +118,7 @@ def test_criterion_2_zero_forcing_rediscovery(cubic_corpus_path):
                 f"{label} not generated; fitted bounds for {other}: {fits}")
         claim = _claim("zero_forcing_number", other, slope, 0,
                        ("connected", "cubic"))
-        witness = find_counterexample(claim, corpus, invariants, predicates)
+        witness = check_conjecture(claim, corpus, invariants, predicates)[0]
         if witness is not None:
             failures.append(f"{label} fails corpus-wide: counterexample "
                             f"{witness[0]} with Z={witness[1]} > {witness[2]}")
@@ -260,7 +261,8 @@ def test_criterion_7_filter_semantics(mixed_corpus_path):
     raw = fit_records(table, config)
     assert raw
 
-    general = generality_filter(raw)
+    general = [raw[i] for i in generality_filter(
+        [((r.target, r.other, r.bound), r.support) for r in raw])]
     assert _no_nested_same_bound_pairs(general, table)
 
     ranked = sort_conjectures(general)

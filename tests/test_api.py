@@ -19,8 +19,12 @@ def test_removed_names_stay_removed():
     # the per-hypothesis conjecture list and the second corpus walk of
     # verify are gone: fit_records and check_conjecture replace them; so are
     # the family-name lookup and the one-graph predicate dict: call the
-    # builders and standard_predicates() directly
-    removed = {sharpbounds.engine: ("generate", "touch_count_on"),
+    # builders and standard_predicates() directly. check_conjecture(...)[0]
+    # is the counterexample, read_numbered_export reads an export, and a
+    # bound's identity is (target, other, bound)
+    removed = {sharpbounds.engine: ("generate", "touch_count_on",
+                                    "find_counterexample", "read_export",
+                                    "_bound_and_support", "_R"),
                sharpbounds.graphs: ("named_graph", "graph_names"),
                sharpbounds.predicates: ("evaluate_predicates",)}
     for module, names in removed.items():
@@ -28,3 +32,7 @@ def test_removed_names_stay_removed():
             assert name not in sharpbounds.__all__
             assert not hasattr(sharpbounds, name)
             assert not hasattr(module, name)
+    for cls in (sharpbounds.Conjecture, sharpbounds.FitRecord):
+        assert not hasattr(cls, "bound_key")
+    assert list(inspect.signature(sharpbounds.generality_filter).parameters) \
+        == ["pairs"]

@@ -17,12 +17,11 @@ from sharpbounds import (
     SharpBoundingFunction,
     Conjecture,
     complete,
-    corpus_digest,
     cycle,
     path,
     petersen,
-    read_export,
     read_graph6_file,
+    read_numbered_export,
     star,
     to_graph6,
     write_export,
@@ -249,6 +248,19 @@ def test_conjecture_repeated_name_is_config_error(capsys, flags, repeated):
     assert f"{repeated} is given more than once" in captured.err
 
 
+@pytest.mark.parametrize("directions, message", [
+    ("both", "unknown direction 'both'"),
+    (",", "at least one direction is required"),
+])
+def test_conjecture_directions_outside_upper_and_lower(capsys, directions,
+                                                       message):
+    # --directions takes a comma-separated list of upper and lower
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    code, out, err = run_main(capsys, "conjecture", "--corpus", str(corpus),
+                              "--targets", "alpha", "--directions", directions)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_conjecture_non_utf8_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"targets = \xff\xfe\n")
@@ -299,6 +311,7 @@ def test_conjecture_config_file_with_flag_override(tmp_path, capsys):
     (["top_k = 3", "# a comment", "top_k = 1"], 5,
      "key 'top_k' is given more than once"),
     (["targets = Z"], 3, "key 'targets' is given more than once"),
+    (["top_k 3"], 3, "expected 'key = value'"),
 ])
 def test_conjecture_config_unknown_or_repeated_key(tmp_path, capsys, lines,
                                                    lineno, message):
@@ -537,17 +550,20 @@ def test_verify_bad_records_exit_2_and_others_still_checked(tmp_path, capsys):
     record = json.loads(good)
     bad = [dict(record, other="girth"), dict(record, direction="sideways"),
            {k: v for k, v in record.items() if k != "other"}, [1, 2],
-           dict(record, other=record["target"])]
+           dict(record, other=record["target"]),
+           dict(record, hypothesis=["planar"]), dict(record, touch_number=2)]
     lines = [json.dumps(r) for r in bad] + ["", good, false_claim]
     export.write_text("\n".join(lines) + "\n")
     code = main(["verify", str(export), str(corpus)])
     out = capsys.readouterr().out.splitlines()
     assert code == 2  # an unchecked record outranks a counterexample
-    assert [line.split(" ", 2)[:2] for line in out[:5]] == \
-        [["ERROR", f"{export}:{n}:"] for n in range(1, 6)]
-    assert out[5].startswith("HOLDS")
-    assert out[6].startswith("COUNTEREXAMPLE c#2 ")
-    assert len(out) == 7
+    assert [line.split(" ", 2)[:2] for line in out[:7]] == \
+        [["ERROR", f"{export}:{n}:"] for n in range(1, 8)]
+    assert out[5].endswith("unknown predicate 'planar'")
+    assert out[6].endswith("touch_number must equal |touch_set| and be >= 1")
+    assert out[7].startswith("HOLDS")
+    assert out[8].startswith("COUNTEREXAMPLE c#2 ")
+    assert len(out) == 9
 
 
 def test_verify_refuses_order_above_solver_limit(tmp_path, capsys):
@@ -718,7 +734,7 @@ def test_export_is_utf8_under_a_posix_locale(tmp_path):
                   "--export", str(export), "--cache", str(tmp_path / "cache"),
                   **posix)
     assert run.returncode == 0, run.stderr
-    records = read_export(export)
+    records = read_numbered_export(export)
     check = run_cli("verify", str(export), str(corpus), **posix)
     assert check.returncode == 0, check.stderr
     lines = check.stdout.splitlines()
@@ -782,8 +798,8 @@ def test_digest_of_the_decoded_file_names_the_cache_file(tmp_path, capsys, name)
     corpus = ROOT / "data" / name
     assert run_main(capsys, "invariants", str(corpus), "--cache",
                     str(tmp_path))[0] == 0
-    assert [f.name for f in tmp_path.iterdir()] == \
-        [f"{corpus_digest(read_graph6_file(corpus))}.tsv"]
+    assert list(tmp_path.iterdir()) == \
+        [features.cache_file(read_graph6_file(corpus), tmp_path)]
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -979,6 +995,19 @@ def test_wrong_solver_is_refused_before_the_cache_is_written(tmp_path, capsys,
     assert err == ("error: feature table: row cubic_connected_4_10#1: "
                    "α + β = n fails with α = 1, β = 4, n = 4\n")
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("command", ["invariants", "verify"])
+def test_corpus_path_that_is_a_directory_is_one_error_line(tmp_path, capsys,
+                                                           command):
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record()], export)
+    argv = (["invariants", str(tmp_path)] if command == "invariants" else
+            ["verify", str(export), str(tmp_path)])
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read corpus {tmp_path}: ")
+    assert err.count("\n") == 1
 
 
 def test_verify_malformed_corpus_is_one_error_line(tmp_path, capsys):

@@ -22,7 +22,6 @@ from sharpbounds import (
     cycle,
     dalmatian_filter,
     engine,
-    find_counterexample,
     fit_linear_bound,
     fitting,
     generality_filter,
@@ -30,8 +29,8 @@ from sharpbounds import (
     path,
     petersen,
     prism,
-    read_export,
     read_graph6_file,
+    read_numbered_export,
     render_conjecture,
     run_pipeline,
     sort_conjectures,
@@ -68,6 +67,13 @@ def make_record(target="independence_number", other="matching_number",
                                   direction)
     return engine.FitRecord(target, other, support, FitResult(bound, touched),
                             (h,), h)
+
+
+def general(records):
+    # the generality survivors among records of any (target, other)
+    kept = generality_filter([((r.target, r.other, r.bound), r.support)
+                              for r in records])
+    return [records[i] for i in kept]
 
 
 def same_records(got, want):
@@ -114,8 +120,8 @@ def test_direction_follows_the_bound():
     assert c.direction == "lower"
     assert render_conjecture(c) == "α(G) ≥ 100"
     assert conjecture_to_record(c)["direction"] == "lower"
-    assert find_counterexample(c, [complete(3)], standard_invariants(),
-                               standard_predicates())[0] == "K3"
+    assert check_conjecture(c, [complete(3)], standard_invariants(),
+                            standard_predicates())[0][0] == "K3"
     with pytest.raises(TypeError):
         Conjecture(direction="upper", **fields)
 
@@ -359,7 +365,7 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
                           max_hypothesis_size=3,
                           filters=("generality", "dalmatian"))
     unfiltered = engine.fit_records(table, replace(config, filters=()))
-    survivors = generality_filter(unfiltered)
+    survivors = general(unfiltered)
     assert len(survivors) < len(unfiltered)
 
     counts = {"bounds": 0, "fits": 0, "records": 0}
@@ -430,7 +436,7 @@ def test_generated_conjectures_hold_and_touch(random_suite):
     assert out
     for c in out:
         assert c.touch_number >= 1
-        assert find_counterexample(c, corpus, invariants, predicates) is None
+        assert check_conjecture(c, corpus, invariants, predicates)[0] is None
         assert check_conjecture(c, corpus, invariants, predicates) == \
             (None, c.touch_number)
         support_labels = {table.labels[i]
@@ -468,7 +474,7 @@ def test_generality_removes_nested_support():
     narrow = record_on(table, ("connected", "bipartite"), slope=2,
                        intercept=0, touched=0b00100)
     assert broad.support_size == 5 and narrow.support_size == 2
-    kept = generality_filter([narrow, broad])
+    kept = general([narrow, broad])
     assert same_records(kept, [broad])
 
 
@@ -477,9 +483,18 @@ def test_generality_keeps_different_bounds():
     table = build_table(corpus)
     a = record_on(table, ("connected",), slope=2, intercept=0)
     b = record_on(table, ("connected", "bipartite"), slope=2, intercept=1)
-    assert same_records(generality_filter([a, b]), [a, b])
+    assert same_records(general([a, b]), [a, b])
     single = [make_record()]
-    assert same_records(generality_filter(single), single)
+    assert same_records(general(single), single)
+
+
+def test_generality_returns_kept_positions_in_input_order():
+    # a bound is any hashable identity; a strict subset of an identical
+    # bound's support is dropped, the same support under another bound kept
+    pairs = [("b", 0b011), ("a", 0b001), ("b", 0b001), ("b", 0b111),
+             ("a", 0b110)]
+    assert generality_filter(pairs) == [1, 3, 4]
+    assert generality_filter([]) == []
 
 
 def test_generality_rejects_equal_supports_in_one_bound_group():
@@ -494,10 +509,10 @@ def test_generality_rejects_equal_supports_in_one_bound_group():
     assert plain.support == conj.support == empty.support == 0b11
     for pair in ([conj, plain], [empty, conj], [plain, plain]):
         with pytest.raises(ValueError, match="share a bound and a support"):
-            generality_filter(pair)
+            general(pair)
     # the same supports under different bounds are different groups
     other = record_on(table, ("cubic",), intercept=1)
-    assert same_records(generality_filter([plain, other]), [plain, other])
+    assert same_records(general([plain, other]), [plain, other])
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +585,15 @@ def test_pipeline_truncates_per_target_direction(random_suite):
 def test_counterexample_found_for_false_claim():
     claim = make_conjecture(other="min_degree", hypothesis=("connected",))
     corpus = [complete(4), star(3)]
-    got = find_counterexample(claim, corpus, standard_invariants(),
-                              standard_predicates())
+    got = check_conjecture(claim, corpus, standard_invariants(),
+                           standard_predicates())[0]
     assert got == ("K1,3", 3, 1)
 
 
 def test_counterexample_vacuous_hypothesis():
     claim = make_conjecture(hypothesis=("cubic",), other="min_degree")
-    got = find_counterexample(claim, [cycle(5), path(4)],
-                              standard_invariants(), standard_predicates())
+    got = check_conjecture(claim, [cycle(5), path(4)],
+                           standard_invariants(), standard_predicates())[0]
     assert got is None
 
 
@@ -587,16 +602,16 @@ def test_counterexample_skips_undefined_rows():
                             other="order", slope=0, intercept=0)
     # K1 satisfies the empty hypothesis but has no total domination number;
     # it must be skipped, not reported
-    got = find_counterexample(claim, [complete(1)], standard_invariants(),
-                              standard_predicates())
+    got = check_conjecture(claim, [complete(1)], standard_invariants(),
+                           standard_predicates())[0]
     assert got is None
 
 
 def test_counterexample_unknown_column():
     claim = make_conjecture(other="chromatic_number")
     with pytest.raises(ConfigError):
-        find_counterexample(claim, [complete(3)], standard_invariants(),
-                            standard_predicates())
+        check_conjecture(claim, [complete(3)], standard_invariants(),
+                         standard_predicates())
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +630,8 @@ def test_export_round_trip(tmp_path):
 
     target = tmp_path / "conjectures.jsonl"
     write_export([c, make_conjecture()], target)
-    loaded = [conjecture_from_record(r) for r in read_export(target)]
+    loaded = [conjecture_from_record(r)
+              for _, r in read_numbered_export(target)]
     assert loaded == [c, make_conjecture()]
 
 
@@ -628,6 +644,8 @@ def test_engine_config_validation():
         EngineConfig(targets=())
     with pytest.raises(ConfigError):
         EngineConfig(targets=("order",), directions=("diagonal",))
+    with pytest.raises(ConfigError, match="at least one direction"):
+        EngineConfig(targets=("order",), directions=())
     with pytest.raises(ConfigError):
         EngineConfig(targets=("order",), min_support=0)
     with pytest.raises(ConfigError):
@@ -669,20 +687,20 @@ def test_filter_properties_on_random_corpora(corpus, min_support):
     config = EngineConfig(targets=("independence_number",),
                           min_support=min_support, max_hypothesis_size=2)
     records = engine.fit_records(table, config)
-    general = generality_filter(records)
+    survivors = general(records)
 
     # no same-bound pair with nested or equal supports survives, and each
     # survivor is stated under a hypothesis with its support
     supports = {}
-    for r in general:
+    for r in survivors:
         assert r.support == table.support(r.hypothesis)
-        key = r.bound_key()
+        key = (r.target, r.other, r.bound)
         for other in supports.get(key, []):
             assert r.support & other not in (r.support, other)
         supports.setdefault(key, []).append(r.support)
 
     # dalmatian grows the union strictly with each acceptance
-    accepted = dalmatian_filter(sort_conjectures(general))
+    accepted = dalmatian_filter(sort_conjectures(survivors))
     unions = {}
     for r in accepted:
         pool = unions.get((r.target, r.direction), 0)
@@ -695,5 +713,5 @@ def test_filter_properties_on_random_corpora(corpus, min_support):
     assert touches == sorted(touches, reverse=True)
 
     # filters only remove; records are compared by identity
-    assert {id(r) for r in general} <= {id(r) for r in records}
-    assert {id(r) for r in accepted} <= {id(r) for r in general}
+    assert {id(r) for r in survivors} <= {id(r) for r in records}
+    assert {id(r) for r in accepted} <= {id(r) for r in survivors}

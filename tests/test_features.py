@@ -12,7 +12,6 @@ from sharpbounds import (
     Hypothesis,
     build_table,
     complete,
-    corpus_digest,
     cycle,
     load_or_build_table,
     load_table,
@@ -181,8 +180,7 @@ def test_cache_reuse_and_rebuild(tmp_path):
     pred = standard_predicates()
     first = load_or_build_table(corpus, tmp_path, inv, pred)
     cached = list(tmp_path.glob("*.tsv"))
-    assert len(cached) == 1
-    assert corpus_digest(corpus) in cached[0].name
+    assert cached == [features.cache_file(corpus, tmp_path)]
 
     # reuse: loading gives the identical table
     again = load_or_build_table(corpus, tmp_path, inv, pred)
@@ -232,6 +230,35 @@ def test_boolean_cache_cells_are_strict(tmp_path, cell, beside):
         load_table(cached, list(inv), list(pred))
     assert load_or_build_table(corpus, tmp_path, inv, pred) == good
     assert cached.read_text() == text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty table file"),
+    ("order\tsize\n4\t6\n", "lacks a label column"),
+    ("label\torder\nK4\t4\t6\n", ":2: wrong cell count"),
+], ids=["empty", "no-label-column", "wrong-cell-count"])
+def test_unreadable_cache_file_is_rebuilt(tmp_path, text, message):
+    corpus = [complete(4), cycle(5)]
+    inv, pred = small_registry(), standard_predicates()
+    cached = features.cache_file(corpus, tmp_path)
+    cached.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_table(cached, list(inv), list(pred))
+    fresh = build_table(corpus, inv, pred)
+    assert load_or_build_table(corpus, tmp_path, inv, pred) == fresh
+    assert load_table(cached, list(inv), list(pred)) == fresh
+
+
+@pytest.mark.parametrize("labels, numeric, boolean, message", [
+    ((), {}, {}, "empty corpus"),
+    (("a", "b"), {"x": (1,)}, {}, "column 'x' has wrong length"),
+    (("a",), {"x": (1,)}, {"x": (True,)},
+     r"column names reused across kinds: \['x'\]"),
+], ids=["empty-labels", "short-column", "numeric-and-boolean"])
+def test_feature_table_rejects_malformed_columns(labels, numeric, boolean,
+                                                 message):
+    with pytest.raises(ConfigError, match=message):
+        FeatureTable(labels, numeric, boolean)
 
 
 def test_numeric_cells_parse_with_and_without_missing_values():

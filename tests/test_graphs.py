@@ -29,6 +29,12 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph(2, (2, 0))  # asymmetric
+    with pytest.raises(ValueError, match="adjacency length differs"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="row 1 references vertices >= 2"):
+        Graph(2, (0, 0b100))
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph(2, (0, 0b10))
 
 
 def test_label_ignored_by_equality():
