@@ -16,6 +16,12 @@ Then, for each bundled corpus, one digest covers the exit code, stdout and
 stderr of ``invariants`` for each of three column requests: the full
 registry, ``--columns alpha`` and ``--columns connected,order``. Each of
 these runs gets a fresh cache of its own, and its cache file is not hashed.
+For each bundled corpus, one more digest takes a fresh cache through its
+rewrite path in four ``invariants`` runs: ``--columns alpha``, then
+``--columns mu,alpha,connected``, then the same after a bad ``connected``
+cell is planted, then the full registry after a byte that is not UTF-8 is
+appended. It covers each run's exit code, stdout and stderr and the table
+cache file after it.
 
 Then, for each bundled corpus, one digest covers a ``conjecture --config``
 run that sets every config key: its exit code, stdout and stderr, the export
@@ -102,6 +108,28 @@ def run(digest, argv: list[str]) -> str:
     return out.getvalue()
 
 
+def plant_bad_cell(table: Path) -> None:
+    """Write ``TRUE``, a cell the cache never holds, as the first row's
+    ``connected`` cell."""
+    header, first, rest = table.read_text(encoding="utf-8").split("\n", 2)
+    cells = first.split("\t")
+    cells[header.split("\t").index("connected")] = "TRUE"
+    table.write_text("\n".join([header, "\t".join(cells), rest]),
+                     encoding="utf-8")
+
+
+def append_non_utf8(table: Path) -> None:
+    with table.open("ab") as fh:
+        fh.write(b"\xff")
+
+
+# the cache rewrite runs: ``invariants`` arguments, and the damage done to
+# the cache file before the run
+WIDER = ("--columns", "mu,alpha,connected")
+REWRITES = ((("--columns", "alpha"), None), (WIDER, None),
+            (WIDER, plant_bad_cell), ((), append_non_utf8))
+
+
 def hash_tables(digest, cache: Path) -> None:
     """Hash the name and bytes of each table cache file."""
     for table in sorted(cache.iterdir()):
@@ -142,6 +170,17 @@ def main() -> int:
                 run(digest, ["invariants", corpus, *columns, "--cache",
                              f"cache-invariants-{corpus}-{name}"])
                 print(f"{corpus} invariants {name} {digest.hexdigest()}")
+        for corpus in CORPORA:
+            digest = hashlib.sha256()
+            cache = Path(f"cache-rewrites-{corpus}")
+            for columns, damage in REWRITES:
+                if damage:
+                    (table,) = cache.iterdir()
+                    damage(table)
+                run(digest, ["invariants", corpus, *columns, "--cache",
+                             str(cache)])
+                hash_tables(digest, cache)
+            print(f"{corpus} cache-rewrites {digest.hexdigest()}")
         for corpus in CORPORA:
             digest = hashlib.sha256()
             cache = Path(f"cache-config-{corpus}")

@@ -482,27 +482,29 @@ def conjecture_to_record(c: Conjecture) -> dict:
 def conjecture_from_record(record: dict) -> Conjecture:
     """Rebuild a conjecture from an export record.
 
-    Raises :class:`ConfigError` when the record is not a well-formed object
-    (a missing field, a zero denominator, an unknown direction, a name
-    field that is not a list of names, a slope or intercept that is not a
-    pair of integers, a count that is not an integer, ...). JSON ``true``
-    and ``false`` are not integers here.
+    Raises :class:`ConfigError` when the record is not a JSON object or not
+    a well-formed one (a missing field, a zero denominator, an unknown
+    direction, a name field that is not a list of names, a slope or
+    intercept that is not a pair of integers, a count that is not an
+    integer, ...). JSON ``true`` and ``false`` are not integers here.
     """
+    if not isinstance(record, dict):
+        raise ConfigError("record is not a JSON object")
     try:
         # each pair is reduced here, once, so equal bounds compare equal
         bound = SharpBoundingFunction(
-            Fraction(*_int_pair(record, "slope")).as_integer_ratio(),
-            Fraction(*_int_pair(record, "intercept")).as_integer_ratio(),
+            Fraction(*_field(record, "slope", "pair")).as_integer_ratio(),
+            Fraction(*_field(record, "intercept", "pair")).as_integer_ratio(),
             record["direction"],
         )
         return Conjecture(
             target=record["target"],
             other=record["other"],
-            hypothesis=Hypothesis(_name_list(record, "hypothesis")),
+            hypothesis=Hypothesis(_field(record, "hypothesis", "names")),
             bound=bound,
-            touch_set=frozenset(_name_list(record, "touch_set")),
-            touch_number=_int(record, "touch_number"),
-            support_size=_int(record, "support_size"),
+            touch_set=frozenset(_field(record, "touch_set", "names")),
+            touch_number=_field(record, "touch_number", "int"),
+            support_size=_field(record, "support_size", "int"),
         )
     except KeyError as exc:
         raise ConfigError(f"record lacks the {exc.args[0]!r} field") from None
@@ -510,30 +512,23 @@ def conjecture_from_record(record: dict) -> Conjecture:
         raise ConfigError(f"malformed record: {exc}") from None
 
 
-def _name_list(record: dict, field: str) -> list[str]:
-    # a bare string would otherwise be taken apart into its characters
-    names = record[field]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ConfigError(f"the {field!r} field must be a list of names, "
-                          f"got {names!r}")
-    return names
+# each checked record field kind: the phrase its error uses, and its test;
+# a bare string would otherwise be taken apart into its characters, and
+# bool is a subclass of int, so JSON true would otherwise count as 1
+_FIELD_KINDS = {
+    "names": ("a list of names", lambda v: isinstance(v, list)
+              and all(isinstance(n, str) for n in v)),
+    "pair": ("a pair of integers", lambda v: isinstance(v, list)
+             and len(v) == 2 and all(type(n) is int for n in v)),
+    "int": ("an integer", lambda v: type(v) is int),
+}
 
 
-def _int_pair(record: dict, field: str) -> list[int]:
-    pair = record[field]
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(type(v) is int for v in pair)):
-        raise ConfigError(f"the {field!r} field must be a pair of integers, "
-                          f"got {pair!r}")
-    return pair
-
-
-def _int(record: dict, field: str) -> int:
-    # bool is a subclass of int, so JSON true would otherwise count as 1
-    value = record[field]
-    if type(value) is not int:
-        raise ConfigError(f"the {field!r} field must be an integer, "
-                          f"got {value!r}")
+def _field(record: dict, name: str, kind: str):
+    value = record[name]
+    phrase, valid = _FIELD_KINDS[kind]
+    if not valid(value):
+        raise ConfigError(f"the {name!r} field must be {phrase}, got {value!r}")
     return value
 
 

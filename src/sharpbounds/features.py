@@ -143,42 +143,20 @@ def _cell(fn: Callable[[Graph], int], g: Graph) -> Optional[int]:
 def build_table(corpus: Sequence[Graph],
                 invariants: dict[str, Callable[[Graph], int]] | None = None,
                 predicates: dict[str, Callable[[Graph], bool]] | None = None,
-                cached: dict[str, Sequence[str]] | None = None,
-                cache_path: str | Path | None = None,
                 ) -> FeatureTable:
     """Evaluate both registries on every corpus graph.
 
     Rows are named by :func:`corpus_labels`. An invariant that raises
-    :class:`UndefinedInvariantError` leaves a missing cell. A requested
-    column found in ``cached`` (name -> cell texts) is parsed, not computed,
-    unless a cell does not parse: an integer or an empty cell in a numeric
-    column, ``true`` or ``false`` in a Boolean one. Such a column is
-    computed from the graphs. ``cache_path`` names the file ``cached`` was
-    read from: an identity that fails on a column parsed from it names that
-    file in its :class:`ConfigError`.
+    :class:`UndefinedInvariantError` leaves a missing cell.
     """
-    if not corpus:
-        raise ConfigError("empty corpus")
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
-    cached = cached or {}
-
-    numeric: dict[str, tuple[Optional[int], ...]] = {}
-    parsed: set[str] = set()
-    for name, fn in invariants.items():
-        try:
-            numeric[name] = _parse_numeric(cached[name])
-            parsed.add(name)
-        except (KeyError, ValueError):
-            numeric[name] = tuple(_cell(fn, g) for g in corpus)
-    boolean: dict[str, tuple[bool, ...]] = {}
-    for name, fn in predicates.items():
-        try:
-            boolean[name] = _parse_boolean(cached[name])
-        except (KeyError, ValueError):
-            boolean[name] = tuple(fn(g) for g in corpus)
+    numeric = {name: tuple(_cell(fn, g) for g in corpus)
+               for name, fn in invariants.items()}
+    boolean = {name: tuple(fn(g) for g in corpus)
+               for name, fn in predicates.items()}
     table = FeatureTable(corpus_labels(corpus), numeric, boolean)
-    _check_identities(table, cache_path, parsed)
+    _check_identities(table)
     return table
 
 
@@ -201,8 +179,8 @@ _IDENTITIES = (
 )
 
 
-def _check_identities(table: FeatureTable, cache: str | Path | None,
-                      parsed: set[str]) -> None:
+def _check_identities(table: FeatureTable, cache: Path | None = None,
+                      parsed: frozenset[str] = frozenset()) -> None:
     # Every identity whose columns the table holds, on every row where they
     # are all present; a violation is a ConfigError naming the row, the
     # identity and the values, and the cache file when one of the
@@ -216,7 +194,7 @@ def _check_identities(table: FeatureTable, cache: str | Path | None,
             if None not in values and not holds(*values):
                 shown = ", ".join(f"{DISPLAY_SYMBOLS[name]} = {value}"
                                   for name, value in zip(names, values))
-                read = cache is not None and not parsed.isdisjoint(names)
+                read = not parsed.isdisjoint(names)
                 source = f"table cache {cache}" if read else "feature table"
                 raise ConfigError(f"{source}: row {label}: {statement} "
                                   f"fails with {shown}")
@@ -284,7 +262,10 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 def _read_cells(path: str | Path) -> dict[str, tuple[str, ...]]:
     # every column of a save_table file as cell texts, label first
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read table file {path}: not UTF-8 text") from None
     if not lines:
         raise ConfigError(f"empty table file {path}")
     header = lines[0].split("\t")
@@ -316,19 +297,26 @@ def load_table(path: str | Path,
                boolean_names: Sequence[str]) -> FeatureTable:
     """Read a TSV written by :func:`save_table`.
 
-    The caller says which columns are numeric and which Boolean. Only those
-    columns are parsed, in the file's column order; any other column of the
-    file is left unread, so a wider table file serves a narrower request. A
-    parsed cell that :func:`save_table` cannot have written (a numeric cell
-    that is neither empty nor an integer, a Boolean cell other than ``true``
-    and ``false``) raises :class:`ValueError`.
+    The caller says which columns are numeric and which Boolean. Each of
+    those columns that the file holds is parsed, in the file's column order;
+    any other column of the file is left unread, so a wider table file
+    serves a narrower request. A requested column with a cell that
+    :func:`save_table` cannot have written (a numeric cell that is neither
+    empty nor an integer, a Boolean cell other than ``true`` and ``false``)
+    is left out, like one the file lacks. A file that is not UTF-8 text or
+    not a table raises :class:`ConfigError`.
     """
     numeric_names, boolean_names = set(numeric_names), set(boolean_names)
     cells = _read_cells(path)
-    numeric = {name: _parse_numeric(col) for name, col in cells.items()
-               if name in numeric_names}
-    boolean = {name: _parse_boolean(col) for name, col in cells.items()
-               if name in boolean_names and name not in numeric}
+    numeric, boolean = {}, {}
+    for name, col in cells.items():
+        try:
+            if name in numeric_names:
+                numeric[name] = _parse_numeric(col)
+            elif name in boolean_names:
+                boolean[name] = _parse_boolean(col)
+        except ValueError:
+            pass
     return FeatureTable(cells["label"], numeric, boolean)
 
 
@@ -339,16 +327,15 @@ def load_or_build_table(corpus: Sequence[Graph],
                         ) -> FeatureTable:
     """Build the feature table, reusing a digest-keyed TSV cache when possible.
 
-    The cache file is :func:`cache_file`. A cached file with exactly the
-    corpus labels is reused: a file holding every requested column is read
-    and left as it is, and the corpus graphs are not touched (a
-    :class:`Graph6Corpus` stays undecoded); otherwise only the missing columns
-    are computed and the file is rewritten with its old columns plus the new
-    ones. A requested column with a cell that does not parse (see
-    :func:`load_table`) counts as missing: it is computed again and
-    rewritten. A file that cannot be read or whose labels differ (one cut
-    short, say) is rebuilt and overwritten. The cache directory is made only
-    to write a table into it.
+    The cache file is :func:`cache_file`; only :func:`load_table` parses
+    it. A cached file with exactly the corpus labels is reused: a file
+    holding every requested column is left as it is, and the corpus graphs
+    are not touched (a :class:`Graph6Corpus` stays undecoded); otherwise
+    only the missing columns, those the file lacks or has a bad cell in,
+    are computed and the file is rewritten with its old columns plus the
+    new ones. A file that cannot be read or whose labels differ (one cut
+    short, say) is rebuilt and overwritten. The cache directory is made
+    only to write a table into it.
     """
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
@@ -356,25 +343,28 @@ def load_or_build_table(corpus: Sequence[Graph],
         return build_table(corpus, invariants, predicates)
 
     path = cache_file(corpus, cache_dir)
-    kept: dict[str, tuple[str, ...]] = {}
+    table = None
     if path.exists():
-        labels = corpus_labels(corpus)
         try:
             table = load_table(path, list(invariants), list(predicates))
-        except (ConfigError, ValueError):
-            table = None
-        if table is not None and table.labels == labels \
-                and set(table.numeric) == set(invariants) \
-                and set(table.boolean) == set(predicates):
-            _check_identities(table, path, set(table.numeric))
-            return table
-        try:
-            kept = _read_cells(path)
-        except (ConfigError, ValueError):
+        except ConfigError:
             pass
-        if kept.get("label") != labels:
-            kept = {}
-    table = build_table(corpus, invariants, predicates, kept, path)
+    if table is None or table.labels != corpus_labels(corpus):
+        table, kept = build_table(corpus, invariants, predicates), {}
+    else:
+        parsed = frozenset(table.numeric)
+        missing = ({name: fn for name, fn in invariants.items()
+                    if name not in table.numeric},
+                   {name: fn for name, fn in predicates.items()
+                    if name not in table.boolean})
+        if any(missing):
+            built = build_table(corpus, *missing)
+            table = FeatureTable(table.labels, {**table.numeric, **built.numeric},
+                                 {**table.boolean, **built.boolean})
+        _check_identities(table, path, parsed)
+        if not any(missing):
+            return table
+        kept = _read_cells(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, path, kept)
     return table

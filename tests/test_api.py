@@ -21,10 +21,13 @@ def test_removed_names_stay_removed():
     # the family-name lookup and the one-graph predicate dict: call the
     # builders and standard_predicates() directly. check_conjecture(...)[0]
     # is the counterexample, read_numbered_export reads an export, and a
-    # bound's identity is (target, other, bound)
+    # bound's identity is (target, other, bound); one field check reads an
+    # export record, and build_table only computes: load_table alone parses
+    # the table cache
     removed = {sharpbounds.engine: ("generate", "touch_count_on",
                                     "find_counterexample", "read_export",
-                                    "_bound_and_support", "_R"),
+                                    "_bound_and_support", "_R", "_name_list",
+                                    "_int_pair", "_int"),
                sharpbounds.graphs: ("named_graph", "graph_names"),
                sharpbounds.predicates: ("evaluate_predicates",)}
     for module, names in removed.items():
@@ -36,3 +39,5 @@ def test_removed_names_stay_removed():
         assert not hasattr(cls, "bound_key")
     assert list(inspect.signature(sharpbounds.generality_filter).parameters) \
         == ["pairs"]
+    assert list(inspect.signature(sharpbounds.build_table).parameters) \
+        == ["corpus", "invariants", "predicates"]

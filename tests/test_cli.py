@@ -551,19 +551,22 @@ def test_verify_bad_records_exit_2_and_others_still_checked(tmp_path, capsys):
     bad = [dict(record, other="girth"), dict(record, direction="sideways"),
            {k: v for k, v in record.items() if k != "other"}, [1, 2],
            dict(record, other=record["target"]),
-           dict(record, hypothesis=["planar"]), dict(record, touch_number=2)]
+           dict(record, hypothesis=["planar"]), dict(record, touch_number=2),
+           None]
     lines = [json.dumps(r) for r in bad] + ["", good, false_claim]
     export.write_text("\n".join(lines) + "\n")
     code = main(["verify", str(export), str(corpus)])
     out = capsys.readouterr().out.splitlines()
     assert code == 2  # an unchecked record outranks a counterexample
-    assert [line.split(" ", 2)[:2] for line in out[:7]] == \
-        [["ERROR", f"{export}:{n}:"] for n in range(1, 8)]
+    assert [line.split(" ", 2)[:2] for line in out[:8]] == \
+        [["ERROR", f"{export}:{n}:"] for n in range(1, 9)]
+    assert out[3] == f"ERROR {export}:4: record is not a JSON object"
     assert out[5].endswith("unknown predicate 'planar'")
     assert out[6].endswith("touch_number must equal |touch_set| and be >= 1")
-    assert out[7].startswith("HOLDS")
-    assert out[8].startswith("COUNTEREXAMPLE c#2 ")
-    assert len(out) == 9
+    assert out[7] == f"ERROR {export}:8: record is not a JSON object"
+    assert out[8].startswith("HOLDS")
+    assert out[9].startswith("COUNTEREXAMPLE c#2 ")
+    assert len(out) == 10
 
 
 def test_verify_refuses_order_above_solver_limit(tmp_path, capsys):
@@ -968,7 +971,8 @@ def test_cache_cell_breaking_an_identity_is_refused(tmp_path, capsys, column,
     table_file.write_text(planted)
 
     # a hit, then a partial rebuild: a Boolean cell the cache cannot have
-    # written sends the run to build_table with the bad cell still parsed
+    # written is left out and computed again, and the planted numeric cell
+    # is still read from the file
     rows[1][header.index("cubic")] = "TRUE"
     unparsed = "".join("\t".join(r) + "\n" for r in [header, *rows])
     for text in (planted, unparsed):
@@ -1022,16 +1026,30 @@ def test_verify_malformed_corpus_is_one_error_line(tmp_path, capsys):
 
 def test_cli_reaches_the_table_cache_through_its_own_binding(tmp_path, capsys,
                                                             monkeypatch):
-    # perfbench/spans.py times load_or_build_table through cli's binding and
-    # reads a cache hit as a call with no build_table inside it
+    # perfbench/spans.py times load_or_build_table through cli's binding,
+    # reads a cache hit as a call with no build_table inside it and times
+    # the warm read as load_table
     loads = count_calls(monkeypatch, cli, "load_or_build_table")
+    reads = count_calls(monkeypatch, features, "load_table")
     builds = count_calls(monkeypatch, features, "build_table")
     corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+
+    def calls(*argv):
+        # (load_table, build_table) calls of one run that uses the cache once
+        before = (loads[0], reads[0], builds[0])
+        assert run_main(capsys, *argv)[0] == 0
+        assert loads[0] == before[0] + 1
+        return (reads[0] - before[1], builds[0] - before[2])
+
     cache = tmp_path / "cache"
-    assert run_main(capsys, "invariants", str(corpus), "--cache", str(cache))[0] == 0
-    assert (loads[0], builds[0]) == (1, 1)
-    assert run_main(capsys, *conjecture_argv(corpus, cache, tmp_path / "e.jsonl"))[0] == 0
-    assert (loads[0], builds[0]) == (2, 1)
+    assert calls("invariants", str(corpus), "--cache", str(cache)) == (0, 1)
+    assert calls(*conjecture_argv(corpus, cache, tmp_path / "e.jsonl")) == (1, 0)
+    # a partial rebuild reads the file once and computes the missing columns
+    # in one build_table call
+    partial = tmp_path / "partial"
+    assert calls("invariants", str(corpus), "--columns", "alpha",
+                 "--cache", str(partial)) == (0, 1)
+    assert calls("invariants", str(corpus), "--cache", str(partial)) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
