@@ -17,11 +17,12 @@ stderr of ``invariants`` for each of three column requests: the full
 registry, ``--columns alpha`` and ``--columns connected,order``. Each of
 these runs gets a fresh cache of its own, and its cache file is not hashed.
 For each bundled corpus, one more digest takes a fresh cache through its
-rewrite path in four ``invariants`` runs: ``--columns alpha``, then
+rewrite path in five ``invariants`` runs: ``--columns alpha``, then
 ``--columns mu,alpha,connected``, then the same after a bad ``connected``
 cell is planted, then the full registry after a byte that is not UTF-8 is
-appended. It covers each run's exit code, stdout and stderr and the table
-cache file after it.
+appended, then the full registry again after the first row's ``order``
+cell is given a leading zero (``04`` on the census's K4). It covers each
+run's exit code, stdout and stderr and the table cache file after it.
 
 Then, for each bundled corpus, one digest covers a ``conjecture --config``
 run that sets every config key: its exit code, stdout and stderr, the export
@@ -108,14 +109,26 @@ def run(digest, argv: list[str]) -> str:
     return out.getvalue()
 
 
+def set_first_cell(table: Path, column: str, cell) -> None:
+    """Replace the first row's ``column`` cell by ``cell(old cell)``."""
+    header, first, rest = table.read_text(encoding="utf-8").split("\n", 2)
+    cells = first.split("\t")
+    at = header.split("\t").index(column)
+    cells[at] = cell(cells[at])
+    table.write_text("\n".join([header, "\t".join(cells), rest]),
+                     encoding="utf-8")
+
+
 def plant_bad_cell(table: Path) -> None:
     """Write ``TRUE``, a cell the cache never holds, as the first row's
     ``connected`` cell."""
-    header, first, rest = table.read_text(encoding="utf-8").split("\n", 2)
-    cells = first.split("\t")
-    cells[header.split("\t").index("connected")] = "TRUE"
-    table.write_text("\n".join([header, "\t".join(cells), rest]),
-                     encoding="utf-8")
+    set_first_cell(table, "connected", lambda old: "TRUE")
+
+
+def plant_leading_zero(table: Path) -> None:
+    """Give the first row's ``order`` cell a leading zero: ``int()`` reads
+    the same value, but the cache never holds such a cell."""
+    set_first_cell(table, "order", lambda old: "0" + old)
 
 
 def append_non_utf8(table: Path) -> None:
@@ -127,7 +140,8 @@ def append_non_utf8(table: Path) -> None:
 # the cache file before the run
 WIDER = ("--columns", "mu,alpha,connected")
 REWRITES = ((("--columns", "alpha"), None), (WIDER, None),
-            (WIDER, plant_bad_cell), ((), append_non_utf8))
+            (WIDER, plant_bad_cell), ((), append_non_utf8),
+            ((), plant_leading_zero))
 
 
 def hash_tables(digest, cache: Path) -> None:

@@ -172,11 +172,10 @@ def _cmd_conjecture(args) -> int:
         for rank, c in enumerate(conjectures, 1):
             print(f"{rank}. (touch {c.touch_number}, support {c.support_size}) "
                   f"{c.statement}")
-    else:
-        print(engine.export_text(conjectures), end="")
-
     if options["export"]:
-        engine.write_export(conjectures, options["export"])
+        text = engine.write_export(conjectures, options["export"])
+    if options["format"] == "structured":  # the export text, built once
+        print(text if options["export"] else engine.export_text(conjectures), end="")
     return 0
 
 

@@ -538,9 +538,12 @@ def export_text(conjectures: Iterable[Conjecture]) -> str:
                    + "\n" for c in conjectures)
 
 
-def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> None:
-    """Write :func:`export_text` atomically (see :func:`write_text_atomic`)."""
-    write_text_atomic(path, export_text(conjectures))
+def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> str:
+    """Write :func:`export_text` atomically (see :func:`write_text_atomic`)
+    and return the text written."""
+    text = export_text(conjectures)
+    write_text_atomic(path, text)
+    return text
 
 
 def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -260,26 +261,15 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def _read_cells(path: str | Path) -> dict[str, tuple[str, ...]]:
-    # every column of a save_table file as cell texts, label first
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise ConfigError(f"cannot read table file {path}: not UTF-8 text") from None
-    if not lines:
-        raise ConfigError(f"empty table file {path}")
-    header = lines[0].split("\t")
-    if header[:1] != ["label"]:
-        raise ConfigError(f"table file {path} lacks a label column")
-    rows = [line.split("\t") for line in lines[1:]]
-    for lineno, cells in enumerate(rows, start=2):
-        if len(cells) != len(header):
-            raise ConfigError(f"{path}:{lineno}: wrong cell count")
-    return dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+# a numeric column as save_table writes it, one cell a line: str(v) or empty
+_NUMERIC_COLUMN = re.compile(r"(?:(?:0|-?[1-9][0-9]*)?\n)*")
 
 
 def _parse_numeric(cells: Sequence[str]) -> tuple[Optional[int], ...]:
-    # an empty cell is a missing value; any other non-integer raises
+    # an empty cell is a missing value; any cell save_table cannot have
+    # written (" 4", "04", "-0", "+٤") raises
+    if not _NUMERIC_COLUMN.fullmatch("\n".join(cells) + "\n"):
+        raise ValueError("numeric cells must read as save_table writes them")
     if "" not in cells:
         return tuple(map(int, cells))
     return tuple(None if c == "" else int(c) for c in cells)
@@ -301,13 +291,34 @@ def load_table(path: str | Path,
     those columns that the file holds is parsed, in the file's column order;
     any other column of the file is left unread, so a wider table file
     serves a narrower request. A requested column with a cell that
-    :func:`save_table` cannot have written (a numeric cell that is neither
-    empty nor an integer, a Boolean cell other than ``true`` and ``false``)
-    is left out, like one the file lacks. A file that is not UTF-8 text or
-    not a table raises :class:`ConfigError`.
+    :func:`save_table` cannot have written (a numeric cell other than an
+    empty one or ``str`` of an integer, a Boolean cell other than ``true``
+    and ``false``) is left out, like one the file lacks. A file that is not
+    UTF-8 text or not a table raises :class:`ConfigError`.
     """
+    return _read_table(path, numeric_names, boolean_names)[0]
+
+
+def _read_table(path: str | Path, numeric_names: Sequence[str],
+                boolean_names: Sequence[str]
+                ) -> tuple[FeatureTable, dict[str, tuple[str, ...]]]:
+    # load_table's table, and every column of the file as cell texts, label
+    # first, from one read of the file
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read table file {path}: not UTF-8 text") from None
+    if not lines:
+        raise ConfigError(f"empty table file {path}")
+    header = lines[0].split("\t")
+    if header[:1] != ["label"]:
+        raise ConfigError(f"table file {path} lacks a label column")
+    rows = [line.split("\t") for line in lines[1:]]
+    for lineno, cells in enumerate(rows, start=2):
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}:{lineno}: wrong cell count")
+    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
     numeric_names, boolean_names = set(numeric_names), set(boolean_names)
-    cells = _read_cells(path)
     numeric, boolean = {}, {}
     for name, col in cells.items():
         try:
@@ -317,7 +328,7 @@ def load_table(path: str | Path,
                 boolean[name] = _parse_boolean(col)
         except ValueError:
             pass
-    return FeatureTable(cells["label"], numeric, boolean)
+    return FeatureTable(cells["label"], numeric, boolean), cells
 
 
 def load_or_build_table(corpus: Sequence[Graph],
@@ -327,15 +338,15 @@ def load_or_build_table(corpus: Sequence[Graph],
                         ) -> FeatureTable:
     """Build the feature table, reusing a digest-keyed TSV cache when possible.
 
-    The cache file is :func:`cache_file`; only :func:`load_table` parses
-    it. A cached file with exactly the corpus labels is reused: a file
-    holding every requested column is left as it is, and the corpus graphs
-    are not touched (a :class:`Graph6Corpus` stays undecoded); otherwise
-    only the missing columns, those the file lacks or has a bad cell in,
-    are computed and the file is rewritten with its old columns plus the
-    new ones. A file that cannot be read or whose labels differ (one cut
-    short, say) is rebuilt and overwritten. The cache directory is made
-    only to write a table into it.
+    The cache file is :func:`cache_file`, read once and parsed as
+    :func:`load_table` parses it. A cached file with exactly the corpus
+    labels is reused: a file holding every requested column is left as it
+    is, and the corpus graphs are not touched (a :class:`Graph6Corpus` stays
+    undecoded); otherwise only the missing columns, those the file lacks or
+    has a bad cell in, are computed and the file is rewritten, from the same
+    read, with its old columns plus the new ones. A file that cannot be
+    read or whose labels differ (one cut short, say) is rebuilt and
+    overwritten. The cache directory is made only to write a table into it.
     """
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
@@ -346,7 +357,7 @@ def load_or_build_table(corpus: Sequence[Graph],
     table = None
     if path.exists():
         try:
-            table = load_table(path, list(invariants), list(predicates))
+            table, kept = _read_table(path, list(invariants), list(predicates))
         except ConfigError:
             pass
     if table is None or table.labels != corpus_labels(corpus):
@@ -364,7 +375,6 @@ def load_or_build_table(corpus: Sequence[Graph],
         _check_identities(table, path, parsed)
         if not any(missing):
             return table
-        kept = _read_cells(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, path, kept)
     return table

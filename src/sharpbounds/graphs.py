@@ -8,7 +8,7 @@ of the exact solvers) cheap at corpus scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 def mask_rows(mask: int) -> Iterator[int]:
@@ -17,6 +17,32 @@ def mask_rows(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def components(rows: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Each connected component of the graph with adjacency ``rows``, by
+    lowest vertex, as its vertex mask and the mask of its vertices with a
+    neighbor in their own breadth-first layer from that vertex (at their
+    own distance from it). Every edge joins a layer to itself or to the
+    next, so the second mask is empty exactly when the component is
+    bipartite: coloring by the parity of the layer is then proper, and an
+    edge inside a layer closes an odd cycle."""
+    left = (1 << len(rows)) - 1
+    while left:
+        comp = layer = left & -left
+        odd = 0
+        while layer:
+            reach = 0
+            scan = layer
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                reach |= rows[low.bit_length() - 1]
+            odd |= reach & layer
+            layer = reach & ~comp
+            comp |= layer
+        left ^= comp
+        yield comp, odd
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, UndefinedInvariantError
-from .graphs import Graph, mask_rows
+from .graphs import Graph, components, mask_rows
 
 # Largest order the exponential solvers accept. Slowest call of each over the
 # 29 order-20 graphs of scripts/time_solvers.py (best of three, Python 3.11.7,
@@ -221,7 +221,7 @@ def domination_number(g: Graph) -> int:
     closed = [row | (1 << v) for v, row in enumerate(rows)]
     forced = _leaf_neighbors(rows)
     total = 0
-    for comp in _components(rows):
+    for comp, _ in components(rows):
         if comp.bit_count() <= 2:
             total += 1
         else:
@@ -245,22 +245,7 @@ def total_domination_number(g: Graph) -> int:
             "total domination is undefined with an isolated vertex")
     forced = _leaf_neighbors(rows)
     return sum(_forced_cover(rows, comp, forced & comp)
-               for comp in _components(rows))
-
-
-def _components(rows: Sequence[int]) -> Iterator[int]:
-    # the vertex mask of each connected component
-    left = (1 << len(rows)) - 1
-    while left:
-        comp = todo = left & -left
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = rows[low.bit_length() - 1] & ~comp
-            comp |= new
-            todo |= new
-        left ^= comp
-        yield comp
+               for comp, _ in components(rows))
 
 
 def _leaf_neighbors(rows: Sequence[int]) -> int:

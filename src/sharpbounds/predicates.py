@@ -5,42 +5,18 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable
 
-from .graphs import Graph
+from .graphs import Graph, components
 
 
 def is_connected(g: Graph) -> bool:
     """True when every vertex is reachable from vertex 0."""
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        row = frontier
-        while row:
-            low = row & -row
-            nxt |= g.adjacency[low.bit_length() - 1]
-            row ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << g.order) - 1
+    return next(components(g.adjacency))[0] == (1 << g.order) - 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    """True when the vertices admit a proper 2-coloring."""
-    color = [None] * g.order
-    for start in range(g.order):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in g.neighbors(v):
-                if color[u] is None:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
+    """True when the vertices admit a proper 2-coloring: when no
+    breadth-first layer of a component holds an edge."""
+    return not any(odd for _, odd in components(g.adjacency))
 
 
 def is_regular(g: Graph) -> bool:

@@ -27,7 +27,7 @@ from sharpbounds import (
     write_export,
     write_graph6_file,
 )
-from sharpbounds import cli, features, invariants
+from sharpbounds import cli, engine, features, invariants
 from sharpbounds.cli import build_parser, main
 from sharpbounds.invariants import standard_invariants
 from sharpbounds.predicates import standard_predicates
@@ -917,11 +917,12 @@ def test_cache_with_other_labels_is_rebuilt(tmp_path, capsys, monkeypatch):
     assert table_file.read_text() == good
 
 
-@pytest.mark.parametrize("numeric", [None, "4.0"])
+@pytest.mark.parametrize("numeric", [None, "4.0", "+٤", " 4", "04", "4_0", "-0"])
 @pytest.mark.parametrize("cell", ["TRUE", "1", ""])
 def test_bad_boolean_cache_cell_is_recomputed(tmp_path, capsys, cell, numeric):
     # K4 is the first graph of the census and cubic; a cell other than
-    # true/false must not read as false, alone or beside a bad numeric cell
+    # true/false must not read as false, alone or beside a numeric cell
+    # save_table cannot have written (it writes str(v))
     corpus = ROOT / "data" / "cubic_connected_4_10.g6"
     cache = tmp_path / "cache"
     argv = ("invariants", str(corpus), "--columns", "cubic,bipartite,order",
@@ -936,7 +937,7 @@ def test_bad_boolean_cache_cell_is_recomputed(tmp_path, capsys, cell, numeric):
     if numeric is not None:
         rows[1][header.index("order")] = numeric
     table_file.write_text("".join("\t".join(r) + "\n"
-                                  for r in [header, *rows]))
+                                  for r in [header, *rows]), encoding="utf-8")
 
     assert run_main(capsys, *argv) == first
     assert table_file.read_text() == good
@@ -1026,16 +1027,24 @@ def test_verify_malformed_corpus_is_one_error_line(tmp_path, capsys):
 
 def test_cli_reaches_the_table_cache_through_its_own_binding(tmp_path, capsys,
                                                             monkeypatch):
-    # perfbench/spans.py times load_or_build_table through cli's binding,
-    # reads a cache hit as a call with no build_table inside it and times
-    # the warm read as load_table
+    # perfbench/spans.py times load_or_build_table through cli's binding and
+    # reads a cache hit as a call with no build_table inside it; one run
+    # reads the cache file at most once, a partial rebuild included
     loads = count_calls(monkeypatch, cli, "load_or_build_table")
-    reads = count_calls(monkeypatch, features, "load_table")
     builds = count_calls(monkeypatch, features, "build_table")
+    reads = [0]
+    read_text = Path.read_text
+
+    def counted_read(self, *args, **kwargs):
+        reads[0] += self.suffix == ".tsv"
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted_read)
     corpus = ROOT / "data" / "cubic_connected_4_10.g6"
 
     def calls(*argv):
-        # (load_table, build_table) calls of one run that uses the cache once
+        # (cache file reads, build_table calls) of one run that uses the
+        # cache once
         before = (loads[0], reads[0], builds[0])
         assert run_main(capsys, *argv)[0] == 0
         assert loads[0] == before[0] + 1
@@ -1044,12 +1053,35 @@ def test_cli_reaches_the_table_cache_through_its_own_binding(tmp_path, capsys,
     cache = tmp_path / "cache"
     assert calls("invariants", str(corpus), "--cache", str(cache)) == (0, 1)
     assert calls(*conjecture_argv(corpus, cache, tmp_path / "e.jsonl")) == (1, 0)
-    # a partial rebuild reads the file once and computes the missing columns
-    # in one build_table call
+    # a partial rebuild reads the file once, computes the missing columns
+    # in one build_table call and keeps the old column from that read
     partial = tmp_path / "partial"
     assert calls("invariants", str(corpus), "--columns", "alpha",
                  "--cache", str(partial)) == (0, 1)
     assert calls("invariants", str(corpus), "--cache", str(partial)) == (1, 1)
+    assert calls("invariants", str(corpus), "--cache", str(partial)) == (1, 0)
+    (table_file,) = partial.iterdir()
+    header = table_file.read_text().split("\n", 1)[0].split("\t")
+    assert header[:2] == ["label", "independence_number"]
+    assert set(header) == {"label", *standard_invariants(), *standard_predicates()}
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("export", [True, False])
+def test_conjecture_builds_the_export_text_once(tmp_path, capsys, monkeypatch,
+                                                fmt, export):
+    # a structured listing is the export text: built once, printed, and
+    # written byte for byte to --export
+    built = count_calls(monkeypatch, engine, "export_text")
+    target = tmp_path / "e.jsonl"
+    argv = ["conjecture", "--corpus", str(ROOT / "data" / "cubic_connected_4_10.g6"),
+            "--targets", "alpha,Z", "--format", fmt]
+    code, out, _ = run_main(capsys, *argv, *(["--export", str(target)] if export else []))
+    assert code == 0
+    assert built[0] == (fmt == "structured" or export)
+    assert target.exists() == export
+    if fmt == "structured" and export:
+        assert out and out.encode() == target.read_bytes()
 
 
 # ---------------------------------------------------------------------------

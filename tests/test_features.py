@@ -266,13 +266,15 @@ def test_feature_table_rejects_malformed_columns(labels, numeric, boolean,
 
 
 def test_numeric_cells_parse_with_and_without_missing_values():
-    # the all-integer fast path and the path with empty cells agree
+    # the all-integer fast path and the path with empty cells agree; a cell
+    # is read only as save_table writes it, str(v), on either path
     table = FeatureTable(("a", "b", "c"),
                          {"x": (1, None, -3), "y": (0, 2, 10)},
                          {"p": (True, False, True)})
     assert features._parse_numeric(("1", "", "-3")) == table.numeric["x"]
     assert features._parse_numeric(("0", "2", "10")) == table.numeric["y"]
-    for bad in (("1", "x"), ("", "1.5"), ("true",)):
+    for bad in (("1", "x"), ("", "1.5"), ("true",), ("+٤",), (" 4",), ("04",),
+                ("4_0",), ("-0",), ("+4",), ("4 ",), ("", "04")):
         with pytest.raises(ValueError):
             features._parse_numeric(bad)
 

@@ -15,7 +15,9 @@ from sharpbounds import (
     star,
     standard_predicates,
 )
-from sharpbounds.predicates import is_bipartite, is_claw_free
+from sharpbounds.graphs import components
+from sharpbounds.predicates import (is_bipartite, is_claw_free, is_connected,
+                                    is_tree)
 
 from conftest import random_graph
 
@@ -129,6 +131,46 @@ def test_bipartite_matches_odd_cycle_check():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.8]))
         assert is_bipartite(g) == (not _has_odd_cycle(g))
+
+
+def _traversal_cases():
+    # random graphs with n <= 12, a quarter of them also in a disjoint union
+    # with another, plus K1, an edgeless graph and fixed disjoint unions
+    rng = random.Random(2306)
+    cases = [complete(1), Graph(6, (0,) * 6),
+             disjoint_union(cycle(5), path(3)),
+             disjoint_union(complete(1), star(3), cycle(4)),
+             disjoint_union(petersen(), complete(1), complete_bipartite(2, 3))]
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.2, 0.35, 0.6]))
+        cases.append(g)
+        if rng.random() < 0.25:
+            cases.append(disjoint_union(g, random_graph(rng, rng.randint(1, 5))))
+    return cases
+
+
+def test_traversal_matches_networkx():
+    # one traversal gives each component's mask and the mask of its vertices
+    # with a neighbor at their own distance from its lowest vertex, and the
+    # connected, is_tree and bipartite predicates read them
+    nx = pytest.importorskip("networkx")
+    for g in _traversal_cases():
+        G = nx.Graph()
+        G.add_nodes_from(range(g.order))
+        G.add_edges_from(g.edges())
+        found = list(components(g.adjacency))
+        masks = [sum(1 << v for v in part) for part in nx.connected_components(G)]
+        assert [comp for comp, _ in found] == sorted(masks, key=lambda m: m & -m)
+        for comp, odd in found:
+            root = (comp & -comp).bit_length() - 1
+            distance = nx.single_source_shortest_path_length(G, root)
+            assert odd == sum(1 << v for v in distance if any(
+                distance[u] == distance[v] for u in G[v]))
+            part = G.subgraph(distance)
+            assert (odd == 0) == nx.is_bipartite(part)
+        assert is_connected(g) == nx.is_connected(G)
+        assert is_tree(g) == nx.is_tree(G)
+        assert is_bipartite(g) == nx.is_bipartite(G)
 
 
 def _claw_free_brute(g):
