@@ -92,8 +92,10 @@ def _cmd_invariants(args) -> int:
     invariants = standard_invariants()
     predicates = standard_predicates()
     columns = list(invariants)
-    if args.columns:
+    if args.columns is not None:
         columns = _split_names(args.columns)
+        if not columns:
+            raise ConfigError("at least one column is required (--columns)")
         for name in columns:
             if name not in invariants and name not in predicates:
                 raise ConfigError(f"unknown column {name!r}")
@@ -167,13 +169,13 @@ def _cmd_conjecture(args) -> int:
     table = load_or_build_table(corpus, options["cache"], invariants, predicates)
     conjectures = engine.run_pipeline(table, engine_config)
 
+    if options["export"]:  # before any output, which a failed write stops
+        text = engine.write_export(conjectures, options["export"])
     if options["format"] == "text":
         print(f"# {len(conjectures)} conjectures from {table.n_rows} graphs")
         for rank, c in enumerate(conjectures, 1):
             print(f"{rank}. (touch {c.touch_number}, support {c.support_size}) "
                   f"{c.statement}")
-    if options["export"]:
-        text = engine.write_export(conjectures, options["export"])
     if options["format"] == "structured":  # the export text, built once
         print(text if options["export"] else engine.export_text(conjectures), end="")
     return 0

@@ -7,8 +7,8 @@ the sweep fits once per distinct support and returns one :class:`FitRecord`
 per (target, direction, other property, support): the integer bound and
 touched-row mask of the fit, the support mask, and every hypothesis sharing
 the support. Row sets are ``int`` bitmasks throughout (see
-:mod:`sharpbounds.features`). Within a target, each distinct selection is
-looked up once and fitted and self-checked once per direction.
+:mod:`sharpbounds.features`). Within a target, each distinct (direction,
+selection) is fitted and self-checked once.
 
 Filtering removes records that are strictly less general than an identical
 bound (generality filter) or that touch no row untouched by an earlier
@@ -16,10 +16,15 @@ accepted record (the touch-cover form of the Dalmatian filter). Every group
 of identical bounds lies inside one (target, other property, direction) and
 holds distinct supports, so the sweep runs the generality filter on each
 (target, other property) as it goes, on the bounds and supports alone, and
-builds a record only for a survivor. The Dalmatian filter, the ranking and
-the per-group truncation take fit records, and :func:`run_pipeline` builds a
-:class:`Conjecture` (with its label touch set) only for each listed record.
-Conjectures are presented in non-increasing touch-number order.
+builds a record only for a survivor. A record ranks after every record with
+more touches, so with the Dalmatian filter the sweep visits a target's
+selections by falling row count and skips a (direction, selection) whose
+reachable rows the fits with more touches already cover: the filter would
+reject its record, and the listing is the same (see :func:`fit_records`).
+The Dalmatian filter, the ranking and the per-group truncation take fit
+records, and :func:`run_pipeline` builds a :class:`Conjecture` (with its
+label touch set) only for each listed record. Conjectures are presented in
+non-increasing touch-number order.
 :func:`check_conjecture` re-checks a conjecture on any corpus in one walk
 over it.
 """
@@ -29,7 +34,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -169,19 +174,39 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     """Run the fitting sweep; one record per (target, direction, other
     property, distinct hypothesis support) with at least ``min_support``
     selected rows, and only the generality survivors among them when
-    ``config.filters`` names ``"generality"``.
+    ``config.filters`` names ``"generality"``. With the Dalmatian filter,
+    records it must reject may be left out (see below).
 
-    Hypotheses are grouped by support once per call. For each (target,
-    other property), rows are selected once per distinct support that holds
-    at least ``min_support`` rows with both values defined (counted on the
-    masks, before any selection), and fitted in every direction from that
-    one selection. Within a target, fits are memoised by the selected
-    points, one entry holding the fit of every direction, so columns that
-    agree on the selected rows share one fit and one self-check per
-    direction. With the generality filter, :func:`generality_filter` runs
-    on each (target, other property) before any record is built.
+    Hypotheses are grouped by support once per call. For each target, the
+    (other property, distinct support) selections holding at least
+    ``min_support`` rows with both values defined (counted on the masks,
+    before any selection) are visited in order of falling row count, and
+    each is fitted in every direction from one selection. Within a target,
+    fits are memoised by (direction, selected points), so columns that agree
+    on the selected rows share one fit and one self-check. With the
+    generality filter, :func:`generality_filter` runs on each (target, other
+    property) before any record is built.
+
+    With the Dalmatian filter, a (direction, selection) is skipped when
+    every row a fit of it could touch is already touched by fits of the
+    same target and direction with more touches: first on the selection's
+    rows, before :meth:`~FeatureTable.select_rows`, then on the rows of the
+    highest (upper) or lowest (lower) point at each x, the only rows a
+    feasible line can touch. This is exact. A skipped record would touch
+    only rows it could reach, each touched by a fit with more touches than
+    it could reach, so more than it touches. Such a fit is a record, or the
+    generality survivor that removes it touches a superset of its rows;
+    either way that record ranks strictly before the skipped one. The
+    touch-cover filter would therefore reject the skipped record, and
+    leaving it out changes no union of touched rows over a prefix of the
+    ranking, so no other record's fate. A record whose generality dominator
+    was skipped touches a subset of the dominator's rows and is rejected
+    for the same reason. Without the Dalmatian filter nothing is covered
+    and nothing is skipped.
+
     Records are ordered by target, direction, other property and first
-    hypothesis, and are a pure function of table and config.
+    hypothesis, whatever the visiting order, and are a pure function of
+    table and config.
     """
     for target in config.targets:
         if target not in table.numeric:
@@ -200,28 +225,26 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     general = "generality" in config.filters
     out: list[FitRecord] = []
     for target in sorted(config.targets):
-        by_direction: dict[str, list[FitRecord]] = {d: [] for d in directions}
-        # points -> self-checked fit per direction, for this target only
-        memo: dict[tuple, list[FitResult]] = {}
+        # (other, support entry, rows) for every selection with enough
+        # rows, in (other property, support) order
+        selections = []
         for other in sorted(table.numeric):
             if other == target:
                 continue
             both = defined[other] & defined[target]
-            # (fit, support entry) per fit, in support order
-            found = []
             for entry in supports:
-                support = entry[0]
                 # the selection would hold exactly these rows
-                if (support & both).bit_count() < config.min_support:
-                    continue
-                points = table.select_rows(support, x=other, y=target)
-                fits = memo.get(points)
-                if fits is None:
-                    fits = memo[points] = [fit_linear_bound(points, d)
-                                           for d in directions]
-                    _self_check(fits, points, table.labels, target, other,
-                                entry)
-                found.extend((fit, entry) for fit in fits)
+                rows = entry[0] & both
+                if rows.bit_count() >= config.min_support:
+                    selections.append((other, entry, rows))
+        fits = _fit_selections(table, target, selections, directions,
+                               "dalmatian" in config.filters)
+        by_direction: dict[str, list[FitRecord]] = {d: [] for d in directions}
+        for other, group in groupby(zip(selections, fits),
+                                    key=lambda s: s[0][0]):
+            # (fit, support entry) per fit, in support order
+            found = [(fit, entry) for (_, entry, _), made in group
+                     for fit in made]
             if general:
                 # the bound alone identifies its group within (target, other)
                 found = [found[i] for i in generality_filter(
@@ -233,6 +256,59 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
         for direction in directions:
             out.extend(by_direction[direction])
     return out
+
+
+def _fit_selections(table: FeatureTable, target: str, selections: list,
+                    directions: Sequence[str], dalmatian: bool
+                    ) -> list[list[FitResult]]:
+    # The fits of each (other, support entry, rows) selection, in direction
+    # order, visited by falling row count; ties keep the selections' order.
+    # With the Dalmatian filter, covers[d][t] is the union of the touched
+    # rows of the fits made in direction d with more than t touches, and a
+    # (direction, selection) whose reachable rows r all lie in
+    # covers[d][popcount(r)] is skipped (see fit_records).
+    covers = {d: [0] * (table.n_rows + 1) for d in directions}
+    memo: dict[tuple[str, tuple], FitResult] = {}
+    fits: list[list[FitResult]] = [[] for _ in selections]
+    order = sorted(range(len(selections)),
+                   key=lambda k: selections[k][2].bit_count(), reverse=True)
+    for k in order:
+        other, entry, rows = selections[k]
+        n = rows.bit_count()
+        open_directions = [d for d in directions if rows & ~covers[d][n]]
+        if not open_directions:
+            continue
+        points = table.select_rows(entry[0], x=other, y=target)
+        for d in open_directions:
+            cover = covers[d]
+            # with nothing covered, as always without the filter, there is
+            # nothing to test
+            if cover[0]:
+                reachable = _reachable_rows(points, d)
+                if not reachable & ~cover[reachable.bit_count()]:
+                    continue
+            fit = memo.get((d, points))
+            if fit is None:
+                fit = memo[d, points] = fit_linear_bound(points, d)
+                _self_check(fit, points, table.labels, target, other, entry)
+                if dalmatian:
+                    for t in range(fit.touched.bit_count()):
+                        cover[t] |= fit.touched
+            fits[k].append(fit)
+    return fits
+
+
+def _reachable_rows(points: Sequence[tuple[int, int, int]],
+                    direction: str) -> int:
+    # the rows of the highest (upper) or lowest (lower) point at each x, the
+    # only rows a feasible line can touch: the last or first point of each
+    # x, as select_rows returns points in (x, y) order
+    reachable, last = 0, None
+    for x, _, rows in (reversed(points) if direction == UPPER else points):
+        if x != last:
+            reachable |= rows
+            last = x
+    return reachable
 
 
 def _per_hypothesis(records: Sequence[FitRecord]) -> list[FitRecord]:
@@ -255,23 +331,20 @@ def _conjecture(record: FitRecord, labels: Sequence[str]) -> Conjecture:
     )
 
 
-def _self_check(fits: Sequence[FitResult],
-                points: Sequence[tuple[int, int, int]],
+def _self_check(fit: FitResult, points: Sequence[tuple[int, int, int]],
                 labels: Sequence[str], target: str, other: str,
                 entry: tuple) -> None:
-    # Defense in depth against fitter regressions: re-verify each fit's
+    # Defense in depth against fitter regressions: re-verify the fit's
     # inequality on every fitted point with the comparison verify uses. The
     # lowest bit of the violation mask is the lowest violating row, and the
     # message states the fit under the support's smallest hypothesis.
-    for fit in fits:
-        violated = fit.bound.violations(points)
-        if violated:
-            support, hypotheses, smallest = entry
-            record = FitRecord(target, other, support, fit, hypotheses,
-                               smallest)
-            raise AssertionError(
-                f"generated conjecture violated on row "
-                f"{labels[next(mask_rows(violated))]}: {record.statement}")
+    violated = fit.bound.violations(points)
+    if violated:
+        support, hypotheses, smallest = entry
+        record = FitRecord(target, other, support, fit, hypotheses, smallest)
+        raise AssertionError(
+            f"generated conjecture violated on row "
+            f"{labels[next(mask_rows(violated))]}: {record.statement}")
 
 
 # ---------------------------------------------------------------------------

@@ -249,13 +249,17 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     The text is written as UTF-8, whatever the locale, to a temporary file
     in the same directory, which then replaces ``path``. If anything fails
     the temporary file is removed, so ``path`` keeps its old content and
-    nothing else is left behind.
+    nothing else is left behind. An :class:`OSError` names ``path``, not the
+    temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -185,6 +185,7 @@ def test_narrow_invariants_cache_serves_a_later_conjecture(petersen_file,
     ("alpha,alpha", "independence_number"),
     ("alpha,independence_number", "independence_number"),
     ("n,cubic,order", "order"),
+    (",", None),  # no column at all
 ])
 def test_invariants_repeated_column_is_config_error(petersen_file, capsys,
                                                     columns, repeated):
@@ -192,7 +193,9 @@ def test_invariants_repeated_column_is_config_error(petersen_file, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"column '{repeated}' is given more than once" in captured.err
+    message = (f"column '{repeated}' is given more than once" if repeated
+               else "at least one column is required")
+    assert message in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +219,22 @@ def test_conjecture_run_and_export(tmp_path, capsys):
                and r["other"] == "matching_number"
                and r["slope"] == [1, 1] and r["intercept"] == [0, 1]
                for r in records)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_failed_export_write_prints_nothing_and_names_the_path(tmp_path, capsys,
+                                                              fmt):
+    # the export is written before anything is printed, and the error names
+    # the file asked for, not the temporary file beside it
+    export = tmp_path / "no" / "such" / "dir" / "x.jsonl"
+    code, out, err = run_main(
+        capsys, "conjecture", "--corpus",
+        str(ROOT / "data" / "cubic_connected_4_10.g6"), "--targets", "alpha",
+        "--format", fmt, "--export", str(export))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {export}: ")
+    assert ".tmp" not in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_conjecture_unknown_target_before_compute(tmp_path, capsys):

@@ -359,11 +359,12 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
     # the fitter makes its reduced pairs itself and skips the public
     # constructors' checks; with the generality filter on, the sweep builds
     # a record for each survivor only; and every (direction, distinct
-    # selection) of a target is fitted exactly once
+    # selection) of a target is fitted exactly once. The Dalmatian filter
+    # would skip fits (test_dalmatian_sweep_skips_only_covered_fits), so it
+    # stays off here
     table = build_table(read_graph6_file(DATA / "mixed_graphs.g6"))
     config = EngineConfig(targets=tuple(standard_invariants()),
-                          max_hypothesis_size=3,
-                          filters=("generality", "dalmatian"))
+                          max_hypothesis_size=3, filters=("generality",))
     unfiltered = engine.fit_records(table, replace(config, filters=()))
     survivors = general(unfiltered)
     assert len(survivors) < len(unfiltered)
@@ -402,6 +403,87 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
               for r in unfiltered}
     assert len(calls) == len(set(calls)) == len(wanted) < len(unfiltered)
     assert set(calls) == wanted
+
+
+def sweep_fits(table, config, monkeypatch):
+    # (target, direction, selected points) -> fit, for every fit the sweep
+    # makes, and the records, one target at a time
+    fits, records = {}, []
+    for target in sorted(config.targets):
+        def recording_fit(points, direction, target=target):
+            fit = fits[target, direction, points] = fit_linear_bound(
+                points, direction)
+            return fit
+
+        monkeypatch.setattr(engine, "fit_linear_bound", recording_fit)
+        records += engine.fit_records(table, replace(config, targets=(target,)))
+    monkeypatch.undo()
+    return fits, records
+
+
+@pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
+def test_dalmatian_sweep_skips_only_covered_fits(corpus, monkeypatch):
+    # every (target, direction, selection) that the generality-only sweep
+    # fits and the sweep with both filters skips touches only rows touched
+    # by fits of the same (target, direction) with strictly more touches;
+    # the records that remain keep the sweep's order, whatever the order in
+    # which selections are visited
+    table = build_table(read_graph6_file(DATA / corpus))
+    config = EngineConfig(targets=tuple(standard_invariants()),
+                          max_hypothesis_size=3, filters=("generality",))
+    every, _ = sweep_fits(table, config, monkeypatch)
+    kept, records = sweep_fits(
+        table, replace(config, filters=("generality", "dalmatian")), monkeypatch)
+    assert kept.keys() < every.keys()
+
+    # (target, direction) -> touch number -> union of the touched rows
+    touched = {}
+    for (target, direction, _), fit in kept.items():
+        by_count = touched.setdefault((target, direction), {})
+        n = fit.touch_number
+        by_count[n] = by_count.get(n, 0) | fit.touched
+    for (target, direction, points), fit in every.items():
+        if (target, direction, points) not in kept:
+            covered = 0
+            for n, rows in touched[target, direction].items():
+                if n > fit.touch_number:
+                    covered |= rows
+            assert fit.touched & ~covered == 0, (target, direction, points)
+
+    # by target, direction, other property and first hypothesis, which
+    # the enumeration orders by size, then by name
+    order = [(r.target, r.direction, r.other, len(r.hypotheses[0].key),
+              r.hypotheses[0].key) for r in records]
+    assert order == sorted(set(order))
+
+
+def test_dalmatian_sweep_fits_and_selects_less(monkeypatch):
+    # on the mixed corpus, the Dalmatian filter skips most fits and many
+    # row selections; every hypothesis support is still computed once
+    table = build_table(read_graph6_file(DATA / "mixed_graphs.g6"))
+    config = EngineConfig(targets=tuple(standard_invariants()),
+                          max_hypothesis_size=3, filters=("generality",))
+    counts = {}
+
+    def count(name, owner, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count("fit_linear_bound", engine, fitting.fit_linear_bound)
+    for name in ("support", "select_rows"):
+        count(name, FeatureTable, vars(FeatureTable)[name])
+    runs = []
+    for filters in (("generality",), ("generality", "dalmatian")):
+        counts.update(dict.fromkeys(("fit_linear_bound", "support",
+                                     "select_rows"), 0))
+        engine.fit_records(table, replace(config, filters=filters))
+        runs.append(dict(counts))
+    general, both = runs
+    assert both["support"] == general["support"] > 0
+    assert 2 * both["fit_linear_bound"] < general["fit_linear_bound"]
+    assert both["select_rows"] < general["select_rows"]
 
 
 @pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
