@@ -227,6 +227,40 @@ def search_independent_domination(g):
     raise AssertionError("unreachable: greedy maximal independent sets exist")
 
 
+def _scan_closure(rows, blue):
+    """The closure that ``_closure_mask`` replaced: full scans over the blue
+    vertices, repeated until one colors nothing."""
+    changed = True
+    while changed:
+        changed = False
+        scan = blue
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            white = rows[low.bit_length() - 1] & ~blue
+            if white and white & (white - 1) == 0:  # exactly one white neighbor
+                blue |= white
+                changed = True
+    return blue
+
+
+def search_zero_forcing(g):
+    """The subset loop that ``zero_forcing_number`` replaced: vertex sets of
+    the whole graph in order of size, with the closure by repeated scans,
+    until one's closure is every vertex."""
+    n = g.order
+    rows = g.adjacency
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
+            mask = 0
+            for v in combo:
+                mask |= 1 << v
+            if _scan_closure(rows, mask) == full:
+                return k
+    raise AssertionError("unreachable: the full vertex set forces itself")
+
+
 def oracle_domination(g):
     for k in range(g.order + 1):
         if any(_dominates(g, vs) for vs in _vertex_sets(g, k)):

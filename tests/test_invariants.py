@@ -97,6 +97,11 @@ def test_zero_forcing_known_values():
         assert zero_forcing_number(complete(n)) == n - 1
     assert zero_forcing_number(petersen()) == 5
     assert zero_forcing_number(complete_bipartite(3)) == 4
+    # summed over the connected components
+    for n in range(1, invariants.MAX_ORDER + 1):
+        assert zero_forcing_number(Graph.from_edges(n, [])) == n
+    assert zero_forcing_number(disjoint_union(path(3), cycle(4), complete(1))) \
+        == 1 + 2 + 1
 
 
 def test_vertex_cover_known_values():
@@ -135,6 +140,18 @@ def test_closure_monotone_and_idempotent(data):
     assert closed_small <= closed_big
     assert forcing_closure(g, closed_small) == closed_small
     assert closed_small == oracles.oracle_closure(g, small)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closure_equals_oracle_on_larger_graphs(data):
+    # long forcing chains, in which a vertex must be looked at again after
+    # a later vertex turns blue, need more vertices than the test above
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 12))
+    g = random_graph(rng, n, data.draw(st.floats(0.1, 0.8)))
+    blue = data.draw(st.sets(st.integers(0, n - 1)))
+    assert forcing_closure(g, blue) == oracles.oracle_closure(g, blue)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +239,7 @@ SEARCH_PAIRS = [
     (domination_number, oracles.search_domination),
     (total_domination_number, oracles.search_total_domination),
     (vertex_cover_number, oracles.search_vertex_cover),
+    (zero_forcing_number, oracles.search_zero_forcing),
 ]
 
 

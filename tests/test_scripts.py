@@ -18,6 +18,9 @@ def test_time_solvers_smoke():
     assert values["K_8"].endswith(" vertex_cover_number=7")
     assert "total_domination_number=6" in values["K_1,3 + 2K_2"]
     assert "total_domination_number=- " in values["E_8"]
+    # zero forcing summed over the components of the disconnected graphs
+    for label, z in (("E_8", 8), ("2K_4", 6), ("4K_2", 4), ("K_1,3 + 2K_2", 4)):
+        assert f" zero_forcing_number={z} " in values[label], label
     header, *table = lines[29:]
     assert header.startswith("solver") and "29 graphs of order 8, best of 3" in header
     assert [row.split()[0] for row in table] == [
