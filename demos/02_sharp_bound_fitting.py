@@ -6,8 +6,9 @@ Each point is (x, y, rows): a coordinate pair and the bitmask of the rows
 row it holds, and the fit reports the rows it touches as one mask. Points
 are read in x order, as a feature table's row selection returns them; any
 other order is sorted first. The fit itself is integers: ``result.bound``
-holds slope and intercept as reduced (numerator, denominator) pairs and
-checks a point against them by cross-multiplication, with no Fraction.
+holds slope and intercept as reduced (numerator, denominator) pairs, and
+its ``compare`` checks points against them by cross-multiplication, with no
+Fraction, returning the masks of the rows that violate and that touch it.
 
 Run from the repository root:  python3 demos/02_sharp_bound_fitting.py
 """
@@ -75,6 +76,7 @@ bound = result.bound
 print(f"integer fit: slope {bound.slope}, intercept {bound.intercept}"
       f" as (numerator, denominator)")
 print(f"upper bound: y <= {rhs(bound)}")
-print(f"(5, 7) holds: {bound.holds(5, 7)}, (6, 9) touches: {bound.touches(6, 9)}"
-      f" (cross-multiplied, no rounding anywhere)")
+violated, touched = bound.compare([(5, 7, 1 << 0), (6, 9, 1 << 1)])
+print(f"(5, 7) as row 0 and (6, 9) as row 1: violated rows {rows(violated)},"
+      f" touched rows {rows(touched)} (cross-multiplied, no rounding anywhere)")
 print(f"value at x=5: {bound.evaluate(5)} (exact, as a Fraction)")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import engine
 from .errors import ConfigError, SharpboundsError
-from .features import load_or_build_table
+from .features import build_table, load_or_build_table
 from .graph6 import Graph6Corpus, read_graph6_file
 from .invariants import resolve_column, standard_invariants
 from .predicates import standard_predicates
@@ -185,22 +185,42 @@ def _cmd_conjecture(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# what an export record that verify cannot check raises
+_RECORD_ERRORS = (SharpboundsError, KeyError, TypeError, ValueError)
+
+
 def _cmd_verify(args) -> int:
     corpus = _read_corpus(args.corpus, read_graph6_file)
     invariants = standard_invariants()
     predicates = standard_predicates()
 
-    failed = errored = False
+    # (line number, conjecture) per record, or the error that stops its check
+    records = []
     for lineno, record in engine.read_numbered_export(args.export):
         try:
             conj = engine.conjecture_from_record(record)
-            counterexample, touches = engine.check_conjecture(
-                conj, corpus, invariants, predicates)
-        except (SharpboundsError, KeyError, TypeError, ValueError) as exc:
-            print(f"ERROR {args.export}:{lineno}: {exc}")
+            engine.check_names(conj, invariants, predicates)
+        except _RECORD_ERRORS as exc:
+            conj = exc
+        records.append((lineno, conj))
+    # each predicate the checkable records name, once per graph
+    named = {name for _, conj in records if isinstance(conj, engine.Conjecture)
+             for name in conj.hypothesis.key}
+    table = build_table(corpus, {}, {name: fn for name, fn in predicates.items()
+                                     if name in named})
+
+    failed = errored = False
+    for lineno, conj in records:
+        if isinstance(conj, engine.Conjecture):
+            try:
+                counterexample, touches = engine.check_conjecture(
+                    conj, corpus, invariants, table)
+            except _RECORD_ERRORS as exc:
+                conj = exc
+        if not isinstance(conj, engine.Conjecture):
+            print(f"ERROR {args.export}:{lineno}: {conj}")
             errored = True
-            continue
-        if counterexample is None:
+        elif counterexample is None:
             print(f"HOLDS touch={touches} {conj.statement}")
         else:
             label, lhs, rhs = counterexample

@@ -25,8 +25,9 @@ The Dalmatian filter, the ranking and the per-group truncation take fit
 records, and :func:`run_pipeline` builds a :class:`Conjecture` (with its
 label touch set) only for each listed record. Conjectures are presented in
 non-increasing touch-number order.
-:func:`check_conjecture` re-checks a conjecture on any corpus in one walk
-over it.
+:func:`check_conjecture` re-checks a conjecture on any corpus: it reads the
+hypothesis's support off a predicate table over the corpus and walks the
+supporting graphs alone.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ from fractions import Fraction
 from itertools import combinations, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import (Callable, Container, Hashable, Iterable, Optional,
+                    Sequence)
 
 from .errors import ConfigError, UndefinedInvariantError
 from .features import (FeatureTable, Hypothesis, corpus_labels,
@@ -334,17 +336,22 @@ def _conjecture(record: FitRecord, labels: Sequence[str]) -> Conjecture:
 def _self_check(fit: FitResult, points: Sequence[tuple[int, int, int]],
                 labels: Sequence[str], target: str, other: str,
                 entry: tuple) -> None:
-    # Defense in depth against fitter regressions: re-verify the fit's
-    # inequality on every fitted point with the comparison verify uses. The
-    # lowest bit of the violation mask is the lowest violating row, and the
-    # message states the fit under the support's smallest hypothesis.
-    violated = fit.bound.violations(points)
-    if violated:
+    # Defense in depth against fitter regressions: compare the fit's
+    # inequality with every fitted point, as verify does. No row may violate
+    # it, and the rows on its line must be exactly the fit's touched rows,
+    # the mask that ranks, filters and exports the record. The message names
+    # the lowest violating row, else the lowest row the two touch masks
+    # disagree on, and states the fit under the support's smallest
+    # hypothesis.
+    violated, touched = fit.bound.compare(points)
+    wrong = touched ^ fit.touched
+    if violated or wrong:
         support, hypotheses, smallest = entry
         record = FitRecord(target, other, support, fit, hypotheses, smallest)
+        what = "violated" if violated else "touched differently"
+        row = labels[next(mask_rows(violated or wrong))]
         raise AssertionError(
-            f"generated conjecture violated on row "
-            f"{labels[next(mask_rows(violated))]}: {record.statement}")
+            f"generated conjecture {what} on row {row}: {record.statement}")
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +502,11 @@ def render_conjecture(c: Conjecture) -> str:
 # Verification against a corpus
 # ---------------------------------------------------------------------------
 
-def check_conjecture(c: Conjecture, corpus: Sequence[Graph],
-                     invariants: dict[str, Callable[[Graph], int]],
-                     predicates: dict[str, Callable[[Graph], bool]],
-                     ) -> tuple[Optional[tuple[str, Fraction, Fraction]], int]:
-    """Check the conjecture on every graph of ``corpus`` in one walk.
-
-    Returns ``(counterexample, touches)``. The counterexample is the first
-    hypothesis-satisfying graph violating the inequality, as (label, lhs
-    value, rhs value), or ``None``; the walk stops there. ``touches`` counts
-    the hypothesis-satisfying graphs walked that attain equality. Graphs on
-    which an involved invariant is undefined are skipped, not counted as
-    violations. Raises :class:`ConfigError` when the conjecture names
-    unknown columns, before any graph is looked at.
-    """
+def check_names(c: Conjecture, invariants: Container[str],
+                predicates: Container[str]) -> None:
+    """Raise :class:`ConfigError` naming the first column of the conjecture
+    that is not among the known ones: its target, then its other invariant,
+    then its hypothesis's predicates in sorted order."""
     for name in (c.target, c.other):
         if name not in invariants:
             raise ConfigError(f"unknown invariant {name!r}")
@@ -516,20 +514,45 @@ def check_conjecture(c: Conjecture, corpus: Sequence[Graph],
         if name not in predicates:
             raise ConfigError(f"unknown predicate {name!r}")
 
-    tests = [predicates[name] for name in c.hypothesis.key]
+
+def check_conjecture(c: Conjecture, corpus: Sequence[Graph],
+                     invariants: dict[str, Callable[[Graph], int]],
+                     table: FeatureTable,
+                     ) -> tuple[Optional[tuple[str, Fraction, Fraction]], int]:
+    """Check the conjecture on every graph of ``corpus`` that satisfies its
+    hypothesis.
+
+    ``table`` holds the predicate columns over ``corpus``, one row per graph
+    with the labels :func:`corpus_labels` gives, and the hypothesis's
+    support is read off it. The supporting graphs are walked in corpus
+    order, and the target and other invariant are solved on each of them
+    alone. Returns ``(counterexample, touches)``. The counterexample is the
+    first supporting graph violating the inequality, as (label, lhs value,
+    rhs value), or ``None``; the walk stops there. ``touches`` counts the
+    supporting graphs walked that attain equality. Graphs on which an
+    involved invariant is undefined are skipped, not counted as violations.
+    Raises :class:`ConfigError` when the conjecture names a column that
+    ``invariants`` or the table lacks (see :func:`check_names`), or when the
+    table's labels are not the corpus's, before any graph is looked at.
+    """
+    check_names(c, invariants, table.boolean)
+    if table.labels != corpus_labels(corpus):
+        raise ConfigError("the predicate table's rows are not the corpus graphs")
+
     target, other, bound = invariants[c.target], invariants[c.other], c.bound
     touches = 0
-    for label, g in zip(corpus_labels(corpus), corpus):
-        if not all(test(g) for test in tests):
-            continue
+    for i in mask_rows(table.support(c.hypothesis)):
+        g = corpus[i]
         try:
             y = target(g)
             x = other(g)
         except UndefinedInvariantError:
             continue
-        if not bound.holds(x, y):
-            return (label, Fraction(y), bound.evaluate(x)), touches
-        touches += bound.touches(x, y)
+        # one point of one row: each mask is 1 or 0
+        violated, touched = bound.compare(((x, y, 1),))
+        if violated:
+            return (table.labels[i], Fraction(y), bound.evaluate(x)), touches
+        touches += touched
     return None, touches
 
 

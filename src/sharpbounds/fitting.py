@@ -76,7 +76,7 @@ class SharpBoundingFunction(_Bound):
 
     ``slope`` m = p/q and ``intercept`` b = c/e are reduced ``(numerator,
     denominator)`` pairs with positive denominators, so equal bounds have
-    equal pairs. A point (x, y) is compared by the sign of
+    equal pairs. :meth:`compare` places a point (x, y) by the sign of
     ``y*q*e - p*e*x - c*q``, which is that of y - (m*x + b) scaled by q*e > 0.
     """
 
@@ -90,33 +90,27 @@ class SharpBoundingFunction(_Bound):
                 raise ValueError("slope and intercept must be reduced pairs")
         return super().__new__(cls, slope, intercept, direction)
 
-    def _excess(self, x, y) -> int:
-        (p, q), (c, e) = self.slope, self.intercept
-        return y * q * e - p * e * x - c * q
-
     def evaluate(self, x) -> Fraction:
         """Exact value m*x + b at an integer x."""
         (p, q), (c, e) = self.slope, self.intercept
         return Fraction(p * e * x + c * q, q * e)
 
-    def violations(self, points: Sequence[tuple[int, int, int]]) -> int:
-        """Union of the row masks of the points ``(x, y, rows)`` that violate
-        the bound: excess above zero for an upper bound, below for a lower."""
+    def compare(self, points: Sequence[tuple[int, int, int]]
+                ) -> tuple[int, int]:
+        """``(violated, touched)``: the unions of the row masks of the points
+        ``(x, y, rows)`` that violate the bound (excess above zero for an
+        upper bound, below for a lower) and of those on its line."""
         (p, q), (c, e) = self.slope, self.intercept
         qe, pe, cq = q * e, p * e, c * q
         sign = 1 if self.direction == UPPER else -1
-        violated = 0
+        violated = touched = 0
         for x, y, rows in points:
-            if (y * qe - pe * x - cq) * sign > 0:
+            excess = (y * qe - pe * x - cq) * sign
+            if excess > 0:
                 violated |= rows
-        return violated
-
-    def holds(self, x, y) -> bool:
-        """Whether (x, y) satisfies the bound exactly."""
-        return not self.violations(((x, y, 1),))
-
-    def touches(self, x, y) -> bool:
-        return self._excess(x, y) == 0
+            elif not excess:
+                touched |= rows
+        return violated, touched
 
 
 class _Fit(NamedTuple):

@@ -122,8 +122,9 @@ class Graph6Corpus(Sequence):
         self._name = p.name
         self._linenos = tuple(lineno for lineno, _ in entries)
         self.lines = tuple(_strip(raw) for _, raw in entries)
-        self.labels = ((p.stem,) if len(entries) == 1 else
-                       tuple(f"{p.stem}#{k}" for k in range(1, len(entries) + 1)))
+        stem = p.stem
+        self.labels = ((stem,) if len(entries) == 1 else
+                       tuple(f"{stem}#{k}" for k in range(1, len(entries) + 1)))
 
     def __len__(self) -> int:
         return len(self.lines)

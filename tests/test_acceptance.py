@@ -84,7 +84,8 @@ def test_criterion_1_alpha_mu_rediscovery(cubic_corpus_path):
     assert cubic_support & table.support(conj.hypothesis) == cubic_support
 
     assert check_conjecture(conj, corpus, standard_invariants(),
-                            standard_predicates())[0] is None
+                            build_table(corpus, {}, standard_predicates())
+                            )[0] is None
     elapsed = time.monotonic() - started
     assert elapsed < 60
     print(f"criterion 1: PASS  {conj.statement!r} touch={conj.touch_number} "
@@ -105,7 +106,7 @@ def test_criterion_2_zero_forcing_rediscovery(cubic_corpus_path):
                           top_k=10**6)
     unfiltered = generate(table, config)
     invariants = standard_invariants()
-    predicates = standard_predicates()
+    predicate_table = build_table(corpus, {}, standard_predicates())
 
     failures = []
 
@@ -118,7 +119,8 @@ def test_criterion_2_zero_forcing_rediscovery(cubic_corpus_path):
                 f"{label} not generated; fitted bounds for {other}: {fits}")
         claim = _claim("zero_forcing_number", other, slope, 0,
                        ("connected", "cubic"))
-        witness = check_conjecture(claim, corpus, invariants, predicates)[0]
+        witness = check_conjecture(claim, corpus, invariants,
+                                   predicate_table)[0]
         if witness is not None:
             failures.append(f"{label} fails corpus-wide: counterexample "
                             f"{witness[0]} with Z={witness[1]} > {witness[2]}")
@@ -238,9 +240,9 @@ def test_criterion_6_fitter_optimality():
         direction = rng.choice(["upper", "lower"])
         result = fit_linear_bound(points, direction)
         assert result.touch_number >= 1
-        for x, y, rows in points:
-            assert result.bound.holds(x, y), (trial, points, direction)
-            assert result.bound.touches(x, y) == bool(result.touched & rows)
+        # no point violates the bound, and the touched rows are on it
+        assert result.bound.compare(points) == (0, result.touched), \
+            (trial, points, direction)
         assert result.touch_number == oracles.oracle_best_touch(points,
                                                                 direction), \
             (trial, points, direction)

@@ -41,3 +41,9 @@ def test_removed_names_stay_removed():
         == ["pairs"]
     assert list(inspect.signature(sharpbounds.build_table).parameters) \
         == ["corpus", "invariants", "predicates"]
+    # one comparison of a bound with points replaces the per-point tests;
+    # check_conjecture reads hypotheses off a predicate table
+    for name in ("violations", "holds", "touches", "_excess"):
+        assert not hasattr(sharpbounds.SharpBoundingFunction, name)
+    assert list(inspect.signature(sharpbounds.check_conjecture).parameters) \
+        == ["c", "corpus", "invariants", "table"]

@@ -670,16 +670,9 @@ def test_verify_support_below_touch_number_is_an_error_line(tmp_path, capsys,
     assert len(out) == 2
 
 
-def test_verify_walks_the_corpus_once_per_record(tmp_path, capsys,
-                                                 monkeypatch):
-    # a record that holds is checked and touch-counted in one walk: each
-    # involved solver and predicate runs once per graph, and no other runs
-    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
-    export = tmp_path / "records.jsonl"
-    write_export([conjecture_record(other="matching_number",
-                                    hypothesis=("connected", "cubic"))], export)
-    calls = Counter()
-
+def count_column_calls(monkeypatch, calls):
+    """Make ``cli``'s registries count their calls in ``calls``, by
+    (column name, graph label)."""
     def counting(registry):
         def wrap(name, fn):
             def counted(g):
@@ -692,13 +685,60 @@ def test_verify_walks_the_corpus_once_per_record(tmp_path, capsys,
                         lambda: counting(standard_invariants()))
     monkeypatch.setattr(cli, "standard_predicates",
                         lambda: counting(standard_predicates()))
+
+
+def test_verify_walks_the_corpus_once_per_record(tmp_path, capsys,
+                                                 monkeypatch):
+    # each record that holds is checked and touch-counted in one walk: each
+    # of its solvers runs once per graph, each predicate any record names
+    # runs once per graph in the whole run, however many records name it,
+    # and no other column runs
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="matching_number",
+                                    hypothesis=("connected", "cubic")),
+                  conjecture_record(other="order", hypothesis=("cubic",))],
+                 export)
+    calls = Counter()
+    count_column_calls(monkeypatch, calls)
     code = main(["verify", str(export), str(corpus)])
     assert code == 0
-    assert capsys.readouterr().out.startswith("HOLDS touch=4 ")
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 2)[:2] for line in out] == \
+        [["HOLDS", "touch=4"], ["HOLDS", "touch=0"]]
     labels = [g.label for g in read_graph6_file(corpus)]
-    involved = ("independence_number", "matching_number", "connected", "cubic")
-    assert calls == Counter({(name, label): 1
-                             for name in involved for label in labels})
+    per_graph = {"independence_number": 2, "matching_number": 1, "order": 1,
+                 "connected": 1, "cubic": 1}
+    assert calls == Counter({(name, label): count
+                             for name, count in per_graph.items()
+                             for label in labels})
+
+
+def test_verify_computes_no_predicate_for_an_unchecked_record(tmp_path,
+                                                              capsys,
+                                                              monkeypatch):
+    # a record naming an unknown invariant, or an unknown predicate beside a
+    # known one, keeps its ERROR line, and its predicates are never computed
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4), cycle(5)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="girth", hypothesis=("bipartite",)),
+                  conjecture_record(other="order", hypothesis=("connected",))],
+                 export)
+    record = json.loads(export.read_text().splitlines()[0])
+    unknown = dict(record, other="order", hypothesis=["claw-free", "planar"])
+    export.write_text(export.read_text() + json.dumps(unknown) + "\n")
+    calls = Counter()
+    count_column_calls(monkeypatch, calls)
+    code = main(["verify", str(export), str(corpus)])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert out[0] == f"ERROR {export}:1: unknown invariant 'girth'"
+    assert out[1].startswith("HOLDS touch=0 ")
+    assert out[2] == f"ERROR {export}:3: unknown predicate 'planar'"
+    assert len(out) == 3
+    assert {name for name, _ in calls} == {"connected", "independence_number",
+                                           "order"}
 
 
 def test_verify_never_solves_a_graph_outside_the_support(tmp_path, capsys):

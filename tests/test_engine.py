@@ -120,8 +120,10 @@ def test_direction_follows_the_bound():
     assert c.direction == "lower"
     assert render_conjecture(c) == "α(G) ≥ 100"
     assert conjecture_to_record(c)["direction"] == "lower"
-    assert check_conjecture(c, [complete(3)], standard_invariants(),
-                            standard_predicates())[0][0] == "K3"
+    corpus = [complete(3)]
+    assert check_conjecture(c, corpus, standard_invariants(),
+                            build_table(corpus, {}, standard_predicates())
+                            )[0][0] == "K3"
     with pytest.raises(TypeError):
         Conjecture(direction="upper", **fields)
 
@@ -211,6 +213,28 @@ def test_generate_self_check_names_lowest_violated_row(monkeypatch):
     config = EngineConfig(targets=("y",), directions=("upper",),
                           max_hypothesis_size=0, min_support=1)
     with pytest.raises(AssertionError, match=r"violated on row a: y\(G\) ≤ 8$"):
+        engine.fit_records(table, config)
+
+
+def test_generate_self_check_names_a_missing_touched_row(monkeypatch):
+    # a fitter regression that drops the highest touched row from the mask
+    # that ranks, filters and exports the record must be caught too
+    def dropping_fit(points, direction):
+        fit = fit_linear_bound(points, direction)
+        return FitResult(fit.bound,
+                         fit.touched ^ 1 << fit.touched.bit_length() - 1)
+
+    monkeypatch.setattr(engine, "fit_linear_bound", dropping_fit)
+    table = FeatureTable(
+        labels=tuple("abcd"),
+        numeric={"y": (1, 2, 3, 1), "x": (1, 2, 3, 4)},
+        boolean={"all": (True,) * 4})
+    assert fit_linear_bound(table.select_rows(0b1111, "x", "y"),
+                            "upper").touched == 0b0111
+    config = EngineConfig(targets=("y",), directions=("upper",),
+                          max_hypothesis_size=0, min_support=1)
+    with pytest.raises(AssertionError,
+                       match=r"touched differently on row c: y\(G\) ≤ x\(G\)$"):
         engine.fit_records(table, config)
 
 
@@ -512,14 +536,13 @@ def test_generated_conjectures_hold_and_touch(random_suite):
     config = EngineConfig(targets=("independence_number", "zero_forcing_number"),
                           min_support=3)
     invariants = standard_invariants()
-    predicates = standard_predicates()
+    predicate_table = build_table(corpus, {}, standard_predicates())
     # no filter and no cut: one conjecture per hypothesis of every record
     out = run_pipeline(table, replace(config, filters=(), top_k=10**6))
     assert out
     for c in out:
         assert c.touch_number >= 1
-        assert check_conjecture(c, corpus, invariants, predicates)[0] is None
-        assert check_conjecture(c, corpus, invariants, predicates) == \
+        assert check_conjecture(c, corpus, invariants, predicate_table) == \
             (None, c.touch_number)
         support_labels = {table.labels[i]
                           for i in mask_rows(table.support(c.hypothesis))}
@@ -668,14 +691,15 @@ def test_counterexample_found_for_false_claim():
     claim = make_conjecture(other="min_degree", hypothesis=("connected",))
     corpus = [complete(4), star(3)]
     got = check_conjecture(claim, corpus, standard_invariants(),
-                           standard_predicates())[0]
+                           build_table(corpus, {}, standard_predicates()))[0]
     assert got == ("K1,3", 3, 1)
 
 
 def test_counterexample_vacuous_hypothesis():
     claim = make_conjecture(hypothesis=("cubic",), other="min_degree")
-    got = check_conjecture(claim, [cycle(5), path(4)],
-                           standard_invariants(), standard_predicates())[0]
+    corpus = [cycle(5), path(4)]
+    got = check_conjecture(claim, corpus, standard_invariants(),
+                           build_table(corpus, {}, standard_predicates()))[0]
     assert got is None
 
 
@@ -684,16 +708,37 @@ def test_counterexample_skips_undefined_rows():
                             other="order", slope=0, intercept=0)
     # K1 satisfies the empty hypothesis but has no total domination number;
     # it must be skipped, not reported
-    got = check_conjecture(claim, [complete(1)], standard_invariants(),
-                           standard_predicates())[0]
+    corpus = [complete(1)]
+    got = check_conjecture(claim, corpus, standard_invariants(),
+                           build_table(corpus, {}, standard_predicates()))[0]
     assert got is None
 
 
 def test_counterexample_unknown_column():
     claim = make_conjecture(other="chromatic_number")
-    with pytest.raises(ConfigError):
-        check_conjecture(claim, [complete(3)], standard_invariants(),
-                         standard_predicates())
+    corpus = [complete(3)]
+    with pytest.raises(ConfigError, match="unknown invariant 'chromatic_number'"):
+        check_conjecture(claim, corpus, standard_invariants(),
+                         build_table(corpus, {}, standard_predicates()))
+
+
+def test_check_conjecture_needs_the_corpus_table():
+    # a table over other graphs, or over the same graphs in another order,
+    # would read the hypothesis off the wrong rows
+    claim = make_conjecture(other="order")
+    corpus = [complete(3), cycle(5)]
+    invariants = standard_invariants()
+    for rows in ([cycle(5), complete(3)], [complete(3)],
+                 [complete(3), cycle(5), path(4)]):
+        with pytest.raises(ConfigError, match="rows are not the corpus"):
+            check_conjecture(claim, corpus, invariants,
+                             build_table(rows, {}, standard_predicates()))
+    no_predicates = build_table(corpus, {}, {})
+    assert check_conjecture(claim, corpus, invariants, no_predicates)[0] is None
+    # a predicate the table lacks is unknown to the check
+    cubic = make_conjecture(other="order", hypothesis=("cubic",))
+    with pytest.raises(ConfigError, match="unknown predicate 'cubic'"):
+        check_conjecture(cubic, corpus, invariants, no_predicates)
 
 
 # ---------------------------------------------------------------------------

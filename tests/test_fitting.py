@@ -86,9 +86,8 @@ directions = st.sampled_from(["upper", "lower"])
 @given(point_lists, directions)
 def test_feasible_sharp_and_optimal(points, direction):
     r = fit(points, direction)
-    for i, (x, y) in enumerate(points):
-        assert r.bound.holds(x, y)
-        assert r.bound.touches(x, y) == (i in touched_rows(r))
+    # no row violates the bound, and the rows on it are the touched ones
+    assert r.bound.compare(one_per_row(points)) == (0, r.touched)
     assert r.touch_number >= 1
     assert r.touch_number == oracles.oracle_best_touch(one_per_row(points),
                                                        direction)
@@ -125,10 +124,9 @@ def test_mirror_symmetry(points, direction):
     assert mirrored.bound.slope == negated(r.bound.slope)
     assert mirrored.bound.intercept == negated(r.bound.intercept)
     assert mirrored.touched == r.touched
-    for i, (x, y) in enumerate(points):
-        assert r.bound.holds(x, y) and mirrored.bound.holds(x, -y)
-        assert r.bound.touches(x, y) == (i in touched_rows(r))
-        assert mirrored.bound.touches(x, -y) == (i in touched_rows(r))
+    assert r.bound.compare(one_per_row(points)) == (0, r.touched)
+    assert mirrored.bound.compare(
+        one_per_row([(x, -y) for x, y in points])) == (0, r.touched)
 
 
 @st.composite
@@ -319,15 +317,17 @@ def reduced_pairs(draw):
 @example((-3, 2), (1, 6), "lower", -4, -6)
 @example((1, 3), (-1, 2), "upper", 3, 0)
 def test_integer_comparison_matches_fractions(slope, intercept, direction, x, y):
-    # cross-multiplied holds/touches agree with plain Fraction arithmetic
+    # the cross-multiplied comparison of one point agrees with plain
+    # Fraction arithmetic
     bound = SharpBoundingFunction(slope, intercept, direction)
     rhs = Fraction(*slope) * x + Fraction(*intercept)
     assert bound.evaluate(x) == rhs
-    assert bound.touches(x, y) == (y == rhs)
-    assert bound.holds(x, y) == (y <= rhs if direction == "upper" else y >= rhs)
+    violated, touched = bound.compare([(x, y, 1)])
+    assert touched == (y == rhs)
+    assert violated == (y > rhs if direction == "upper" else y < rhs)
     # the touching point itself, where the rhs is an integer
     if rhs.denominator == 1:
-        assert bound.touches(x, rhs.numerator) and bound.holds(x, rhs.numerator)
+        assert bound.compare([(x, rhs.numerator, 1)]) == (0, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -336,14 +336,19 @@ def test_integer_comparison_matches_fractions(slope, intercept, direction, x, y)
                           st.integers(1, 2**10)), max_size=12))
 def test_violation_mask_is_the_union_of_failing_rows(slope, intercept,
                                                      direction, points):
-    # the bulk self-check mask ORs the rows of exactly the points where
-    # holds is false, masks of several rows (overlapping ones too) included
+    # the comparison's two masks OR the rows of exactly the points above
+    # (upper) or below (lower) the bound and of exactly those on it, each
+    # point compared alone or all at once, masks of several rows
+    # (overlapping ones too) included
     bound = SharpBoundingFunction(slope, intercept, direction)
-    by_holds = by_fractions = 0
+    one_by_one = [0, 0]
+    violated = touched = 0
     for x, y, rows in points:
+        for k, mask in enumerate(bound.compare([(x, y, rows)])):
+            one_by_one[k] |= mask
         rhs = Fraction(*slope) * x + Fraction(*intercept)
-        if not bound.holds(x, y):
-            by_holds |= rows
         if (y > rhs if direction == "upper" else y < rhs):
-            by_fractions |= rows
-    assert bound.violations(points) == by_holds == by_fractions
+            violated |= rows
+        elif y == rhs:
+            touched |= rows
+    assert bound.compare(points) == tuple(one_by_one) == (violated, touched)
