@@ -52,6 +52,5 @@ print("== how much the filters trim ==")
 raw = fit_records(table2, replace(config2, filters=()))
 filtered = run_pipeline(table2, config2)
 print(f"raw fits with a touch: {len(raw)}, one per distinct hypothesis "
-      f"support ({sum(len(r.hypotheses) for r in raw)} bounds stated under "
-      f"each hypothesis)")
+      f"support, each stated under its smallest hypothesis")
 print(f"after the generality filter and top-k: {len(filtered)}")

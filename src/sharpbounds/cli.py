@@ -211,21 +211,23 @@ def _cmd_verify(args) -> int:
 
     failed = errored = False
     for lineno, conj in records:
-        if isinstance(conj, engine.Conjecture):
-            try:
-                counterexample, touches = engine.check_conjecture(
-                    conj, corpus, invariants, table)
-            except _RECORD_ERRORS as exc:
-                conj = exc
-        if not isinstance(conj, engine.Conjecture):
-            print(f"ERROR {args.export}:{lineno}: {conj}")
+        # the verdict line is built inside the try too: printing a value of
+        # more digits than int converts to a string raises ValueError
+        try:
+            if not isinstance(conj, engine.Conjecture):
+                raise conj  # what stopped the record's parse or name check
+            counterexample, touches = engine.check_conjecture(
+                conj, corpus, invariants, table)
+            if counterexample is None:
+                line = f"HOLDS touch={touches} {conj.statement}"
+            else:
+                label, lhs, rhs = counterexample
+                line = f"COUNTEREXAMPLE {label} lhs={lhs} rhs={rhs} {conj.statement}"
+                failed = True
+        except _RECORD_ERRORS as exc:
+            line = f"ERROR {args.export}:{lineno}: {exc}"
             errored = True
-        elif counterexample is None:
-            print(f"HOLDS touch={touches} {conj.statement}")
-        else:
-            label, lhs, rhs = counterexample
-            print(f"COUNTEREXAMPLE {label} lhs={lhs} rhs={rhs} {conj.statement}")
-            failed = True
+        print(line)
     if errored:
         return 2
     return 1 if failed else 0

@@ -5,10 +5,11 @@ hypothesis) combination and fits the touch-maximal sharp bound on the
 selected rows. Hypotheses with the same support select the same rows, so
 the sweep fits once per distinct support and returns one :class:`FitRecord`
 per (target, direction, other property, support): the integer bound and
-touched-row mask of the fit, the support mask, and every hypothesis sharing
-the support. Row sets are ``int`` bitmasks throughout (see
-:mod:`sharpbounds.features`). Within a target, each distinct (direction,
-selection) is fitted and self-checked once.
+touched-row mask of the fit, the support mask, and the smallest hypothesis
+with the support, which names it under every filter choice. Row sets are
+``int`` bitmasks throughout (see :mod:`sharpbounds.features`). Within a
+target, each distinct (direction, selection) is fitted and self-checked
+once.
 
 Filtering removes records that are strictly less general than an identical
 bound (generality filter) or that touch no row untouched by an earlier
@@ -138,11 +139,10 @@ class FitRecord:
     ``other`` in one direction, over the rows of one distinct hypothesis
     support.
 
-    ``fit`` holds the integer bound and the touched-row mask, ``support``
-    the row mask, and ``hypotheses`` every enumerated hypothesis with that
-    support, in enumeration order. ``hypothesis`` is the smallest of them by
-    key, the most general name of the support: the one a record that stands
-    for its support is stated under.
+    ``fit`` holds the integer bound and the touched-row mask, and
+    ``support`` the row mask. ``hypothesis`` is the smallest by key of the
+    enumerated hypotheses with that support, the most general name of the
+    support: the one the record is stated under.
     ``bound``, ``direction``, ``touch_number``, ``support_size`` and
     ``statement`` read as the record's conjecture's would. The filters and
     the ranking take records only; a record becomes a :class:`Conjecture`
@@ -153,7 +153,6 @@ class FitRecord:
     other: str
     support: int
     fit: FitResult
-    hypotheses: Sequence[Hypothesis]
     hypothesis: Hypothesis
 
     @property
@@ -206,9 +205,9 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     for the same reason. Without the Dalmatian filter nothing is covered
     and nothing is skipped.
 
-    Records are ordered by target, direction, other property and first
-    hypothesis, whatever the visiting order, and are a pure function of
-    table and config.
+    Records are ordered by target, direction, other property and support,
+    supports in the order their first hypotheses are enumerated, whatever
+    the visiting order, and are a pure function of table and config.
     """
     for target in config.targets:
         if target not in table.numeric:
@@ -218,7 +217,8 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     shared: dict[int, list[Hypothesis]] = {}
     for h in enumerate_hypotheses(table, config.max_hypothesis_size):
         shared.setdefault(table.support(h), []).append(h)
-    supports = [(support, tuple(hs), min(hs, key=attrgetter("key")))
+    # (support, the smallest hypothesis sharing it)
+    supports = [(support, min(hs, key=attrgetter("key")))
                 for support, hs in shared.items()]
     # column -> mask of the rows where it is defined
     defined = {name: sum(1 << i for i, v in enumerate(col) if v is not None)
@@ -251,10 +251,9 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
                 # the bound alone identifies its group within (target, other)
                 found = [found[i] for i in generality_filter(
                     [(fit.bound, entry[0]) for fit, entry in found])]
-            for fit, (support, hypotheses, smallest) in found:
+            for fit, (support, hypothesis) in found:
                 by_direction[fit.bound.direction].append(
-                    FitRecord(target, other, support, fit, hypotheses,
-                              smallest))
+                    FitRecord(target, other, support, fit, hypothesis))
         for direction in directions:
             out.extend(by_direction[direction])
     return out
@@ -313,12 +312,6 @@ def _reachable_rows(points: Sequence[tuple[int, int, int]],
     return reachable
 
 
-def _per_hypothesis(records: Sequence[FitRecord]) -> list[FitRecord]:
-    # one record per hypothesis of each record, stated under it
-    return [FitRecord(r.target, r.other, r.support, r.fit, (h,), h)
-            for r in records for h in r.hypotheses]
-
-
 def _conjecture(record: FitRecord, labels: Sequence[str]) -> Conjecture:
     # the record's conjecture, stated under record.hypothesis
     touch_set = frozenset(labels[i] for i in mask_rows(record.fit.touched))
@@ -346,8 +339,7 @@ def _self_check(fit: FitResult, points: Sequence[tuple[int, int, int]],
     violated, touched = fit.bound.compare(points)
     wrong = touched ^ fit.touched
     if violated or wrong:
-        support, hypotheses, smallest = entry
-        record = FitRecord(target, other, support, fit, hypotheses, smallest)
+        record = FitRecord(target, other, entry[0], fit, entry[1])
         what = "violated" if violated else "touched differently"
         row = labels[next(mask_rows(violated or wrong))]
         raise AssertionError(
@@ -443,14 +435,12 @@ def run_pipeline(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
     """Fit, filter, sort and truncate in one deterministic pass.
 
     Filtering, ranking and truncation run on the fit records, before any
-    conjecture exists, and each listed record becomes one conjecture. With
-    the generality filter (run inside :func:`fit_records`) a record stands
-    for its smallest hypothesis; without it, for each of its hypotheses.
+    conjecture exists, and each listed record becomes one conjecture. The
+    generality filter runs inside :func:`fit_records`. A record it removes
+    touches a subset of the rows of a record with its bound and a larger
+    support, which ranks first, so the Dalmatian filter rejects it too.
     """
-    records = fit_records(table, config)
-    if "generality" not in config.filters:
-        records = _per_hypothesis(records)
-    records = sort_conjectures(records)
+    records = sort_conjectures(fit_records(table, config))
     if "dalmatian" in config.filters:
         records = dalmatian_filter(records)
     return [_conjecture(r, table.labels)
@@ -645,8 +635,10 @@ def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> str:
 def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:
     """(line number, raw record) for every non-blank line, numbered from 1.
 
-    A line that is not JSON raises ConfigError at path:line, and a file
-    that is not UTF-8 text raises ConfigError naming the path.
+    A line that is not JSON, or that Python cannot read as JSON (an integer
+    of more digits than ``int`` converts from a string, an array nested
+    deeper than the recursion limit), raises ConfigError at path:line, and
+    a file that is not UTF-8 text raises ConfigError naming the path.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -657,6 +649,8 @@ def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:
         if line.strip():
             try:
                 records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc.msg}") from None
+            except (ValueError, RecursionError) as exc:
+                # a JSONDecodeError's msg leaves out the position
+                raise ConfigError(f"{path}:{lineno}: "
+                                  f"{getattr(exc, 'msg', exc)}") from None
     return records

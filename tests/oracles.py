@@ -6,10 +6,10 @@ pruning, trading speed for obvious correctness. ``search_*`` functions,
 replaced, for differential tests against its successor. Intended for graphs with at most
 eight to ten vertices.
 
-``generate`` and ``pipeline`` are the per-hypothesis conjecture pipeline:
-one conjecture for every hypothesis of every fit record, filtered over
-label sets, as a reference for ``run_pipeline``, which filters and ranks the
-records themselves.
+``generate`` and ``pipeline`` are the conjecture-level pipeline: one
+conjecture for every fit record, stated under the smallest hypothesis of its
+support and filtered over label sets, as a reference for ``run_pipeline``,
+which filters and ranks the records themselves.
 """
 
 from dataclasses import replace
@@ -529,18 +529,17 @@ def hull_fit(points: Sequence[tuple], direction: str
 
 def generate(table, config):
     """The unfiltered conjecture list: every fit record of the sweep stated
-    under each hypothesis sharing its support, ordered by target, direction,
-    other property and hypothesis (smallest first, then by name). The sweep
-    is asked for every record, whatever filters ``config`` names."""
+    under its hypothesis, ordered by target, direction, other property and
+    hypothesis (smallest first, then by name). The sweep is asked for every
+    record, whatever filters ``config`` names."""
     out = []
     for r in fit_records(table, replace(config, filters=())):
         touch_set = frozenset(table.labels[i]
                               for i in mask_rows(r.fit.touched))
-        for h in r.hypotheses:
-            out.append(Conjecture(
-                target=r.target, other=r.other, hypothesis=h, bound=r.fit.bound,
-                touch_set=touch_set, touch_number=len(touch_set),
-                support_size=r.support.bit_count()))
+        out.append(Conjecture(
+            target=r.target, other=r.other, hypothesis=r.hypothesis,
+            bound=r.fit.bound, touch_set=touch_set,
+            touch_number=len(touch_set), support_size=r.support.bit_count()))
     out.sort(key=lambda c: (c.target, c.direction, c.other,
                             len(c.hypothesis.key), c.hypothesis.key))
     return out
@@ -554,8 +553,7 @@ def support_labels(table, hypothesis):
 
 def generality_filter(conjectures, table):
     """Drop each conjecture whose support is a strict subset of the support
-    of another conjecture with the same bound, or equals it under a smaller
-    hypothesis; supports are label sets."""
+    of another conjecture with the same bound; supports are label sets."""
     supports = [support_labels(table, c.hypothesis) for c in conjectures]
     same_bound = {}
     for i, c in enumerate(conjectures):
@@ -563,8 +561,6 @@ def generality_filter(conjectures, table):
     kept = []
     for i, c in enumerate(conjectures):
         if not any(supports[i] < supports[j]
-                   or (supports[i] == supports[j]
-                       and conjectures[j].hypothesis.key < c.hypothesis.key)
                    for j in same_bound[(c.target, c.other, c.bound)]):
             kept.append(c)
     return kept

@@ -17,7 +17,8 @@ def test_all_equals_the_public_bindings():
 
 def test_removed_names_stay_removed():
     # the per-hypothesis conjecture list and the second corpus walk of
-    # verify are gone: fit_records and check_conjecture replace them; so are
+    # verify are gone: fit_records and check_conjecture replace them, and a
+    # fit record is listed once, under its smallest hypothesis; so are
     # the family-name lookup and the one-graph predicate dict: call the
     # builders and standard_predicates() directly. check_conjecture(...)[0]
     # is the counterexample, read_numbered_export reads an export, and a
@@ -27,7 +28,7 @@ def test_removed_names_stay_removed():
     removed = {sharpbounds.engine: ("generate", "touch_count_on",
                                     "find_counterexample", "read_export",
                                     "_bound_and_support", "_R", "_name_list",
-                                    "_int_pair", "_int"),
+                                    "_int_pair", "_int", "_per_hypothesis"),
                sharpbounds.graphs: ("named_graph", "graph_names"),
                sharpbounds.predicates: ("evaluate_predicates",)}
     for module, names in removed.items():
@@ -37,6 +38,7 @@ def test_removed_names_stay_removed():
             assert not hasattr(module, name)
     for cls in (sharpbounds.Conjecture, sharpbounds.FitRecord):
         assert not hasattr(cls, "bound_key")
+    assert not hasattr(sharpbounds.FitRecord, "hypotheses")
     assert list(inspect.signature(sharpbounds.generality_filter).parameters) \
         == ["pairs"]
     assert list(inspect.signature(sharpbounds.build_table).parameters) \

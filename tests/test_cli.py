@@ -533,6 +533,43 @@ def test_verify_malformed_export_line_is_config_error(tmp_path, capsys):
     assert f"{export}:2:" in captured.err
 
 
+@pytest.mark.parametrize("line", [
+    # more digits than int converts from a string
+    '{"target": "independence_number", "slope": [1%s, 1]}' % ("0" * 4300),
+    # nested deeper than the recursion limit
+    "[" * 200_000 + "]" * 200_000,
+], ids=["4301-digit-integer", "200000-deep-array"])
+def test_verify_unreadable_json_line_is_config_error(tmp_path, capsys, line):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record()], export)
+    export.write_text(export.read_text() + line + "\n")
+    code = main(["verify", str(export), str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {export}:2: ")
+
+
+def test_verify_unprintable_counterexample_is_an_error_line(tmp_path, capsys):
+    # both pairs parse, and K4 refutes the bound, but its rhs has more
+    # digits than int converts to a string
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    export = tmp_path / "records.jsonl"
+    huge = 10**4299
+    write_export([conjecture_record(other="order", hypothesis=(),
+                                    slope=-huge, intercept=Fraction(1, huge)),
+                  conjecture_record(other="order", hypothesis=())], export)
+    code = main(["verify", str(export), str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 2
+    first, second = captured.out.splitlines()
+    assert first.startswith(f"ERROR {export}:1: Exceeds the limit")
+    assert second.startswith("HOLDS touch=")
+    assert captured.err == ""
+
+
 def test_verify_non_utf8_export(tmp_path, capsys):
     corpus = tmp_path / "c.g6"
     write_graph6_file([complete(4)], corpus)

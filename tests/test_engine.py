@@ -59,14 +59,14 @@ def make_conjecture(target="independence_number", other="matching_number",
 def make_record(target="independence_number", other="matching_number",
                 direction="upper", hypothesis=(), slope=1, intercept=0,
                 touched=0b1, support=0b11111):
-    """A fit record stated under ``hypothesis`` alone; ``touched`` and
+    """A fit record stated under ``hypothesis``; ``touched`` and
     ``support`` are row masks."""
     h = Hypothesis(hypothesis)
     bound = SharpBoundingFunction(Fraction(slope).as_integer_ratio(),
                                   Fraction(intercept).as_integer_ratio(),
                                   direction)
     return engine.FitRecord(target, other, support, FitResult(bound, touched),
-                            (h,), h)
+                            h)
 
 
 def general(records):
@@ -164,12 +164,18 @@ def test_generate_respects_min_support():
                           directions=("upper",), min_support=4)
     out = engine.fit_records(table, config)
     assert out
+    hypotheses = engine.enumerate_hypotheses(table, config.max_hypothesis_size)
     for r in out:
-        assert all(table.support(h) == r.support for h in r.hypotheses)
+        # named by the smallest hypothesis with its support
+        assert r.hypothesis == min(
+            (h for h in hypotheses if table.support(h) == r.support),
+            key=lambda h: h.key)
         points = table.select_rows(r.support, r.other, r.target)
         assert sum(rows.bit_count() for _, _, rows in points) >= 4
-    # cubic selects two graphs only, below the support gate
-    assert all("cubic" not in h.predicates for r in out for h in r.hypotheses)
+    # cubic selects two graphs only, below the support gate, so no record
+    # has the support of a hypothesis naming it
+    cubic = {table.support(h) for h in hypotheses if "cubic" in h.predicates}
+    assert cubic and not cubic & {r.support for r in out}
 
 
 def test_generate_validates_target():
@@ -258,14 +264,16 @@ def test_generate_fits_once_per_distinct_support(monkeypatch):
                           max_hypothesis_size=2, min_support=3, filters=())
     out = engine.fit_records(table, config)
     assert len(calls) == 2 == len(set(calls))
-    assert [[h.key for h in r.hypotheses] for r in out] == \
-        [[(), ("always",)], [("even",), ("always", "even")]]
+    assert [r.support for r in out] == [0b111111, 0b101010]
+    hypotheses = engine.enumerate_hypotheses(table, 2)
+    assert [[h.key for h in hypotheses if table.support(h) == r.support]
+            for r in out] == [[(), ("always",)], [("even",), ("always", "even")]]
     # a record is stated under its lexicographically smallest key
     assert [r.hypothesis.key for r in out] == [(), ("always", "even")]
 
     (plain,) = engine.fit_records(table, replace(config, max_hypothesis_size=0))
     assert len(calls) == 3
-    assert out[0] == replace(plain, hypotheses=out[0].hypotheses)
+    assert out[0] == plain
     assert out[1].support_size == 3
     assert out[1].fit.touched == 0b101010  # rows b, d and f
 
@@ -298,10 +306,10 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
 
     # the shared fit changes nothing: each record holds its own fresh fit;
     # "all" holds on every row, so it shares the empty hypothesis's record
-    assert [(r.direction, r.other, [h.key for h in r.hypotheses])
+    assert [(r.direction, r.other, r.support, r.hypothesis.key)
             for r in out] == \
-        [(d, other, hs) for d in ("lower", "upper") for other in "uv"
-         for hs in (hypotheses[:2], hypotheses[2:])]
+        [(d, other, support, h) for d in ("lower", "upper") for other in "uv"
+         for support, h in ((0b11111111, ()), (0b10101010, ("even",)))]
     for r in out:
         assert r.support == table.support(r.hypothesis)
         fit = fit_linear_bound(table.select_rows(r.support, r.other, "y"),
@@ -474,10 +482,13 @@ def test_dalmatian_sweep_skips_only_covered_fits(corpus, monkeypatch):
                     covered |= rows
             assert fit.touched & ~covered == 0, (target, direction, points)
 
-    # by target, direction, other property and first hypothesis, which
-    # the enumeration orders by size, then by name
-    order = [(r.target, r.direction, r.other, len(r.hypotheses[0].key),
-              r.hypotheses[0].key) for r in records]
+    # by target, direction, other property and the first hypothesis of the
+    # support, which the enumeration orders by size, then by name
+    first = {}
+    for h in engine.enumerate_hypotheses(table, config.max_hypothesis_size):
+        first.setdefault(table.support(h), h)
+    order = [(r.target, r.direction, r.other, len(first[r.support].key),
+              first[r.support].key) for r in records]
     assert order == sorted(set(order))
 
 
@@ -537,7 +548,7 @@ def test_generated_conjectures_hold_and_touch(random_suite):
                           min_support=3)
     invariants = standard_invariants()
     predicate_table = build_table(corpus, {}, standard_predicates())
-    # no filter and no cut: one conjecture per hypothesis of every record
+    # no filter and no cut: one conjecture per record
     out = run_pipeline(table, replace(config, filters=(), top_k=10**6))
     assert out
     for c in out:

@@ -29,11 +29,11 @@ from oracles import generate
 # export, verify of that pipeline export on each bundled corpus)
 GOLDEN = {
     "cubic_connected_4_10.g6": (
-        "1a40d471f8c88cc0a7187214d130591c618d3e387c59885f3dbb55da15f2761b",
+        "c3a37eef7e56d281f0fc1d77bb3eb8ce4cd019b7cb0983370eaff9f8b9f33bc6",
         "9266eb621f64a10e2a7cb63041a1011ddc4d4a06f022d44740cd200d5cb9b50b",
         "9c4b71b0034402de19ca82f8c36f85122c336f006777fd4c8c9087b3ff80036a"),
     "mixed_graphs.g6": (
-        "86e9bf7be97519e4069323ed5285bb82ca21a5167ff4a70ac1928856d34fc17e",
+        "ca934ce5e39138de0ab6b60568336f3ecd489495e3050ce88b758c638fe7d95e",
         "daeadc913c228b30618bacca68a789b61b561dacf638ca62464e7a00e4206d03",
         "de0157d9d524b295474a555b0f3ca5175c84f903a8b1577f7d28c269b7d08dbb"),
 }

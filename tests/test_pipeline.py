@@ -1,10 +1,12 @@
-"""Differential tests: ``run_pipeline`` against the per-hypothesis reference.
+"""Differential tests: ``run_pipeline`` against the conjecture-level reference.
 
 ``run_pipeline`` filters, ranks and truncates the sweep's fit records and
 builds a conjecture only for each listed one. It must return exactly what
 the reference in ``oracles`` returns: ``oracles.generate``'s list of one
-conjecture per hypothesis, filtered over label sets, ranked and truncated,
-for every filter choice and knob setting.
+conjecture per fit record, filtered over label sets, ranked and truncated,
+for every filter choice and knob setting. No filter choice lists one
+support's bound twice, and the Dalmatian filter alone lists what it lists
+with the generality filter.
 """
 
 from dataclasses import replace
@@ -90,9 +92,41 @@ def test_pipeline_equals_filtered_generate_on_random_tables(run):
         oracles.pipeline(oracles.generate(table, config), table, config))
 
 
+def assert_one_statement_per_support(table, config):
+    # under every filter choice, no two listed conjectures share a (target,
+    # other, bound, support), the bound holding the direction; and the
+    # Dalmatian filter alone lists what it lists with the generality filter
+    listed = {filters: run_pipeline(table, replace(config, filters=filters))
+              for filters in FILTERS}
+    for conjectures in listed.values():
+        keys = [(c.target, c.other, c.bound, table.support(c.hypothesis))
+                for c in conjectures]
+        assert len(set(keys)) == len(keys)
+    assert_same_conjectures(listed[("dalmatian",)],
+                            listed[("generality", "dalmatian")])
+
+
+@pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
+@pytest.mark.parametrize("max_size, top_k", [(2, 10), (3, 10**6)])
+def test_one_statement_per_support_on_bundled_corpora(corpus_tables, corpus,
+                                                      max_size, top_k):
+    assert_one_statement_per_support(
+        corpus_tables[corpus],
+        EngineConfig(targets=TARGETS, max_hypothesis_size=max_size,
+                     top_k=top_k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_runs())
+def test_one_statement_per_support_on_random_tables(run):
+    assert_one_statement_per_support(*run)
+
+
 def test_pipeline_builds_conjectures_only_for_survivors(corpus_tables,
                                                         monkeypatch):
-    table = corpus_tables["cubic_connected_4_10.g6"]
+    # on the census no support's bound is less general than another's, so
+    # the mixed corpus, where the generality filter drops most records
+    table = corpus_tables["mixed_graphs.g6"]
     config = EngineConfig(targets=TARGETS, max_hypothesis_size=3,
                           filters=("generality",), top_k=10**6)
     raw = oracles.generate(table, config)

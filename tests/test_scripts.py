@@ -35,3 +35,40 @@ def test_time_solvers_rejects_an_order_it_cannot_build():
          "--order", "10"], capture_output=True, text=True)
     assert result.returncode == 2
     assert "--order must be a multiple of 4" in result.stderr
+
+
+def test_output_digests_smoke():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digests.py")],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    corpora = ("cubic_connected_4_10.g6", "mixed_graphs.g6")
+    names = [f"{corpus} {filters} {fmt}" for corpus in corpora
+             for filters in ("both", "none", "generality", "dalmatian")
+             for fmt in ("text", "structured")]
+    names += [f"{corpus} invariants {columns}" for corpus in corpora
+              for columns in ("all", "alpha", "connected,order")]
+    names += [f"{corpus} {run}" for run in ("cache-rewrites", "config")
+              for corpus in corpora]
+    names += [f"config-error {name}" for name in (
+        "unknown-key", "repeated-key", "no-equals", "non-integer",
+        "bad-filters", "bad-format")]
+    names += ["verify bad-records", "structured-stdout-equals-export",
+              *(f"help {command}" for command in (
+                  "sharpbounds", "invariants", "conjecture", "verify"))]
+    lines = result.stdout.splitlines()
+    assert len(lines) == len(names) == 38
+    digests = {}
+    for line, name in zip(lines, names):
+        head, _, value = line.rpartition(" ")
+        assert head == name
+        if name == "structured-stdout-equals-export":
+            assert value == "True"
+        else:
+            assert len(value) == 64 and set(value) <= set("0123456789abcdef")
+            digests[name] = value
+    # the Dalmatian filter alone lists what both filters list
+    for corpus in corpora:
+        for fmt in ("text", "structured"):
+            assert digests[f"{corpus} dalmatian {fmt}"] == \
+                digests[f"{corpus} both {fmt}"]
