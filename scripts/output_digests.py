@@ -12,6 +12,12 @@ predicates, one digest covers:
   bundled corpora;
 - the table cache file.
 
+Then, for each bundled corpus, ``--filters`` choice ``generality`` and
+``none``, and ``--top-k`` of 1 and 3, with the same targets and hypotheses,
+one digest covers the exit code, stdout and stderr of ``conjecture`` and
+the ``--export`` file it writes: cuts that every table's groups reach, so
+that the sweep skips the fits they cannot list.
+
 Then, for each bundled corpus, one digest covers the exit code, stdout and
 stderr of ``invariants`` for each of three column requests: the full
 registry, ``--columns alpha`` and ``--columns connected,order``. Each of
@@ -72,6 +78,8 @@ from sharpbounds.invariants import standard_invariants  # noqa: E402
 CORPORA = ("cubic_connected_4_10.g6", "mixed_graphs.g6")
 FILTERS = ("both", "none", "generality", "dalmatian")
 FORMATS = ("text", "structured")
+# the cuts digested under the filter choices without the Dalmatian filter
+TOP_K = {"generality": ("1", "3"), "none": ("1", "3")}
 # ``invariants`` column requests, by the name each digest line gives them
 COLUMNS = {"all": (), "alpha": ("--columns", "alpha"),
            "connected,order": ("--columns", "connected,order")}
@@ -178,6 +186,21 @@ def main() -> int:
                     hash_tables(digest, cache)
                     export.unlink()
                     print(f"{corpus} {filters} {fmt} {digest.hexdigest()}")
+        for corpus in CORPORA:
+            for filters, cuts in TOP_K.items():
+                for top_k in cuts:
+                    digest = hashlib.sha256()
+                    export = Path("export.jsonl")
+                    run(digest, ["conjecture", "--corpus", corpus,
+                                 "--targets", targets, "--filters", filters,
+                                 "--max-hypothesis-size", "3",
+                                 "--top-k", top_k,
+                                 "--cache", f"cache-{corpus}",
+                                 "--export", str(export)])
+                    digest.update(export.read_bytes() + b"\0")
+                    export.unlink()
+                    print(f"{corpus} {filters} top-k {top_k} "
+                          f"{digest.hexdigest()}")
         for corpus in CORPORA:
             for name, columns in COLUMNS.items():
                 digest = hashlib.sha256()

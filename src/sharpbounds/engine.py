@@ -18,10 +18,13 @@ of identical bounds lies inside one (target, other property, direction) and
 holds distinct supports, so the sweep runs the generality filter on each
 (target, other property) as it goes, on the bounds and supports alone, and
 builds a record only for a survivor. A record ranks after every record with
-more touches, so with the Dalmatian filter the sweep visits a target's
-selections by falling row count and skips a (direction, selection) whose
-reachable rows the fits with more touches already cover: the filter would
-reject its record, and the listing is the same (see :func:`fit_records`).
+more touches, so the sweep visits a target's selections by falling row
+count and skips a (direction, selection) whose record the listing cannot
+use: with the Dalmatian filter, one whose touchable rows the fits with more
+touches already cover, as the filter would reject it; without it, one with
+fewer touchable rows than ``top_k`` records of its (target, direction)
+already touch, as the cut would drop it. The listing is the same (see
+:func:`fit_records`).
 The Dalmatian filter, the ranking and the per-group truncation take fit
 records, and :func:`run_pipeline` builds a :class:`Conjecture` (with its
 label touch set) only for each listed record. Conjectures are presented in
@@ -37,7 +40,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
-from operator import attrgetter
 from pathlib import Path
 from typing import (Callable, Container, Hashable, Iterable, Optional,
                     Sequence)
@@ -126,11 +128,15 @@ class EngineConfig:
 
 def enumerate_hypotheses(table: FeatureTable, max_size: int) -> list[Hypothesis]:
     """All predicate conjunctions up to ``max_size``, smallest first."""
+    return [Hypothesis(key) for key in _hypothesis_keys(table, max_size)]
+
+
+def _hypothesis_keys(table: FeatureTable, max_size: int
+                     ) -> Iterable[tuple[str, ...]]:
+    # the sorted name tuple of each enumerated hypothesis, in order
     names = sorted(table.boolean)
-    out = [Hypothesis()]
-    for k in range(1, min(max_size, len(names)) + 1):
-        out.extend(Hypothesis(combo) for combo in combinations(names, k))
-    return out
+    for k in range(min(max_size, len(names)) + 1):
+        yield from combinations(names, k)
 
 
 @dataclass(slots=True)
@@ -175,35 +181,61 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     """Run the fitting sweep; one record per (target, direction, other
     property, distinct hypothesis support) with at least ``min_support``
     selected rows, and only the generality survivors among them when
-    ``config.filters`` names ``"generality"``. With the Dalmatian filter,
-    records it must reject may be left out (see below).
+    ``config.filters`` names ``"generality"``. Records the listing cannot
+    use may be left out (see below); ask with ``filters=()`` and a
+    ``top_k`` above the number of records for every one of them.
 
-    Hypotheses are grouped by support once per call. For each target, the
-    (other property, distinct support) selections holding at least
-    ``min_support`` rows with both values defined (counted on the masks,
-    before any selection) are visited in order of falling row count, and
-    each is fitted in every direction from one selection. Within a target,
-    fits are memoised by (direction, selected points), so columns that agree
-    on the selected rows share one fit and one self-check. With the
-    generality filter, :func:`generality_filter` runs on each (target, other
-    property) before any record is built.
+    Supports are read off the predicates' row masks, once per call. For
+    each target, the (other property, distinct support) selections holding
+    at least ``min_support`` rows with both values defined (counted on the
+    masks, before any selection) are visited in order of falling row count,
+    and each is fitted in every direction from one selection. Within a
+    target, fits are memoised by (selected points, direction), so columns
+    that agree on the selected rows share one fit and one self-check. With
+    the generality filter, :func:`generality_filter` runs on each (target,
+    other property) before any record is built.
 
-    With the Dalmatian filter, a (direction, selection) is skipped when
-    every row a fit of it could touch is already touched by fits of the
-    same target and direction with more touches: first on the selection's
-    rows, before :meth:`~FeatureTable.select_rows`, then on the rows of the
-    highest (upper) or lowest (lower) point at each x, the only rows a
-    feasible line can touch. This is exact. A skipped record would touch
-    only rows it could reach, each touched by a fit with more touches than
-    it could reach, so more than it touches. Such a fit is a record, or the
-    generality survivor that removes it touches a superset of its rows;
-    either way that record ranks strictly before the skipped one. The
-    touch-cover filter would therefore reject the skipped record, and
-    leaving it out changes no union of touched rows over a prefix of the
-    ranking, so no other record's fate. A record whose generality dominator
-    was skipped touches a subset of the dominator's rows and is rejected
-    for the same reason. Without the Dalmatian filter nothing is covered
-    and nothing is skipped.
+    A (direction, selection) is skipped when no fit touching only rows of
+    some set r can be listed, with r each of three row sets, each inside
+    the one before: the selection's rows, before
+    :meth:`~FeatureTable.select_rows`; the rows of the highest (upper) or
+    lowest (lower) point at each x, the only rows a feasible line can
+    touch; and, once the fitter has counted its candidate lines, the rows
+    of those with the most touches, the fitted bound and any tied with it
+    (the ``skip`` hook of :func:`~sharpbounds.fitting.fit_linear_bound`). A
+    skipped fit is memoised as skipped: both tests below only skip more as
+    fits are made. One of the two tests runs, by whether the Dalmatian
+    filter is on.
+
+    With the Dalmatian filter, r is skipped when every row of it is already
+    touched by fits of the same target and direction with more touches than
+    r has rows. This is exact. A skipped record would touch only rows of r,
+    each touched by a fit with more touches than it has. Such a fit is a
+    record, or the generality survivor that removes it touches a superset
+    of its rows; either way that record ranks strictly before the skipped
+    one. The touch-cover filter would therefore reject the skipped record,
+    and leaving it out changes no union of touched rows over a prefix of
+    the ranking, so no other record's fate. A record whose generality
+    dominator was skipped touches a subset of the dominator's rows and is
+    rejected for the same reason.
+
+    Without it, r is skipped when it has fewer rows than ``kth``: for each
+    (target, direction), take the most touches of each (other property,
+    bound) class among the fits made so far, and let ``kth`` be the
+    ``top_k``-th largest of them (0 with fewer classes). This is exact too.
+    The fits of a class share one generality group, and the one with the
+    most touches is a record or is removed by a record of its class with a
+    larger support, which touches a superset of its rows. So ``top_k``
+    classes give ``top_k`` distinct records with at least ``kth`` touches,
+    each ranking strictly before a skipped record, which touches at most
+    the rows of r. Nothing but the per-group cut removes a record then, so
+    the cut drops the skipped record, and drops too any record whose
+    generality dominator was skipped, since it touches a subset of the
+    dominator's rows. With no filter every fit is a record, and the
+    argument holds the same way. It rests on distinct classes giving
+    distinct listed records: a change that lists one inequality once across
+    (target, other, bound) groups (ROADMAP item 10's key) must check it
+    again, since two classes could then share one listed record.
 
     Records are ordered by target, direction, other property and support,
     supports in the order their first hypotheses are enumerated, whatever
@@ -213,18 +245,28 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
         if target not in table.numeric:
             raise ConfigError(f"target {target!r} is not a numeric column")
 
-    # support -> every hypothesis sharing it, in enumeration order
-    shared: dict[int, list[Hypothesis]] = {}
-    for h in enumerate_hypotheses(table, config.max_hypothesis_size):
-        shared.setdefault(table.support(h), []).append(h)
+    # support -> the smallest key of the hypotheses sharing it, supports in
+    # the order their first hypotheses are enumerated
+    masks = {name: table.support(Hypothesis((name,)))
+             for name in table.boolean}
+    everything = table.support(Hypothesis())
+    smallest: dict[int, tuple[str, ...]] = {}
+    for key in _hypothesis_keys(table, config.max_hypothesis_size):
+        support = everything
+        for name in key:
+            support &= masks[name]
+        known = smallest.get(support)
+        if known is None or key < known:
+            smallest[support] = key
     # (support, the smallest hypothesis sharing it)
-    supports = [(support, min(hs, key=attrgetter("key")))
-                for support, hs in shared.items()]
+    supports = [(support, Hypothesis(key)) for support, key in smallest.items()]
     # column -> mask of the rows where it is defined
-    defined = {name: sum(1 << i for i, v in enumerate(col) if v is not None)
+    defined = {name: everything if None not in col else
+               sum(1 << i for i, v in enumerate(col) if v is not None)
                for name, col in table.numeric.items()}
     directions = sorted(config.directions)
     general = "generality" in config.filters
+    dalmatian = "dalmatian" in config.filters
     out: list[FitRecord] = []
     for target in sorted(config.targets):
         # (other, support entry, rows) for every selection with enough
@@ -239,8 +281,10 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
                 rows = entry[0] & both
                 if rows.bit_count() >= config.min_support:
                     selections.append((other, entry, rows))
-        fits = _fit_selections(table, target, selections, directions,
-                               "dalmatian" in config.filters)
+        skips = {d: _CoverSkip(table.n_rows) if dalmatian
+                 else _TopKSkip(table.n_rows, config.top_k)
+                 for d in directions}
+        fits = _fit_selections(table, target, selections, directions, skips)
         by_direction: dict[str, list[FitRecord]] = {d: [] for d in directions}
         for other, group in groupby(zip(selections, fits),
                                     key=lambda s: s[0][0]):
@@ -259,43 +303,98 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     return out
 
 
+class _CoverSkip:
+    # The Dalmatian test of one (target, direction): covers[t] is the union
+    # of the touched rows of the fits with more than t touches, so covers
+    # only shrink as t grows, and rows r are skipped when they all lie in
+    # covers[popcount(r)] (see fit_records).
+    __slots__ = ("covers",)
+
+    def __init__(self, n_rows: int):
+        self.covers = [0] * (n_rows + 1)
+
+    def covered(self, rows: int) -> bool:
+        return not rows & ~self.covers[rows.bit_count()]
+
+    def add(self, other: str, fit: FitResult) -> None:
+        # below the first cover that holds the touches, every cover does
+        touched, covers = fit.touched, self.covers
+        for t in range(touched.bit_count() - 1, -1, -1):
+            if not touched & ~covers[t]:
+                break
+            covers[t] |= touched
+
+
+class _TopKSkip(_CoverSkip):
+    # The top-k test of one (target, direction), as a cover test: covers[t]
+    # is every row for t < kth and no row from kth on, so rows r are
+    # skipped when popcount(r) < kth (see fit_records). best maps each
+    # (other, bound) class to the most touches of its fits, at_least[t]
+    # counts the classes with at least t touches, and kth is the largest t
+    # that top_k classes reach (0 while there are fewer).
+    __slots__ = ("everything", "top_k", "best", "at_least", "kth")
+
+    def __init__(self, n_rows: int, top_k: int):
+        super().__init__(n_rows)
+        self.everything = (1 << n_rows) - 1
+        self.top_k = top_k
+        self.best: dict[tuple, int] = {}
+        self.at_least = [0] * (n_rows + 2)
+        self.kth = 0
+
+    def add(self, other: str, fit: FitResult) -> None:
+        key = (other, fit.bound)
+        old, n = self.best.get(key, 0), fit.touched.bit_count()
+        if n > old:
+            self.best[key] = n
+            at_least = self.at_least
+            for t in range(old + 1, n + 1):
+                at_least[t] += 1
+            while at_least[self.kth + 1] >= self.top_k:
+                self.covers[self.kth] = self.everything
+                self.kth += 1
+
+
 def _fit_selections(table: FeatureTable, target: str, selections: list,
-                    directions: Sequence[str], dalmatian: bool
+                    directions: Sequence[str], skips: dict
                     ) -> list[list[FitResult]]:
     # The fits of each (other, support entry, rows) selection, in direction
     # order, visited by falling row count; ties keep the selections' order.
-    # With the Dalmatian filter, covers[d][t] is the union of the touched
-    # rows of the fits made in direction d with more than t touches, and a
-    # (direction, selection) whose reachable rows r all lie in
-    # covers[d][popcount(r)] is skipped (see fit_records).
-    covers = {d: [0] * (table.n_rows + 1) for d in directions}
-    memo: dict[tuple[str, tuple], FitResult] = {}
+    # skips[d] tests a row set in direction d and learns each fit kept
+    # there; memo maps selected points to direction to the fit, or to None
+    # when it was skipped. Every row set tested holds a row, so none is
+    # skipped while covers[1] is empty, and until then the reachable rows
+    # are not worth reading.
+    memo: dict[tuple, dict[str, Optional[FitResult]]] = {}
     fits: list[list[FitResult]] = [[] for _ in selections]
     order = sorted(range(len(selections)),
                    key=lambda k: selections[k][2].bit_count(), reverse=True)
     for k in order:
         other, entry, rows = selections[k]
         n = rows.bit_count()
-        open_directions = [d for d in directions if rows & ~covers[d][n]]
+        open_directions = [d for d in directions
+                           if rows & ~skips[d].covers[n]]
         if not open_directions:
             continue
         points = table.select_rows(entry[0], x=other, y=target)
+        known = memo.get(points)
+        if known is None:
+            known = memo[points] = {}
         for d in open_directions:
-            cover = covers[d]
-            # with nothing covered, as always without the filter, there is
-            # nothing to test
-            if cover[0]:
-                reachable = _reachable_rows(points, d)
-                if not reachable & ~cover[reachable.bit_count()]:
-                    continue
-            fit = memo.get((d, points))
-            if fit is None:
-                fit = memo[d, points] = fit_linear_bound(points, d)
-                _self_check(fit, points, table.labels, target, other, entry)
-                if dalmatian:
-                    for t in range(fit.touched.bit_count()):
-                        cover[t] |= fit.touched
-            fits[k].append(fit)
+            skip = skips[d]
+            if d in known:
+                fit = known[d]
+            elif skip.covers[1] and skip.covered(_reachable_rows(points, d)):
+                fit = known[d] = None
+            else:
+                fit = known[d] = fit_linear_bound(points, d,
+                                                  skip=skip.covered)
+                if fit is not None:
+                    _self_check(fit, points, table.labels, target, other,
+                                entry)
+            if fit is not None:
+                fits[k].append(fit)
+                skip.add(other, fit)
     return fits
 
 

@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 UPPER = "upper"
 LOWER = "lower"
@@ -138,7 +138,8 @@ class FitResult(_Fit):
 _new = tuple.__new__
 
 
-def fit_linear_bound(points: Sequence[tuple], direction: str
+def fit_linear_bound(points: Sequence[tuple], direction: str,
+                     skip: Optional[Callable[[int], bool]] = None
                      ) -> Optional[FitResult]:
     """Fit the touch-maximal sharp linear bound over ``points``.
 
@@ -151,6 +152,23 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
         order is sorted by x. The touched rows come back as one mask.
         Returns ``None`` on empty input.
     direction : "upper" or "lower"
+    skip : callable, optional
+        Called once the candidates are counted and before the ties among
+        them are broken, with the union of the touches of the candidates
+        with the most touches: the rows of the fitted bound, or of the
+        bounds tied with it on touches. When ``skip`` returns true, no
+        bound is chosen and ``None`` is returned.
+
+    Every touch-maximal feasible line is a candidate or touches the rows
+    of one, so the mask handed to ``skip`` is the union of the touches of
+    every feasible line with the most touches. A tight feasible line
+    touches only points on the upper boundary of the points' convex hull,
+    as every point, and so the hull, lies on or below it. If it touches two
+    distinct x, it contains the hull edge between them and is that edge's
+    candidate, or the flat one for a flat edge. If it touches a single
+    point, that point is a hull vertex: with two or more distinct x, the
+    line through an edge at the vertex touches more rows; with one, the
+    flat candidate touches the same rows.
 
     Ties on touch number are broken by smallest total slack, then smallest
     |slope|; a final sign tie prefers the smaller slope for upper bounds and
@@ -246,6 +264,12 @@ def fit_linear_bound(points: Sequence[tuple], direction: str
             if tied is None:
                 tied = [best]
             tied.append((touched, p, q, b))
+    if skip is not None:
+        rows = best[0]
+        for candidate in tied or ():
+            rows |= candidate[0]
+        if skip(rows):
+            return None
 
     # Ties on touches go to the least (slack, |m|, m), compared as integers
     # scaled by the common denominator den (module docstring); the first

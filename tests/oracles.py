@@ -12,6 +12,7 @@ support and filtered over label sets, as a reference for ``run_pipeline``,
 which filters and ranks the records themselves.
 """
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -531,9 +532,10 @@ def generate(table, config):
     """The unfiltered conjecture list: every fit record of the sweep stated
     under its hypothesis, ordered by target, direction, other property and
     hypothesis (smallest first, then by name). The sweep is asked for every
-    record, whatever filters ``config`` names."""
+    record, whatever filters and cut ``config`` names: with no filter and a
+    ``top_k`` no group reaches, it skips no fit."""
     out = []
-    for r in fit_records(table, replace(config, filters=())):
+    for r in fit_records(table, replace(config, filters=(), top_k=sys.maxsize)):
         touch_set = frozenset(table.labels[i]
                               for i in mask_rows(r.fit.touched))
         out.append(Conjecture(

@@ -185,8 +185,9 @@ def test_generate_validates_target():
         engine.fit_records(table, config)
 
 
-def undercutting_fit(points, direction):
-    # a fitter regression: the flat line one below the largest y
+def undercutting_fit(points, direction, skip=None):
+    # a fitter regression: the flat line one below the largest y, made
+    # whatever the skip hook would say
     top = max(y for _, y, _ in points)
     touched = 0
     for _, y, rows in points:
@@ -225,9 +226,9 @@ def test_generate_self_check_names_lowest_violated_row(monkeypatch):
 def test_generate_self_check_names_a_missing_touched_row(monkeypatch):
     # a fitter regression that drops the highest touched row from the mask
     # that ranks, filters and exports the record must be caught too
-    def dropping_fit(points, direction):
-        fit = fit_linear_bound(points, direction)
-        return FitResult(fit.bound,
+    def dropping_fit(points, direction, skip=None):
+        fit = fit_linear_bound(points, direction, skip)
+        return fit and FitResult(fit.bound,
                          fit.touched ^ 1 << fit.touched.bit_length() - 1)
 
     monkeypatch.setattr(engine, "fit_linear_bound", dropping_fit)
@@ -254,9 +255,9 @@ def test_generate_fits_once_per_distinct_support(monkeypatch):
                  "even": (False, True, False, True, False, True)})
     calls = []
 
-    def counting_fit(points, direction):
+    def counting_fit(points, direction, skip=None):
         calls.append(tuple(points))
-        return fit_linear_bound(points, direction)
+        return fit_linear_bound(points, direction, skip)
 
     monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
     # every record of the sweep, not the generality survivors only
@@ -291,9 +292,9 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
                           filters=())
     calls = []
 
-    def counting_fit(points, direction):
+    def counting_fit(points, direction, skip=None):
         calls.append((direction, points))
-        return fit_linear_bound(points, direction)
+        return fit_linear_bound(points, direction, skip)
 
     monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
     out = engine.fit_records(table, config)
@@ -392,11 +393,14 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
     # constructors' checks; with the generality filter on, the sweep builds
     # a record for each survivor only; and every (direction, distinct
     # selection) of a target is fitted exactly once. The Dalmatian filter
-    # would skip fits (test_dalmatian_sweep_skips_only_covered_fits), so it
-    # stays off here
+    # and a top_k that some group reaches would skip fits
+    # (test_dalmatian_sweep_skips_only_covered_fits and
+    # test_top_k_sweep_skips_only_fits_below_the_kth_class), so both stay
+    # off here
     table = build_table(read_graph6_file(DATA / "mixed_graphs.g6"))
     config = EngineConfig(targets=tuple(standard_invariants()),
-                          max_hypothesis_size=3, filters=("generality",))
+                          max_hypothesis_size=3, filters=("generality",),
+                          top_k=10**6)
     unfiltered = engine.fit_records(table, replace(config, filters=()))
     survivors = general(unfiltered)
     assert len(survivors) < len(unfiltered)
@@ -419,9 +423,9 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
     calls = []
     out = []
     for target in sorted(config.targets):
-        def recording_fit(points, direction, target=target):
+        def recording_fit(points, direction, skip=None, target=target):
             calls.append((target, direction, points))
-            return fit_linear_bound(points, direction)
+            return fit_linear_bound(points, direction, skip)
 
         monkeypatch.setattr(engine, "fit_linear_bound", recording_fit)
         out += engine.fit_records(table, replace(config, targets=(target,)))
@@ -439,12 +443,14 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
 
 def sweep_fits(table, config, monkeypatch):
     # (target, direction, selected points) -> fit, for every fit the sweep
-    # makes, and the records, one target at a time
+    # makes (a fit its skip hook stops is not made), and the records, one
+    # target at a time
     fits, records = {}, []
     for target in sorted(config.targets):
-        def recording_fit(points, direction, target=target):
-            fit = fits[target, direction, points] = fit_linear_bound(
-                points, direction)
+        def recording_fit(points, direction, skip=None, target=target):
+            fit = fit_linear_bound(points, direction, skip)
+            if fit is not None:
+                fits[target, direction, points] = fit
             return fit
 
         monkeypatch.setattr(engine, "fit_linear_bound", recording_fit)
@@ -455,14 +461,15 @@ def sweep_fits(table, config, monkeypatch):
 
 @pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
 def test_dalmatian_sweep_skips_only_covered_fits(corpus, monkeypatch):
-    # every (target, direction, selection) that the generality-only sweep
-    # fits and the sweep with both filters skips touches only rows touched
-    # by fits of the same (target, direction) with strictly more touches;
-    # the records that remain keep the sweep's order, whatever the order in
-    # which selections are visited
+    # every (target, direction, selection) that the uncut generality-only
+    # sweep fits and the sweep with both filters skips touches only rows
+    # touched by fits of the same (target, direction) with strictly more
+    # touches; the records that remain keep the sweep's order, whatever the
+    # order in which selections are visited
     table = build_table(read_graph6_file(DATA / corpus))
     config = EngineConfig(targets=tuple(standard_invariants()),
-                          max_hypothesis_size=3, filters=("generality",))
+                          max_hypothesis_size=3, filters=("generality",),
+                          top_k=10**6)
     every, _ = sweep_fits(table, config, monkeypatch)
     kept, records = sweep_fits(
         table, replace(config, filters=("generality", "dalmatian")), monkeypatch)
@@ -492,33 +499,102 @@ def test_dalmatian_sweep_skips_only_covered_fits(corpus, monkeypatch):
     assert order == sorted(set(order))
 
 
-def test_dalmatian_sweep_fits_and_selects_less(monkeypatch):
-    # on the mixed corpus, the Dalmatian filter skips most fits and many
-    # row selections; every hypothesis support is still computed once
-    table = build_table(read_graph6_file(DATA / "mixed_graphs.g6"))
+@pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
+@pytest.mark.parametrize("top_k", [1, 3])
+def test_top_k_sweep_skips_only_fits_below_the_kth_class(corpus, top_k,
+                                                          monkeypatch):
+    # every (target, direction, selection) that the uncut generality-only
+    # sweep fits and the sweep cut to top_k skips touches fewer rows than
+    # the top_k-th largest of the most touches of each (other property,
+    # bound) class of its (target, direction) among the cut sweep's
+    # records, and the two sweeps' records with at least that many touches
+    # are the same
+    table = build_table(read_graph6_file(DATA / corpus))
     config = EngineConfig(targets=tuple(standard_invariants()),
-                          max_hypothesis_size=3, filters=("generality",))
-    counts = {}
+                          max_hypothesis_size=3, filters=("generality",),
+                          top_k=10**6)
+    every, uncut = sweep_fits(table, config, monkeypatch)
+    kept, records = sweep_fits(table, replace(config, top_k=top_k),
+                               monkeypatch)
+    assert kept.keys() < every.keys()
 
-    def count(name, owner, original):
-        def counted(*args, **kwargs):
+    # (target, direction) -> (other, bound) -> most touches of the class
+    best = {}
+    for r in records:
+        classes = best.setdefault((r.target, r.direction), {})
+        key = (r.other, r.bound)
+        classes[key] = max(classes.get(key, 0), r.touch_number)
+    kth = {group: sorted(classes.values(), reverse=True)[top_k - 1]
+           for group, classes in best.items() if len(classes) >= top_k}
+    for (target, direction, points), fit in every.items():
+        if (target, direction, points) not in kept:
+            assert fit.touch_number < kth[target, direction], \
+                (target, direction, points)
+
+    def listable(records):
+        return [r for r in records
+                if r.touch_number >= kth.get((r.target, r.direction), 0)]
+
+    assert listable(records) == listable(uncut)
+
+
+def count_sweep(table, config, monkeypatch):
+    # the fitter's calls and the fits it made, and the supports and row
+    # selections one sweep takes
+    counts = dict.fromkeys(("calls", "fits", "support", "select_rows"), 0)
+
+    def counting_fit(points, direction, skip=None):
+        counts["calls"] += 1
+        fit = fitting.fit_linear_bound(points, direction, skip)
+        counts["fits"] += fit is not None
+        return fit
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
+        return wrapper
 
-    count("fit_linear_bound", engine, fitting.fit_linear_bound)
+    monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
     for name in ("support", "select_rows"):
-        count(name, FeatureTable, vars(FeatureTable)[name])
-    runs = []
-    for filters in (("generality",), ("generality", "dalmatian")):
-        counts.update(dict.fromkeys(("fit_linear_bound", "support",
-                                     "select_rows"), 0))
-        engine.fit_records(table, replace(config, filters=filters))
-        runs.append(dict(counts))
-    general, both = runs
-    assert both["support"] == general["support"] > 0
-    assert 2 * both["fit_linear_bound"] < general["fit_linear_bound"]
+        monkeypatch.setattr(FeatureTable, name,
+                            counted(name, vars(FeatureTable)[name]))
+    engine.fit_records(table, config)
+    monkeypatch.undo()
+    return counts
+
+
+def test_dalmatian_sweep_fits_and_selects_less(monkeypatch):
+    # on the mixed corpus, the Dalmatian filter skips five in six fits and
+    # many row selections; supports are read off the same predicate masks
+    table = build_table(read_graph6_file(DATA / "mixed_graphs.g6"))
+    config = EngineConfig(targets=tuple(standard_invariants()),
+                          max_hypothesis_size=3, filters=("generality",),
+                          top_k=10**6)
+    general = count_sweep(table, config, monkeypatch)
+    both = count_sweep(
+        table, replace(config, filters=("generality", "dalmatian")),
+        monkeypatch)
+    assert both["support"] == general["support"] == len(table.boolean) + 1
+    assert general["fits"] == general["calls"] == 4082
+    assert both["fits"] <= 666 and 6 * both["fits"] < general["fits"]
+    assert both["fits"] < both["calls"] < general["calls"]
     assert both["select_rows"] < general["select_rows"]
+
+
+def test_top_k_sweep_fits_less(monkeypatch):
+    # the CLI's default run (generality only, hypotheses of up to two
+    # predicates, top 10) on the mixed corpus makes under half the fits of
+    # the uncut sweep; a cut of 1 makes fewer still
+    table = build_table(read_graph6_file(DATA / "mixed_graphs.g6"))
+    config = EngineConfig(targets=tuple(standard_invariants()))
+    uncut = count_sweep(table, replace(config, top_k=10**6), monkeypatch)
+    default = count_sweep(table, config, monkeypatch)
+    first = count_sweep(table, replace(config, top_k=1), monkeypatch)
+    assert uncut["fits"] == uncut["calls"] == 3314
+    assert default["fits"] <= 1503 and 2 * default["fits"] < uncut["fits"]
+    assert first["fits"] < default["fits"]
+    assert default["select_rows"] < uncut["select_rows"]
 
 
 @pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])

@@ -255,6 +255,62 @@ def test_single_pass_matches_the_two_pass_fitter(points):
             fit_key(oracles.hull_fit(points, direction))
 
 
+def touch_maximal_rows(points, direction):
+    """The union of the touches of every feasible line with the most
+    touches, by brute force over the lines through each point with the
+    slopes to every other point, slope zero, the midpoints between them and
+    a slope past either end."""
+    sign = 1 if direction == "upper" else -1
+    pts = [(x, sign * y, rows) for x, y, rows in points]
+    touches = {}
+    for px, py, _ in pts:
+        slopes = sorted({Fraction(0)} | {Fraction(qy - py, qx - px)
+                                         for qx, qy, _ in pts if qx != px})
+        slopes += [slopes[0] - 1, slopes[-1] + 1]
+        slopes += [(a + b) / 2 for a, b in zip(slopes, slopes[1:])]
+        for m in slopes:
+            if all(qy <= py + m * (qx - px) for qx, qy, _ in pts):
+                touches[m, py - m * px] = sum(
+                    rows for qx, qy, rows in pts if qy == py + m * (qx - px))
+    most = max(rows.bit_count() for rows in touches.values())
+    out = 0
+    for rows in touches.values():
+        if rows.bit_count() == most:
+            out |= rows
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(weighted_inputs(), line_inputs()))
+# a single distinct x, with duplicates
+@example([(3, 1, 1), (3, 5, 0b110), (3, 5, 0b1000)])
+# collinear interior points with multi-row masks, and a point below
+@example([(0, 0, 1), (1, 1, 0b110), (2, 2, 0b111000), (3, 3, 0b1000000),
+          (1, -1, 0b10000000)])
+# out of x order, with repeated coordinates on both hulls
+@example([(2, 0, 1), (0, 0, 0b10), (1, 3, 0b100), (1, -3, 0b1000),
+          (0, 0, 0b10000), (2, 0, 0b100000)])
+# two hull edges and the flat line tied on touches
+@example([(0, 0, 1), (1, 1, 0b10), (2, 0, 0b100)])
+def test_skip_hook_sees_every_touch_maximal_line(points):
+    # the hook is asked once, with the rows of every feasible line with the
+    # most touches and no other row, so with the fit's touches; a hook that
+    # declines changes nothing and one that accepts returns None
+    for direction in ("upper", "lower"):
+        asked = []
+
+        def decline(rows):
+            asked.append(rows)
+            return False
+
+        fit = fit_linear_bound(points, direction)
+        assert fit_linear_bound(points, direction, decline) == fit
+        (rows,) = asked
+        assert rows == touch_maximal_rows(points, direction)
+        assert fit.touched & ~rows == 0
+        assert fit_linear_bound(points, direction, lambda rows: True) is None
+
+
 @pytest.mark.parametrize("bad", [0, -1, -6])
 @pytest.mark.parametrize("base", [
     [(0, 1, 1), (1, 3, 2), (1, 2, 4), (2, 0, 8)],   # in x order

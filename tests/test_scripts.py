@@ -46,6 +46,8 @@ def test_output_digests_smoke():
     names = [f"{corpus} {filters} {fmt}" for corpus in corpora
              for filters in ("both", "none", "generality", "dalmatian")
              for fmt in ("text", "structured")]
+    names += [f"{corpus} {filters} top-k {top_k}" for corpus in corpora
+              for filters in ("generality", "none") for top_k in (1, 3)]
     names += [f"{corpus} invariants {columns}" for corpus in corpora
               for columns in ("all", "alpha", "connected,order")]
     names += [f"{corpus} {run}" for run in ("cache-rewrites", "config")
@@ -57,7 +59,7 @@ def test_output_digests_smoke():
               *(f"help {command}" for command in (
                   "sharpbounds", "invariants", "conjecture", "verify"))]
     lines = result.stdout.splitlines()
-    assert len(lines) == len(names) == 38
+    assert len(lines) == len(names) == 46
     digests = {}
     for line, name in zip(lines, names):
         head, _, value = line.rpartition(" ")
