@@ -5,7 +5,8 @@ Subcommands: ``invariants`` (inspect the feature table), ``conjecture``
 list against a corpus). Identical configuration and corpus produce byte
 identical output. Exit codes: 0 success, 1 a verify run found a
 counterexample, 2 configuration or parse error, including an export record
-that ``verify`` could not check (the other records are still checked).
+that ``verify`` could not check (the other records are still checked), or
+output that stdout cannot encode.
 """
 
 from __future__ import annotations
@@ -272,7 +273,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SharpboundsError, OSError) as exc:
+    except (SharpboundsError, OSError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: stdout cannot encode a statement
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

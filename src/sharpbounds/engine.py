@@ -198,14 +198,16 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     A (direction, selection) is skipped when no fit touching only rows of
     some set r can be listed, with r each of three row sets, each inside
     the one before: the selection's rows, before
-    :meth:`~FeatureTable.select_rows`; the rows of the highest (upper) or
-    lowest (lower) point at each x, the only rows a feasible line can
-    touch; and, once the fitter has counted its candidate lines, the rows
-    of those with the most touches, the fitted bound and any tied with it
-    (the ``skip`` hook of :func:`~sharpbounds.fitting.fit_linear_bound`). A
-    skipped fit is memoised as skipped: both tests below only skip more as
-    fits are made. One of the two tests runs, by whether the Dalmatian
-    filter is on.
+    :meth:`~FeatureTable.select_rows`; then, inside the fitter (the
+    ``skip`` hook of :func:`~sharpbounds.fitting.fit_linear_bound`), the
+    rows of the highest (upper) or lowest (lower) point at each x, the
+    only rows a feasible line can touch; and, once the fitter has counted
+    its candidate lines, the rows of those with the most touches, the
+    fitted bound and any tied with it. A skipped fit is memoised as
+    skipped: both tests below only skip more as fits are made. Both skip
+    every subset of a set they skip, so testing a larger set first skips
+    no fit the smaller set would not. One of the two tests runs, by whether
+    the Dalmatian filter is on.
 
     With the Dalmatian filter, r is skipped when every row of it is already
     touched by fits of the same target and direction with more touches than
@@ -325,22 +327,22 @@ class _CoverSkip:
             covers[t] |= touched
 
 
-class _TopKSkip(_CoverSkip):
-    # The top-k test of one (target, direction), as a cover test: covers[t]
-    # is every row for t < kth and no row from kth on, so rows r are
-    # skipped when popcount(r) < kth (see fit_records). best maps each
-    # (other, bound) class to the most touches of its fits, at_least[t]
-    # counts the classes with at least t touches, and kth is the largest t
-    # that top_k classes reach (0 while there are fewer).
-    __slots__ = ("everything", "top_k", "best", "at_least", "kth")
+class _TopKSkip:
+    # The top-k test of one (target, direction): rows r are skipped when
+    # popcount(r) < kth (see fit_records). best maps each (other, bound)
+    # class to the most touches of its fits, at_least[t] counts the classes
+    # with at least t touches, and kth is the largest t that top_k classes
+    # reach (0 while there are fewer).
+    __slots__ = ("top_k", "best", "at_least", "kth")
 
     def __init__(self, n_rows: int, top_k: int):
-        super().__init__(n_rows)
-        self.everything = (1 << n_rows) - 1
         self.top_k = top_k
         self.best: dict[tuple, int] = {}
         self.at_least = [0] * (n_rows + 2)
         self.kth = 0
+
+    def covered(self, rows: int) -> bool:
+        return rows.bit_count() < self.kth
 
     def add(self, other: str, fit: FitResult) -> None:
         key = (other, fit.bound)
@@ -351,7 +353,6 @@ class _TopKSkip(_CoverSkip):
             for t in range(old + 1, n + 1):
                 at_least[t] += 1
             while at_least[self.kth + 1] >= self.top_k:
-                self.covers[self.kth] = self.everything
                 self.kth += 1
 
 
@@ -362,18 +363,15 @@ def _fit_selections(table: FeatureTable, target: str, selections: list,
     # order, visited by falling row count; ties keep the selections' order.
     # skips[d] tests a row set in direction d and learns each fit kept
     # there; memo maps selected points to direction to the fit, or to None
-    # when it was skipped. Every row set tested holds a row, so none is
-    # skipped while covers[1] is empty, and until then the reachable rows
-    # are not worth reading.
+    # when it was skipped.
     memo: dict[tuple, dict[str, Optional[FitResult]]] = {}
     fits: list[list[FitResult]] = [[] for _ in selections]
     order = sorted(range(len(selections)),
                    key=lambda k: selections[k][2].bit_count(), reverse=True)
     for k in order:
         other, entry, rows = selections[k]
-        n = rows.bit_count()
         open_directions = [d for d in directions
-                           if rows & ~skips[d].covers[n]]
+                           if not skips[d].covered(rows)]
         if not open_directions:
             continue
         points = table.select_rows(entry[0], x=other, y=target)
@@ -384,8 +382,6 @@ def _fit_selections(table: FeatureTable, target: str, selections: list,
             skip = skips[d]
             if d in known:
                 fit = known[d]
-            elif skip.covers[1] and skip.covered(_reachable_rows(points, d)):
-                fit = known[d] = None
             else:
                 fit = known[d] = fit_linear_bound(points, d,
                                                   skip=skip.covered)
@@ -396,19 +392,6 @@ def _fit_selections(table: FeatureTable, target: str, selections: list,
                 fits[k].append(fit)
                 skip.add(other, fit)
     return fits
-
-
-def _reachable_rows(points: Sequence[tuple[int, int, int]],
-                    direction: str) -> int:
-    # the rows of the highest (upper) or lowest (lower) point at each x, the
-    # only rows a feasible line can touch: the last or first point of each
-    # x, as select_rows returns points in (x, y) order
-    reachable, last = 0, None
-    for x, _, rows in (reversed(points) if direction == UPPER else points):
-        if x != last:
-            reachable |= rows
-            last = x
-    return reachable
 
 
 def _conjecture(record: FitRecord, labels: Sequence[str]) -> Conjecture:
@@ -733,6 +716,8 @@ def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> str:
 
 def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:
     """(line number, raw record) for every non-blank line, numbered from 1.
+    Lines end at a line feed alone, the line end :func:`write_export`
+    writes, as a label in a record may hold any other line separator.
 
     A line that is not JSON, or that Python cannot read as JSON (an integer
     of more digits than ``int`` converts from a string, an array nested
@@ -744,7 +729,7 @@ def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:
     except UnicodeDecodeError:
         raise ConfigError(f"cannot read export {path}: not UTF-8 text") from None
     records = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if line.strip():
             try:
                 records.append((lineno, json.loads(line)))

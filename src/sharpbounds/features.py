@@ -231,7 +231,14 @@ def save_table(table: FeatureTable, path: str | Path,
                keep: dict[str, Sequence[str]] | None = None) -> None:
     """Write the table as TSV: label column first, missing cells empty.
     Columns of ``keep`` (name -> cell texts) come first, in their order; a
-    table column takes the place of the one with its name."""
+    table column takes the place of the one with its name. A label holding
+    a tab, a line feed or a carriage return (a line end to a text read),
+    which no read could split off, raises :class:`ConfigError` and nothing
+    is written."""
+    for label in table.labels:
+        if any(c in label for c in "\t\n\r"):
+            raise ConfigError(f"label {label!r} holds a tab or a line end, "
+                              "which a table file cannot hold")
     columns = {name: cells for name, cells in (keep or {}).items()
                if name != "label"}
     for name, col in table.numeric.items():
@@ -309,11 +316,14 @@ def _read_table(path: str | Path, numeric_names: Sequence[str],
     # load_table's table, and every column of the file as cell texts, label
     # first, from one read of the file
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ConfigError(f"cannot read table file {path}: not UTF-8 text") from None
-    if not lines:
+    if not text:
         raise ConfigError(f"empty table file {path}")
+    # split on "\n" alone, the line end save_table writes (a text read turns
+    # "\r\n" into it): a label may hold any other line separator
+    lines = text.removesuffix("\n").split("\n")
     header = lines[0].split("\t")
     if header[:1] != ["label"]:
         raise ConfigError(f"table file {path} lacks a label column")

@@ -56,8 +56,9 @@ its result without those checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, NamedTuple, Optional, Sequence
 
 UPPER = "upper"
@@ -153,22 +154,16 @@ def fit_linear_bound(points: Sequence[tuple], direction: str,
         Returns ``None`` on empty input.
     direction : "upper" or "lower"
     skip : callable, optional
-        Called once the candidates are counted and before the ties among
-        them are broken, with the union of the touches of the candidates
-        with the most touches: the rows of the fitted bound, or of the
-        bounds tied with it on touches. When ``skip`` returns true, no
-        bound is chosen and ``None`` is returned.
-
-    Every touch-maximal feasible line is a candidate or touches the rows
-    of one, so the mask handed to ``skip`` is the union of the touches of
-    every feasible line with the most touches. A tight feasible line
-    touches only points on the upper boundary of the points' convex hull,
-    as every point, and so the hull, lies on or below it. If it touches two
-    distinct x, it contains the hull edge between them and is that edge's
-    candidate, or the flat one for a flat edge. If it touches a single
-    point, that point is a hull vertex: with two or more distinct x, the
-    line through an edge at the vertex touches more rows; with one, the
-    flat candidate touches the same rows.
+        Asked at most twice, with a row mask, whether to stop; when it
+        returns true, ``None`` is returned. First, before the hull is
+        built, with the rows of the highest (upper) or lowest (lower) point
+        at each x, the only rows a feasible line can touch; then, before
+        ties are broken, with the union of the touches of the candidates
+        with the most touches, which is that of every feasible line with
+        the most touches, as each touches the rows of a candidate (module
+        docstring). The second mask lies inside the first, so a test that
+        stops at every subset of a mask it stops at stops the same fits
+        either way: the first call only saves the hull.
 
     Ties on touch number are broken by smallest total slack, then smallest
     |slope|; a final sign tie prefers the smaller slope for upper bounds and
@@ -217,6 +212,9 @@ def fit_linear_bound(points: Sequence[tuple], direction: str,
         else:
             break
         points = sorted(points, key=itemgetter(0))
+    # the kept rows are the only ones a feasible line can touch
+    if skip is not None and skip(reduce(or_, hr)):
+        return None
 
     # Upper hull, left to right, as positions in hx, without collinear
     # middle vertices.

@@ -24,11 +24,13 @@ def test_removed_names_stay_removed():
     # is the counterexample, read_numbered_export reads an export, and a
     # bound's identity is (target, other, bound); one field check reads an
     # export record, and build_table only computes: load_table alone parses
-    # the table cache
+    # the table cache. The fitter alone finds the rows a line can reach, and
+    # the top-k skip test is no cover list
     removed = {sharpbounds.engine: ("generate", "touch_count_on",
                                     "find_counterexample", "read_export",
                                     "_bound_and_support", "_R", "_name_list",
-                                    "_int_pair", "_int", "_per_hypothesis"),
+                                    "_int_pair", "_int", "_per_hypothesis",
+                                    "_reachable_rows"),
                sharpbounds.graphs: ("named_graph", "graph_names"),
                sharpbounds.predicates: ("evaluate_predicates",)}
     for module, names in removed.items():
@@ -36,6 +38,8 @@ def test_removed_names_stay_removed():
             assert name not in sharpbounds.__all__
             assert not hasattr(sharpbounds, name)
             assert not hasattr(module, name)
+    assert not issubclass(sharpbounds.engine._TopKSkip,
+                          sharpbounds.engine._CoverSkip)
     for cls in (sharpbounds.Conjecture, sharpbounds.FitRecord):
         assert not hasattr(cls, "bound_key")
     assert not hasattr(sharpbounds.FitRecord, "hypotheses")

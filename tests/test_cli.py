@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -839,6 +840,44 @@ def test_export_is_utf8_under_a_posix_locale(tmp_path):
     lines = check.stdout.splitlines()
     assert len(lines) == len(records) > 0
     assert all(line.startswith("HOLDS") for line in lines)
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_export_of_labels_holding_a_line_separator_verifies(tmp_path, capsys,
+                                                            separator):
+    # only "\n" ends an export line; JSON leaves these separators unescaped
+    # in the touch sets, which name graphs by their corpus stem
+    corpus = tmp_path / f"cubic{separator}graphs.g6"
+    shutil.copy(ROOT / "data" / "cubic_connected_4_10.g6", corpus)
+    export = tmp_path / "E"
+    assert run_main(capsys, "conjecture", "--corpus", str(corpus),
+                    "--targets", "alpha", "--export", str(export))[0] == 0
+    assert separator in export.read_text(encoding="utf-8")
+    records = read_numbered_export(export)
+    assert [lineno for lineno, _ in records] == list(range(1, len(records) + 1))
+    code, out, err = run_main(capsys, "verify", str(export), str(corpus))
+    assert (code, err) == (0, "")
+    assert out.count("HOLDS") == len(records) > 0
+
+
+def test_stdout_that_cannot_encode_a_statement_is_an_error_line(
+        tmp_path, capsys, monkeypatch):
+    # α cannot be written to an ASCII stdout: conjecture and verify each
+    # end with one error line and exit 2, which verify keeps apart from
+    # exit 1 (a counterexample)
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    export = tmp_path / "E"
+    argv = ["conjecture", "--corpus", str(corpus), "--targets", "alpha",
+            "--cache", str(tmp_path / "cache")]
+    assert main(argv + ["--export", str(export)]) == 0
+    capsys.readouterr()
+    for argv in (argv, ["verify", str(export), str(corpus)]):
+        monkeypatch.setattr(sys, "stdout",
+                            io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -597,6 +597,37 @@ def test_top_k_sweep_fits_less(monkeypatch):
     assert default["select_rows"] < uncut["select_rows"]
 
 
+N_SKIP_ROWS = 5
+
+
+@st.composite
+def skip_fits(draw):
+    # (other property, fit) pairs over N_SKIP_ROWS rows, from few classes
+    other = draw(st.sampled_from("abc"))
+    slope, intercept = draw(st.integers(-1, 1)), draw(st.integers(0, 2))
+    touched = draw(st.integers(1, (1 << N_SKIP_ROWS) - 1))
+    bound = SharpBoundingFunction((slope, 1), (intercept, 1), "upper")
+    return other, FitResult(bound, touched)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(skip_fits(), max_size=8), st.integers(1, 4))
+def test_skip_tests_are_subset_closed(fits, top_k):
+    # after any sequence of kept fits, both skip tests skip every non-empty
+    # subset of a row set they skip, so the fitter may ask about the
+    # reachable rows before the touch-maximal rows inside them
+    for skip in (engine._CoverSkip(N_SKIP_ROWS),
+                 engine._TopKSkip(N_SKIP_ROWS, top_k)):
+        for other, fit in fits:
+            skip.add(other, fit)
+        for r in range(1, 1 << N_SKIP_ROWS):
+            if skip.covered(r):
+                s = r
+                while s:
+                    assert skip.covered(s), (type(skip).__name__, r, s)
+                    s = (s - 1) & r
+
+
 @pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])
 def test_pipeline_builds_only_the_listed_conjectures(corpus, monkeypatch):
     # ranking and both filters run on fit records; a conjecture is built

@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -172,6 +174,34 @@ def test_tsv_round_trip(tmp_path):
     back = load_table(target, list(small_registry()),
                       list(standard_predicates()))
     assert back == table
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x1c", "\x0b"])
+def test_label_holding_a_line_separator_round_trips(tmp_path, monkeypatch,
+                                                    separator):
+    # only "\n" ends a line of a table file, so a label holding any other
+    # line separator reads back and the cache hits
+    corpus = [replace(complete(4), label=f"a{separator}b"), cycle(5)]
+    inv, pred = small_registry(), standard_predicates()
+    table = load_or_build_table(corpus, tmp_path, inv, pred)
+    assert table.labels == (f"a{separator}b", "C5")
+    assert load_table(features.cache_file(corpus, tmp_path), list(inv),
+                      list(pred)) == table
+    monkeypatch.setattr(features, "build_table", None)
+    assert load_or_build_table(corpus, tmp_path, inv, pred) == table
+
+
+@pytest.mark.parametrize("separator", ["\t", "\n", "\r"])
+def test_label_holding_a_tab_or_line_end_is_not_saved(tmp_path, separator):
+    # no read could split such a label off, so no file is written
+    corpus = [replace(complete(4), label=f"a{separator}b"), cycle(5)]
+    table = build_table(corpus, small_registry(), standard_predicates())
+    with pytest.raises(ConfigError, match=re.escape(repr(f"a{separator}b"))):
+        save_table(table, tmp_path / "table.tsv")
+    with pytest.raises(ConfigError):
+        load_or_build_table(corpus, tmp_path, small_registry(),
+                            standard_predicates())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_reuse_and_rebuild(tmp_path):
