@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from . import engine
 from .errors import ConfigError, SharpboundsError
@@ -22,6 +21,7 @@ from .features import build_table, load_or_build_table
 from .graph6 import Graph6Corpus, read_graph6_file
 from .invariants import resolve_column, standard_invariants
 from .predicates import standard_predicates
+from .textio import read_lines
 
 
 def _read_corpus(path: str, read=Graph6Corpus):
@@ -62,12 +62,8 @@ _CONJECTURE_OPTIONS = {
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ConfigError(f"cannot read config {path}: not UTF-8 text") from None
     options = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in read_lines(path, "config", ConfigError):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -13,17 +13,10 @@ once.
 
 Filtering removes records that are strictly less general than an identical
 bound (generality filter) or that touch no row untouched by an earlier
-accepted record (the touch-cover form of the Dalmatian filter). Every group
-of identical bounds lies inside one (target, other property, direction) and
-holds distinct supports, so the sweep runs the generality filter on each
-(target, other property) as it goes, on the bounds and supports alone, and
-builds a record only for a survivor. A record ranks after every record with
-more touches, so the sweep visits a target's selections by falling row
-count and skips a (direction, selection) whose record the listing cannot
-use: with the Dalmatian filter, one whose touchable rows the fits with more
-touches already cover, as the filter would reject it; without it, one with
-fewer touchable rows than ``top_k`` records of its (target, direction)
-already touch, as the cut would drop it. The listing is the same (see
+accepted record (the touch-cover form of the Dalmatian filter, which
+rejects every record the generality filter removes). The sweep runs the
+generality filter as it goes, under either filter, builds a record only
+for a survivor, and skips a fit whose record the listing cannot use (see
 :func:`fit_records`).
 The Dalmatian filter, the ranking and the per-group truncation take fit
 records, and :func:`run_pipeline` builds a :class:`Conjecture` (with its
@@ -45,12 +38,12 @@ from typing import (Callable, Container, Hashable, Iterable, Optional,
                     Sequence)
 
 from .errors import ConfigError, UndefinedInvariantError
-from .features import (FeatureTable, Hypothesis, corpus_labels,
-                       write_text_atomic)
+from .features import FeatureTable, Hypothesis, corpus_labels
 from .fitting import (LOWER, UPPER, FitResult, SharpBoundingFunction,
                       fit_linear_bound)
 from .graphs import Graph, mask_rows
 from .invariants import DISPLAY_SYMBOLS
+from .textio import read_lines, write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -181,8 +174,9 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     """Run the fitting sweep; one record per (target, direction, other
     property, distinct hypothesis support) with at least ``min_support``
     selected rows, and only the generality survivors among them when
-    ``config.filters`` names ``"generality"``. Records the listing cannot
-    use may be left out (see below); ask with ``filters=()`` and a
+    ``config.filters`` names ``"generality"`` or ``"dalmatian"`` (which
+    rejects every other, see :func:`run_pipeline`). Records the listing
+    cannot use may be left out (see below); ask with ``filters=()`` and a
     ``top_k`` above the number of records for every one of them.
 
     Supports are read off the predicates' row masks, once per call. For
@@ -191,9 +185,10 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     masks, before any selection) are visited in order of falling row count,
     and each is fitted in every direction from one selection. Within a
     target, fits are memoised by (selected points, direction), so columns
-    that agree on the selected rows share one fit and one self-check. With
-    the generality filter, :func:`generality_filter` runs on each (target,
-    other property) before any record is built.
+    that agree on the selected rows share one fit and one self-check, and
+    :func:`generality_filter` runs on each (target, other property) before
+    any record is built: every group of identical bounds lies inside one
+    (target, other property, direction) and holds distinct supports.
 
     A (direction, selection) is skipped when no fit touching only rows of
     some set r can be listed, with r each of three row sets, each inside
@@ -267,8 +262,8 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
                sum(1 << i for i, v in enumerate(col) if v is not None)
                for name, col in table.numeric.items()}
     directions = sorted(config.directions)
-    general = "generality" in config.filters
     dalmatian = "dalmatian" in config.filters
+    general = dalmatian or "generality" in config.filters
     out: list[FitRecord] = []
     for target in sorted(config.targets):
         # (other, support entry, rows) for every selection with enough
@@ -518,9 +513,11 @@ def run_pipeline(table: FeatureTable, config: EngineConfig) -> list[Conjecture]:
 
     Filtering, ranking and truncation run on the fit records, before any
     conjecture exists, and each listed record becomes one conjecture. The
-    generality filter runs inside :func:`fit_records`. A record it removes
-    touches a subset of the rows of a record with its bound and a larger
-    support, which ranks first, so the Dalmatian filter rejects it too.
+    generality filter runs inside :func:`fit_records`, under the Dalmatian
+    filter too: a record it removes touches a subset of the rows of a
+    record with its bound and a larger support, which ranks first, so the
+    Dalmatian filter would reject it, and ``("dalmatian",)`` lists exactly
+    what ``("generality", "dalmatian")`` lists.
     """
     records = sort_conjectures(fit_records(table, config))
     if "dalmatian" in config.filters:
@@ -652,9 +649,10 @@ def conjecture_from_record(record: dict) -> Conjecture:
 
     Raises :class:`ConfigError` when the record is not a JSON object or not
     a well-formed one (a missing field, a zero denominator, an unknown
-    direction, a name field that is not a list of names, a slope or
-    intercept that is not a pair of integers, a count that is not an
-    integer, ...). JSON ``true`` and ``false`` are not integers here.
+    direction, a name field that is not a string, a names field that is
+    not a list of strings, a slope or intercept that is not a pair of
+    integers, a count that is not an integer, ...). JSON ``true`` and
+    ``false`` are not integers here.
     """
     if not isinstance(record, dict):
         raise ConfigError("record is not a JSON object")
@@ -663,11 +661,11 @@ def conjecture_from_record(record: dict) -> Conjecture:
         bound = SharpBoundingFunction(
             Fraction(*_field(record, "slope", "pair")).as_integer_ratio(),
             Fraction(*_field(record, "intercept", "pair")).as_integer_ratio(),
-            record["direction"],
+            _field(record, "direction", "name"),
         )
         return Conjecture(
-            target=record["target"],
-            other=record["other"],
+            target=_field(record, "target", "name"),
+            other=_field(record, "other", "name"),
             hypothesis=Hypothesis(_field(record, "hypothesis", "names")),
             bound=bound,
             touch_set=frozenset(_field(record, "touch_set", "names")),
@@ -684,6 +682,7 @@ def conjecture_from_record(record: dict) -> Conjecture:
 # a bare string would otherwise be taken apart into its characters, and
 # bool is a subclass of int, so JSON true would otherwise count as 1
 _FIELD_KINDS = {
+    "name": ("a name", lambda v: isinstance(v, str)),
     "names": ("a list of names", lambda v: isinstance(v, list)
               and all(isinstance(n, str) for n in v)),
     "pair": ("a pair of integers", lambda v: isinstance(v, list)
@@ -715,21 +714,13 @@ def write_export(conjectures: Iterable[Conjecture], path: str | Path) -> str:
 
 
 def read_numbered_export(path: str | Path) -> list[tuple[int, object]]:
-    """(line number, raw record) for every non-blank line, numbered from 1.
-    Lines end at a line feed alone, the line end :func:`write_export`
-    writes, as a label in a record may hold any other line separator.
-
-    A line that is not JSON, or that Python cannot read as JSON (an integer
-    of more digits than ``int`` converts from a string, an array nested
-    deeper than the recursion limit), raises ConfigError at path:line, and
-    a file that is not UTF-8 text raises ConfigError naming the path.
-    """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ConfigError(f"cannot read export {path}: not UTF-8 text") from None
+    """(line number, raw record) for every non-blank line of the export, as
+    :func:`~sharpbounds.textio.read_lines` reads it. A line that is not
+    JSON, or that Python cannot read as JSON (an integer of more digits than
+    ``int`` converts from a string, an array nested deeper than the
+    recursion limit), raises ConfigError at path:line."""
     records = []
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in read_lines(path, "export", ConfigError):
         if line.strip():
             try:
                 records.append((lineno, json.loads(line)))

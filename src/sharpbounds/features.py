@@ -20,7 +20,6 @@ filtering pass and the fitter reads its points in x order without sorting.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +31,7 @@ from .graph6 import Graph6Corpus, to_graph6
 from .graphs import Graph
 from .invariants import DISPLAY_SYMBOLS, standard_invariants
 from .predicates import standard_predicates
+from .textio import read_lines, write_text_atomic
 
 
 @dataclass(frozen=True, init=False)
@@ -250,28 +250,6 @@ def save_table(table: FeatureTable, path: str | Path,
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step.
-
-    The text is written as UTF-8, whatever the locale, to a temporary file
-    in the same directory, which then replaces ``path``. If anything fails
-    the temporary file is removed, so ``path`` keeps its old content and
-    nothing else is left behind. An :class:`OSError` names ``path``, not the
-    temporary file.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 # a numeric column as save_table writes it, one cell a line: str(v) or empty
 _NUMERIC_COLUMN = re.compile(r"(?:(?:0|-?[1-9][0-9]*)?\n)*")
 
@@ -304,8 +282,9 @@ def load_table(path: str | Path,
     serves a narrower request. A requested column with a cell that
     :func:`save_table` cannot have written (a numeric cell other than an
     empty one or ``str`` of an integer, a Boolean cell other than ``true``
-    and ``false``) is left out, like one the file lacks. A file that is not
-    UTF-8 text or not a table raises :class:`ConfigError`.
+    and ``false``) is left out, like one the file lacks. A file that
+    :func:`~sharpbounds.textio.read_lines` refuses or that is not a table
+    raises :class:`ConfigError`.
     """
     return _read_table(path, numeric_names, boolean_names)[0]
 
@@ -315,19 +294,13 @@ def _read_table(path: str | Path, numeric_names: Sequence[str],
                 ) -> tuple[FeatureTable, dict[str, tuple[str, ...]]]:
     # load_table's table, and every column of the file as cell texts, label
     # first, from one read of the file
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise ConfigError(f"cannot read table file {path}: not UTF-8 text") from None
-    if not text:
+    lines = read_lines(path, "table file", ConfigError)
+    if not lines:
         raise ConfigError(f"empty table file {path}")
-    # split on "\n" alone, the line end save_table writes (a text read turns
-    # "\r\n" into it): a label may hold any other line separator
-    lines = text.removesuffix("\n").split("\n")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     if header[:1] != ["label"]:
         raise ConfigError(f"table file {path} lacks a label column")
-    rows = [line.split("\t") for line in lines[1:]]
+    rows = [line.split("\t") for _, line in lines[1:]]
     for lineno, cells in enumerate(rows, start=2):
         if len(cells) != len(header):
             raise ConfigError(f"{path}:{lineno}: wrong cell count")
@@ -358,9 +331,10 @@ def load_or_build_table(corpus: Sequence[Graph],
     is, and the corpus graphs are not touched (a :class:`Graph6Corpus` stays
     undecoded); otherwise only the missing columns, those the file lacks or
     has a bad cell in, are computed and the file is rewritten, from the same
-    read, with its old columns plus the new ones. A file that cannot be
-    read or whose labels differ (one cut short, say) is rebuilt and
-    overwritten. The cache directory is made only to write a table into it.
+    read, with its old columns plus the new ones. A file that
+    :func:`load_table` refuses or whose labels differ (one cut short, say)
+    is rebuilt and overwritten. The cache directory is made only to write a
+    table into it.
     """
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()

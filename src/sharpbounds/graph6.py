@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .errors import CorpusError, Graph6Error, UnsupportedSizeError
 from .graphs import Graph
+from .textio import read_lines
 
 _HEADER = ">>graph6<<"
 
@@ -99,11 +100,12 @@ class Graph6Corpus(Sequence):
     """The labeled graphs of a one-graph-per-line graph6 file, decoded on
     first access.
 
-    The file is read once, when the corpus is made. Blank lines are skipped
-    and not counted. ``labels`` are the file stem for a single-graph file,
-    otherwise ``<stem>#<k>`` for the k-th graph (from 1); ``lines`` are the
-    graph6 strings, stripped and without ``>>graph6<<`` prefix. Both are
-    there without decoding anything, and :func:`features.corpus_digest
+    The lines are read once, when the corpus is made, by
+    :func:`~sharpbounds.textio.read_lines` with :class:`CorpusError`. Blank
+    lines are skipped and not counted. ``labels`` are the file stem for a
+    single-graph file, otherwise ``<stem>#<k>`` for the k-th graph (from 1);
+    ``lines`` are the graph6 strings, stripped and without ``>>graph6<<``
+    prefix. Both are there without decoding, and :func:`features.corpus_digest
     <sharpbounds.features.corpus_digest>` keys the table cache on them.
     Indexing or iterating decodes and checks every line once, in order; a
     decoding failure raises :class:`CorpusError` naming ``file:line``.
@@ -111,14 +113,8 @@ class Graph6Corpus(Sequence):
 
     def __init__(self, path: str | os.PathLike):
         p = Path(path)
-        try:
-            text = p.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CorpusError(f"cannot read corpus {p}: {exc}") from exc
-        except UnicodeDecodeError:
-            raise CorpusError(f"cannot read corpus {p}: not UTF-8 text") from None
-        entries = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), 1)
-                   if raw.strip()]
+        entries = [(lineno, raw) for lineno, raw
+                   in read_lines(p, "corpus", CorpusError) if raw.strip()]
         self._name = p.name
         self._linenos = tuple(lineno for lineno, _ in entries)
         self.lines = tuple(_strip(raw) for _, raw in entries)
@@ -148,9 +144,7 @@ class Graph6Corpus(Sequence):
 
 
 def read_graph6_file(path: str | os.PathLike) -> list[Graph]:
-    """Read and decode a one-graph-per-line graph6 file, labeling each graph
-    as :class:`Graph6Corpus` does. A decoding failure reports the offending
-    line number."""
+    """Every graph of :class:`Graph6Corpus` ``(path)``, decoded at once."""
     return list(Graph6Corpus(path))
 
 

@@ -1,6 +1,9 @@
-"""The package's public names: ``__all__`` lists exactly what it binds."""
+"""The package's public names: ``__all__`` lists exactly what it binds;
+and one function reads the package's input files."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import sharpbounds
 
@@ -53,3 +56,32 @@ def test_removed_names_stay_removed():
         assert not hasattr(sharpbounds.SharpBoundingFunction, name)
     assert list(inspect.signature(sharpbounds.check_conjecture).parameters) \
         == ["c", "corpus", "invariants", "table"]
+
+
+def _calls(name):
+    # (module file, enclosing function) of every call of ``name`` (a bare
+    # name or an attribute) in the package's source
+    found = set()
+    for source in sorted(Path(sharpbounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    func = getattr(call, "func", None)
+                    if isinstance(call, ast.Call) and name in (
+                            getattr(func, "attr", None),
+                            getattr(func, "id", None)):
+                        found.add((source.name, node.name))
+    return found
+
+
+def test_one_reader_reads_every_input_file():
+    # read_lines alone reads a text file and splits it into lines; the four
+    # readers (corpus, config, export, table cache) call it and keep only
+    # their per-line rules, so no private reader with its own line rule or
+    # error message comes back
+    assert _calls("read_text") == {("textio.py", "read_lines")}
+    assert _calls("read_lines") == {
+        ("graph6.py", "__init__"), ("cli.py", "_parse_config_file"),
+        ("engine.py", "read_numbered_export"), ("features.py", "_read_table")}
+    assert _calls("splitlines") == set()

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -287,6 +288,49 @@ def test_conjecture_non_utf8_config(tmp_path, capsys):
     code = main(["conjecture", "--config", str(cfg)])
     assert code == 2
     assert f"cannot read config {cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\u2028"])
+def test_config_lines_end_at_a_line_feed_alone(tmp_path, capsys, separator):
+    # any other line separator is a character of its line, so line 2 holds
+    # one key, and a comment runs to the line feed
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cfg = tmp_path / "run.cfg"
+    key = f"bogus{separator}top_k"
+    cfg.write_text(f"targets = alpha\n{key} = 3\n", encoding="utf-8")
+    argv = ("conjecture", "--config", str(cfg), "--corpus", str(corpus))
+    assert run_main(capsys, *argv) == (
+        2, "", f"error: {cfg}:2: unknown key {key!r}\n")
+    cfg.write_text(f"targets = alpha\n# a note{separator}bogus\n",
+                   encoding="utf-8")
+    code, out, err = run_main(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("# ")
+
+
+@pytest.mark.parametrize("role", ["corpus", "config", "export",
+                                  "verify-corpus"])
+def test_missing_input_file_is_one_error_line(tmp_path, capsys, role):
+    # every input file is read one way, so a missing one is reported one way
+    missing = tmp_path / "missing"
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record()], export)
+    argv = {"corpus": ["invariants", str(missing)],
+            "config": ["conjecture", "--config", str(missing)],
+            "export": ["verify", str(missing), str(corpus)],
+            "verify-corpus": ["verify", str(export), str(missing)]}[role]
+    shown = role.removeprefix("verify-")
+    assert run_main(capsys, *argv) == (
+        2, "", f"error: cannot read {shown} {missing}: "
+               f"{os.strerror(errno.ENOENT)}\n")
+
+
+def test_config_corpus_path_holding_a_nul_is_one_error_line(tmp_path, capsys):
+    # no command line can hold a NUL byte, but a config value can
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("targets = alpha\ncorpus = a\0b\n")
+    assert run_main(capsys, "conjecture", "--config", str(cfg)) == (
+        2, "", "error: cannot read corpus a\0b: embedded null byte\n")
 
 
 def test_parser_is_built_once(capsys):
@@ -653,6 +697,27 @@ def test_verify_name_field_must_be_a_list(tmp_path, capsys, field):
     assert out[0] == (f"ERROR {export}:1: the {field!r} field must be a list "
                       "of names, got 'claw-free'")
     assert out[1].startswith("HOLDS")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target", ["independence_number"]),
+    ("other", {"name": "order"}),
+    ("direction", ["upper"]),
+])
+def test_verify_name_field_must_be_a_string(tmp_path, capsys, field, value):
+    corpus = tmp_path / "c.g6"
+    write_graph6_file([complete(4), cycle(5)], corpus)
+    export = tmp_path / "records.jsonl"
+    write_export([conjecture_record(other="order")], export)
+    good = export.read_text()
+    export.write_text(json.dumps(dict(json.loads(good), **{field: value}))
+                      + "\n" + good)
+    code, out, err = run_main(capsys, "verify", str(export), str(corpus))
+    assert (code, err) == (2, "")
+    first, second = out.splitlines()
+    assert first == (f"ERROR {export}:1: the {field!r} field must be a name, "
+                     f"got {value!r}")
+    assert second.startswith("HOLDS")
 
 
 @pytest.mark.parametrize("field, value, message", [

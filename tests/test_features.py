@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 from dataclasses import replace
 from itertools import product
@@ -26,6 +28,7 @@ from sharpbounds import (
     write_export,
 )
 from sharpbounds import features
+from sharpbounds.textio import read_lines
 
 from oracles import generate
 
@@ -281,6 +284,48 @@ def test_unreadable_cache_file_is_rebuilt(tmp_path, content, message):
     fresh = build_table(corpus, inv, pred)
     assert load_or_build_table(corpus, tmp_path, inv, pred) == fresh
     assert load_table(cached, list(inv), list(pred)) == fresh
+
+
+def test_cache_file_that_cannot_be_read_is_rebuilt(tmp_path, monkeypatch):
+    corpus = [complete(4), cycle(5)]
+    inv, pred = small_registry(), standard_predicates()
+    cached = features.cache_file(corpus, tmp_path)
+    save_table(build_table(corpus, inv, pred), cached)
+    read_text = Path.read_text
+
+    def refused(self, *args, **kwargs):
+        if self == cached:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refused)
+    with pytest.raises(ConfigError) as refusal:
+        load_table(cached, list(inv), list(pred))
+    assert str(refusal.value) == (f"cannot read table file {cached}: "
+                                  f"{os.strerror(errno.EACCES)}")
+    built = []
+    monkeypatch.setattr(features, "build_table",
+                        lambda *args: built.append(1) or build_table(*args))
+    assert load_or_build_table(corpus, tmp_path, inv, pred) == \
+        build_table(corpus, inv, pred)
+    assert built == [1]
+
+
+def test_read_lines_ends_a_line_at_a_line_feed_alone(tmp_path):
+    target = tmp_path / "lines.txt"
+    target.write_bytes("a\r\nb\rc\u2028d\x1ce\x85f\n\n".encode())
+    assert read_lines(target, "text", ConfigError) == [
+        (1, "a"), (2, "b"), (3, "c\u2028d\x1ce\x85f"), (4, "")]
+    for content, lines in ((b"", []), (b"\n", [(1, "")]), (b"x", [(1, "x")])):
+        target.write_bytes(content)
+        assert read_lines(target, "text", ConfigError) == lines
+    target.write_bytes(b"\xff\n")
+    with pytest.raises(ConfigError, match="^cannot read text .*: not UTF-8 "
+                                          "text$"):
+        read_lines(target, "text", ConfigError)
+    with pytest.raises(ValueError, match="^cannot read text .*: "):
+        read_lines(tmp_path / "absent", "text", ValueError)
 
 
 @pytest.mark.parametrize("labels, numeric, boolean, message", [

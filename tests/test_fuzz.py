@@ -23,8 +23,9 @@ from sharpbounds import (cli, complete, complete_bipartite, cycle, path,
 TARGETS = "alpha,Z,gamma"
 # the extremes, each applied at a drawn position: a UTF-8 byte order mark,
 # a NUL byte, CRLF line ends, an integer of more digits than ``int`` reads
-# from a string, and an array nested deeper than the recursion limit
-EXTREMES = ("bom", "nul", "crlf", "digits", "nesting")
+# from a string, an array nested deeper than the recursion limit, and two
+# line separators that are not line ends, U+001C and U+2028
+EXTREMES = ("bom", "nul", "crlf", "digits", "nesting", "x1c", "u2028")
 # bytes the readers treat specially, and one that is not UTF-8
 ALPHABET = b"09-+ \t\n\r\"[]{}:,=#.~?_\xff"
 
@@ -105,7 +106,8 @@ def mutate(data: bytes, edits, extremes) -> bytes:
             while end < len(data) and data[end:end + 1].isdigit():
                 end += 1
             insert = {"nul": b"\0", "digits": b"7" * 4301,
-                      "nesting": b"[" * 200_000 + b"]" * 200_000}[extreme]
+                      "nesting": b"[" * 200_000 + b"]" * 200_000,
+                      "x1c": b"\x1c", "u2028": "\u2028".encode()}[extreme]
             data = data[:start] + insert + data[end:]
     return data
 
@@ -121,6 +123,10 @@ def mutate(data: bytes, edits, extremes) -> bytes:
 @example(("cache", [], [("digits", 0.9)]))
 @example(("config", [], [("digits", 0.99)]))
 @example(("config", [("replace", 0.3, b"\xff")], [("bom", 0.0)]))
+@example(("corpus", [], [("x1c", 0.5)]))
+@example(("config", [], [("u2028", 0.5)]))
+@example(("export", [], [("u2028", 0.3), ("x1c", 0.7)]))
+@example(("cache", [], [("x1c", 0.4), ("u2028", 0.6)]))
 def test_every_mutated_input_exits_0_1_or_2(originals, mutation):
     kind, edits, extremes = mutation
     files, cache_name = originals

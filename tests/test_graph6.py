@@ -118,6 +118,18 @@ def test_file_errors_name_the_line(tmp_path):
         read_graph6_file(target)
 
 
+@pytest.mark.parametrize("separator", ["\x1c", "\u2028"])
+def test_corpus_lines_end_at_a_line_feed_alone(tmp_path, separator):
+    # any other line separator is a character of its line: line 2 is one
+    # bad graph6 line, not two good ones
+    target = tmp_path / "sep.g6"
+    target.write_text(f"A_\nA_{separator}A_\nBw\n", encoding="utf-8")
+    corpus = Graph6Corpus(target)
+    assert corpus.labels == ("sep#1", "sep#2", "sep#3")
+    with pytest.raises(CorpusError, match="sep.g6:2: trailing data"):
+        read_graph6_file(target)
+
+
 def test_blank_lines_and_header_skipped(tmp_path):
     target = tmp_path / "h.g6"
     target.write_text(">>graph6<<A_\n\nA?\nBw\n")
