@@ -76,6 +76,9 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if key in options:
             raise ConfigError(f"{path}:{lineno}: key {key!r} is given more "
                               "than once")
+        if key in ("cache", "export") and "\0" in value:
+            # a path the run writes: refused before anything is read
+            raise ConfigError(f"{path}:{lineno}: {key} path holds a NUL byte")
         options[key] = value.strip()
     return options
 

@@ -7,9 +7,8 @@ the sweep fits once per distinct support and returns one :class:`FitRecord`
 per (target, direction, other property, support): the integer bound and
 touched-row mask of the fit, the support mask, and the smallest hypothesis
 with the support, which names it under every filter choice. Row sets are
-``int`` bitmasks throughout (see :mod:`sharpbounds.features`). Within a
-target, each distinct (direction, selection) is fitted and self-checked
-once.
+``int`` bitmasks throughout (see :mod:`sharpbounds.features`). Each
+(direction, selection) is fitted and self-checked once.
 
 Filtering removes records that are strictly less general than an identical
 bound (generality filter) or that touch no row untouched by an earlier
@@ -119,11 +118,6 @@ class EngineConfig:
                 raise ConfigError(f"unknown filter {f!r}")
 
 
-def enumerate_hypotheses(table: FeatureTable, max_size: int) -> list[Hypothesis]:
-    """All predicate conjunctions up to ``max_size``, smallest first."""
-    return [Hypothesis(key) for key in _hypothesis_keys(table, max_size)]
-
-
 def _hypothesis_keys(table: FeatureTable, max_size: int
                      ) -> Iterable[tuple[str, ...]]:
     # the sorted name tuple of each enumerated hypothesis, in order
@@ -183,30 +177,26 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     each target, the (other property, distinct support) selections holding
     at least ``min_support`` rows with both values defined (counted on the
     masks, before any selection) are visited in order of falling row count,
-    and each is fitted in every direction from one selection. Within a
-    target, fits are memoised by (selected points, direction), so columns
-    that agree on the selected rows share one fit and one self-check, and
-    :func:`generality_filter` runs on each (target, other property) before
-    any record is built: every group of identical bounds lies inside one
-    (target, other property, direction) and holds distinct supports.
+    and each is fitted and self-checked in every direction from one
+    selection. :func:`generality_filter` runs on each (target, other
+    property) before any record is built: every group of identical bounds
+    lies inside one (target, other property, direction) and holds distinct
+    supports.
 
-    A (direction, selection) is skipped when no fit touching only rows of
-    some set r can be listed, with r each of three row sets, each inside
-    the one before: the selection's rows, before
-    :meth:`~FeatureTable.select_rows`; then, inside the fitter (the
-    ``skip`` hook of :func:`~sharpbounds.fitting.fit_linear_bound`), the
-    rows of the highest (upper) or lowest (lower) point at each x, the
-    only rows a feasible line can touch; and, once the fitter has counted
-    its candidate lines, the rows of those with the most touches, the
-    fitted bound and any tied with it. A skipped fit is memoised as
-    skipped: both tests below only skip more as fits are made. Both skip
-    every subset of a set they skip, so testing a larger set first skips
-    no fit the smaller set would not. One of the two tests runs, by whether
-    the Dalmatian filter is on.
+    A (direction, selection) is skipped when no fit touching only rows of a
+    set r, and at most t of them, can be listed. The question is asked
+    before :meth:`~FeatureTable.select_rows`, with the selection's rows and
+    their count, and inside the fitter (the ``skip`` hook of
+    :func:`~sharpbounds.fitting.fit_linear_bound`), once its candidate
+    lines are counted, with the rows of those with the most touches and
+    that touch number, which is the fit's. Neither test below skips less
+    as r shrinks or t falls, so the first question stops only what the
+    second would. One of the two tests runs, by whether the Dalmatian
+    filter is on.
 
-    With the Dalmatian filter, r is skipped when every row of it is already
-    touched by fits of the same target and direction with more touches than
-    r has rows. This is exact. A skipped record would touch only rows of r,
+    With the Dalmatian filter, (r, t) is skipped when every row of r is
+    already touched by fits of the same target and direction with more than
+    t touches. This is exact. A skipped record would touch only rows of r,
     each touched by a fit with more touches than it has. Such a fit is a
     record, or the generality survivor that removes it touches a superset
     of its rows; either way that record ranks strictly before the skipped
@@ -216,7 +206,7 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     dominator was skipped touches a subset of the dominator's rows and is
     rejected for the same reason.
 
-    Without it, r is skipped when it has fewer rows than ``kth``: for each
+    Without it, (r, t) is skipped when t is below ``kth``: for each
     (target, direction), take the most touches of each (other property,
     bound) class among the fits made so far, and let ``kth`` be the
     ``top_k``-th largest of them (0 with fewer classes). This is exact too.
@@ -224,8 +214,8 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
     most touches is a record or is removed by a record of its class with a
     larger support, which touches a superset of its rows. So ``top_k``
     classes give ``top_k`` distinct records with at least ``kth`` touches,
-    each ranking strictly before a skipped record, which touches at most
-    the rows of r. Nothing but the per-group cut removes a record then, so
+    each ranking strictly before a skipped record, which has at most t
+    touches. Nothing but the per-group cut removes a record then, so
     the cut drops the skipped record, and drops too any record whose
     generality dominator was skipped, since it touches a subset of the
     dominator's rows. With no filter every fit is a record, and the
@@ -303,15 +293,15 @@ def fit_records(table: FeatureTable, config: EngineConfig) -> list[FitRecord]:
 class _CoverSkip:
     # The Dalmatian test of one (target, direction): covers[t] is the union
     # of the touched rows of the fits with more than t touches, so covers
-    # only shrink as t grows, and rows r are skipped when they all lie in
-    # covers[popcount(r)] (see fit_records).
+    # only shrink as t grows, and (rows, touches) is skipped when the rows
+    # all lie in covers[touches] (see fit_records).
     __slots__ = ("covers",)
 
     def __init__(self, n_rows: int):
         self.covers = [0] * (n_rows + 1)
 
-    def covered(self, rows: int) -> bool:
-        return not rows & ~self.covers[rows.bit_count()]
+    def covered(self, rows: int, touches: int) -> bool:
+        return not rows & ~self.covers[touches]
 
     def add(self, other: str, fit: FitResult) -> None:
         # below the first cover that holds the touches, every cover does
@@ -323,8 +313,8 @@ class _CoverSkip:
 
 
 class _TopKSkip:
-    # The top-k test of one (target, direction): rows r are skipped when
-    # popcount(r) < kth (see fit_records). best maps each (other, bound)
+    # The top-k test of one (target, direction): (rows, touches) is skipped
+    # when touches < kth (see fit_records). best maps each (other, bound)
     # class to the most touches of its fits, at_least[t] counts the classes
     # with at least t touches, and kth is the largest t that top_k classes
     # reach (0 while there are fewer).
@@ -336,8 +326,8 @@ class _TopKSkip:
         self.at_least = [0] * (n_rows + 2)
         self.kth = 0
 
-    def covered(self, rows: int) -> bool:
-        return rows.bit_count() < self.kth
+    def covered(self, rows: int, touches: int) -> bool:
+        return touches < self.kth
 
     def add(self, other: str, fit: FitResult) -> None:
         key = (other, fit.bound)
@@ -356,34 +346,24 @@ def _fit_selections(table: FeatureTable, target: str, selections: list,
                     ) -> list[list[FitResult]]:
     # The fits of each (other, support entry, rows) selection, in direction
     # order, visited by falling row count; ties keep the selections' order.
-    # skips[d] tests a row set in direction d and learns each fit kept
-    # there; memo maps selected points to direction to the fit, or to None
-    # when it was skipped.
-    memo: dict[tuple, dict[str, Optional[FitResult]]] = {}
+    # skips[d] tests a row set and touch count in direction d and learns
+    # each fit made there.
     fits: list[list[FitResult]] = [[] for _ in selections]
     order = sorted(range(len(selections)),
                    key=lambda k: selections[k][2].bit_count(), reverse=True)
     for k in order:
         other, entry, rows = selections[k]
+        n = rows.bit_count()
         open_directions = [d for d in directions
-                           if not skips[d].covered(rows)]
+                           if not skips[d].covered(rows, n)]
         if not open_directions:
             continue
         points = table.select_rows(entry[0], x=other, y=target)
-        known = memo.get(points)
-        if known is None:
-            known = memo[points] = {}
         for d in open_directions:
             skip = skips[d]
-            if d in known:
-                fit = known[d]
-            else:
-                fit = known[d] = fit_linear_bound(points, d,
-                                                  skip=skip.covered)
-                if fit is not None:
-                    _self_check(fit, points, table.labels, target, other,
-                                entry)
+            fit = fit_linear_bound(points, d, skip=skip.covered)
             if fit is not None:
+                _self_check(fit, points, table.labels, target, other, entry)
                 fits[k].append(fit)
                 skip.add(other, fit)
     return fits

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -148,14 +148,24 @@ def build_table(corpus: Sequence[Graph],
     """Evaluate both registries on every corpus graph.
 
     Rows are named by :func:`corpus_labels`. An invariant that raises
-    :class:`UndefinedInvariantError` leaves a missing cell.
+    :class:`UndefinedInvariantError` leaves a missing cell. Each column is
+    evaluated largest graph first, ties in corpus order, so a graph above
+    an exact solver's order limit is refused before that solver searches
+    any other graph.
     """
     invariants = invariants if invariants is not None else standard_invariants()
     predicates = predicates if predicates is not None else standard_predicates()
-    numeric = {name: tuple(_cell(fn, g) for g in corpus)
+    largest_first = sorted(range(len(corpus)), key=lambda i: -corpus[i].order)
+
+    def column(fn):
+        cells = [None] * len(largest_first)
+        for i in largest_first:
+            cells[i] = fn(corpus[i])
+        return tuple(cells)
+
+    numeric = {name: column(partial(_cell, fn))
                for name, fn in invariants.items()}
-    boolean = {name: tuple(fn(g) for g in corpus)
-               for name, fn in predicates.items()}
+    boolean = {name: column(fn) for name, fn in predicates.items()}
     table = FeatureTable(corpus_labels(corpus), numeric, boolean)
     _check_identities(table)
     return table

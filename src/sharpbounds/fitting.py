@@ -56,9 +56,8 @@ its result without those checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 UPPER = "upper"
@@ -140,7 +139,7 @@ _new = tuple.__new__
 
 
 def fit_linear_bound(points: Sequence[tuple], direction: str,
-                     skip: Optional[Callable[[int], bool]] = None
+                     skip: Optional[Callable[[int, int], bool]] = None
                      ) -> Optional[FitResult]:
     """Fit the touch-maximal sharp linear bound over ``points``.
 
@@ -154,16 +153,13 @@ def fit_linear_bound(points: Sequence[tuple], direction: str,
         Returns ``None`` on empty input.
     direction : "upper" or "lower"
     skip : callable, optional
-        Asked at most twice, with a row mask, whether to stop; when it
-        returns true, ``None`` is returned. First, before the hull is
-        built, with the rows of the highest (upper) or lowest (lower) point
-        at each x, the only rows a feasible line can touch; then, before
-        ties are broken, with the union of the touches of the candidates
-        with the most touches, which is that of every feasible line with
-        the most touches, as each touches the rows of a candidate (module
-        docstring). The second mask lies inside the first, so a test that
-        stops at every subset of a mask it stops at stops the same fits
-        either way: the first call only saves the hull.
+        Asked once, before ties are broken, as ``skip(rows, most)``:
+        ``most`` is the largest touch number of a candidate line and
+        ``rows`` the union of the touches of the candidates with ``most``
+        touches. Every feasible line with the most touches touches the rows
+        of one of them (module docstring), so the fit touches only rows of
+        ``rows``, exactly ``most`` of them. When it returns true, ``None``
+        is returned.
 
     Ties on touch number are broken by smallest total slack, then smallest
     |slope|; a final sign tie prefers the smaller slope for upper bounds and
@@ -212,9 +208,6 @@ def fit_linear_bound(points: Sequence[tuple], direction: str,
         else:
             break
         points = sorted(points, key=itemgetter(0))
-    # the kept rows are the only ones a feasible line can touch
-    if skip is not None and skip(reduce(or_, hr)):
-        return None
 
     # Upper hull, left to right, as positions in hx, without collinear
     # middle vertices.
@@ -266,7 +259,7 @@ def fit_linear_bound(points: Sequence[tuple], direction: str,
         rows = best[0]
         for candidate in tied or ():
             rows |= candidate[0]
-        if skip(rows):
+        if skip(rows, most):
             return None
 
     # Ties on touches go to the least (slack, |m|, m), compared as integers

@@ -28,12 +28,13 @@ def test_removed_names_stay_removed():
     # bound's identity is (target, other, bound); one field check reads an
     # export record, and build_table only computes: load_table alone parses
     # the table cache. The fitter alone finds the rows a line can reach, and
-    # the top-k skip test is no cover list
+    # the top-k skip test is no cover list. The sweep enumerates hypothesis
+    # keys alone
     removed = {sharpbounds.engine: ("generate", "touch_count_on",
                                     "find_counterexample", "read_export",
                                     "_bound_and_support", "_R", "_name_list",
                                     "_int_pair", "_int", "_per_hypothesis",
-                                    "_reachable_rows"),
+                                    "_reachable_rows", "enumerate_hypotheses"),
                sharpbounds.graphs: ("named_graph", "graph_names"),
                sharpbounds.predicates: ("evaluate_predicates",)}
     for module, names in removed.items():

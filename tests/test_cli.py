@@ -126,6 +126,28 @@ def test_invariants_refuses_order_above_solver_limit(tmp_path, capsys):
                             "solvers' maximum order 20\n")
 
 
+def test_invariants_refuse_an_oversize_graph_before_any_search(
+        tmp_path, capsys, monkeypatch):
+    # each column is evaluated largest graph first, so K21 is refused before
+    # either K20 is searched
+    target = tmp_path / "big.g6"
+    write_graph6_file([complete(20), complete(20), complete(21)], target)
+    orders = []
+
+    def counting_registry():
+        registry = standard_invariants()
+        solve = registry["zero_forcing_number"]
+        registry["zero_forcing_number"] = \
+            lambda g: orders.append(g.order) or solve(g)
+        return registry
+
+    monkeypatch.setattr(cli, "standard_invariants", counting_registry)
+    assert run_main(capsys, "invariants", str(target), "--columns", "Z") == (
+        2, "", "error: graph big#3 has order 21, above the exact solvers' "
+               "maximum order 20\n")
+    assert orders == [21]
+
+
 def test_invariants_named_cheap_columns_pass_the_order_limit(tmp_path, capsys):
     target = tmp_path / "p21.g6"
     write_graph6_file([path(21)], target)
@@ -331,6 +353,19 @@ def test_config_corpus_path_holding_a_nul_is_one_error_line(tmp_path, capsys):
     cfg.write_text("targets = alpha\ncorpus = a\0b\n")
     assert run_main(capsys, "conjecture", "--config", str(cfg)) == (
         2, "", "error: cannot read corpus a\0b: embedded null byte\n")
+
+
+@pytest.mark.parametrize("key", ["cache", "export"])
+def test_config_written_path_holding_a_nul_is_one_error_line(tmp_path, capsys,
+                                                             key):
+    # a path the run would write is refused at its config line, before the
+    # corpus is read or anything is written
+    cfg = tmp_path / "run.cfg"
+    corpus = ROOT / "data" / "cubic_connected_4_10.g6"
+    cfg.write_text(f"targets = alpha\ncorpus = {corpus}\n{key} = c\0d\n")
+    assert run_main(capsys, "conjecture", "--config", str(cfg)) == (
+        2, "", f"error: {cfg}:3: {key} path holds a NUL byte\n")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_parser_is_built_once(capsys):

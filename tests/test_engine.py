@@ -164,7 +164,8 @@ def test_generate_respects_min_support():
                           directions=("upper",), min_support=4)
     out = engine.fit_records(table, config)
     assert out
-    hypotheses = engine.enumerate_hypotheses(table, config.max_hypothesis_size)
+    hypotheses = [Hypothesis(key) for key in
+                  engine._hypothesis_keys(table, config.max_hypothesis_size)]
     for r in out:
         # named by the smallest hypothesis with its support
         assert r.hypothesis == min(
@@ -266,8 +267,8 @@ def test_generate_fits_once_per_distinct_support(monkeypatch):
     out = engine.fit_records(table, config)
     assert len(calls) == 2 == len(set(calls))
     assert [r.support for r in out] == [0b111111, 0b101010]
-    hypotheses = engine.enumerate_hypotheses(table, 2)
-    assert [[h.key for h in hypotheses if table.support(h) == r.support]
+    keys = list(engine._hypothesis_keys(table, 2))
+    assert [[key for key in keys if table.support(Hypothesis(key)) == r.support]
             for r in out] == [[(), ("always",)], [("even",), ("always", "even")]]
     # a record is stated under its lexicographically smallest key
     assert [r.hypothesis.key for r in out] == [(), ("always", "even")]
@@ -279,9 +280,9 @@ def test_generate_fits_once_per_distinct_support(monkeypatch):
     assert out[1].fit.touched == 0b101010  # rows b, d and f
 
 
-def test_generate_fits_once_per_distinct_point_set(monkeypatch):
+def test_generate_fits_each_selection_once(monkeypatch):
     # u and v agree on the "even" rows only, like domination and independent
-    # domination number on many graphs: their "even" fits are one fit
+    # domination number on many graphs: each still gets its own fit
     table = FeatureTable(
         labels=tuple("abcdefgh"),
         numeric={"y": (2, 3, 3, 5, 4, 7, 6, 6),
@@ -299,14 +300,15 @@ def test_generate_fits_once_per_distinct_point_set(monkeypatch):
     monkeypatch.setattr(engine, "fit_linear_bound", counting_fit)
     out = engine.fit_records(table, config)
 
-    hypotheses = [(), ("all",), ("even",)]
-    wanted = {(d, table.select_rows(table.support(Hypothesis(h)), other, "y"))
-              for d in ("lower", "upper") for other in "uv" for h in hypotheses}
-    assert len(wanted) == 6  # 8 (direction, other, support) fits before
-    assert len(calls) == len(set(calls)) == 6 and set(calls) == wanted
+    # one fit per (direction, other, distinct support)
+    wanted = [(d, table.select_rows(table.support(Hypothesis(h)), other, "y"))
+              for d in ("lower", "upper") for other in "uv"
+              for h in ((), ("even",))]
+    assert len(set(wanted)) == 6
+    assert sorted(calls) == sorted(wanted)
 
-    # the shared fit changes nothing: each record holds its own fresh fit;
-    # "all" holds on every row, so it shares the empty hypothesis's record
+    # each record holds its own fresh fit; "all" holds on every row, so it
+    # shares the empty hypothesis's record
     assert [(r.direction, r.other, r.support, r.hypothesis.key)
             for r in out] == \
         [(d, other, support, h) for d in ("lower", "upper") for other in "uv"
@@ -378,8 +380,8 @@ def test_rows_selected_only_for_supports_with_enough_rows(monkeypatch):
     records = engine.fit_records(
         table, EngineConfig(targets=("y",), max_hypothesis_size=2, min_support=3))
 
-    pairs = {(other, table.support(h)) for other in "uv"
-             for h in engine.enumerate_hypotheses(table, 2)}
+    pairs = {(other, table.support(Hypothesis(key))) for other in "uv"
+             for key in engine._hypothesis_keys(table, 2)}
     wanted = {(other, s) for other, s in pairs if rows_of(s, other) >= 3}
     assert ("u", table.support(Hypothesis({"even"}))) in pairs - wanted
     # every pair with enough rows is selected once and fitted; no other is
@@ -391,9 +393,9 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
         monkeypatch):
     # the fitter makes its reduced pairs itself and skips the public
     # constructors' checks; with the generality filter on, the sweep builds
-    # a record for each survivor only; and every (direction, distinct
-    # selection) of a target is fitted exactly once. The Dalmatian filter
-    # and a top_k that some group reaches would skip fits
+    # a record for each survivor only; and every (target, direction, other,
+    # support) is fitted exactly once. The Dalmatian filter and a top_k that
+    # some group reaches would skip fits
     # (test_dalmatian_sweep_skips_only_covered_fits and
     # test_top_k_sweep_skips_only_fits_below_the_kth_class), so both stay
     # off here
@@ -433,12 +435,12 @@ def test_sweep_builds_no_checked_bound_and_records_only_for_survivors(
         [(r.target, r.other, r.direction, r.support) for r in survivors]
     assert counts == {"bounds": 0, "fits": 0, "records": len(survivors)}
 
-    # one fit per (target, direction, distinct selection), none repeated
-    wanted = {(r.target, r.direction,
+    # one fit per (target, direction, other, support): one per record of
+    # the unfiltered sweep
+    wanted = [(r.target, r.direction,
                table.select_rows(r.support, r.other, r.target))
-              for r in unfiltered}
-    assert len(calls) == len(set(calls)) == len(wanted) < len(unfiltered)
-    assert set(calls) == wanted
+              for r in unfiltered]
+    assert sorted(calls) == sorted(wanted)
 
 
 def sweep_fits(table, config, monkeypatch):
@@ -492,10 +494,10 @@ def test_dalmatian_sweep_skips_only_covered_fits(corpus, monkeypatch):
     # by target, direction, other property and the first hypothesis of the
     # support, which the enumeration orders by size, then by name
     first = {}
-    for h in engine.enumerate_hypotheses(table, config.max_hypothesis_size):
-        first.setdefault(table.support(h), h)
-    order = [(r.target, r.direction, r.other, len(first[r.support].key),
-              first[r.support].key) for r in records]
+    for key in engine._hypothesis_keys(table, config.max_hypothesis_size):
+        first.setdefault(table.support(Hypothesis(key)), key)
+    order = [(r.target, r.direction, r.other, len(first[r.support]),
+              first[r.support]) for r in records]
     assert order == sorted(set(order))
 
 
@@ -576,8 +578,8 @@ def test_dalmatian_sweep_fits_and_selects_less(monkeypatch):
         table, replace(config, filters=("generality", "dalmatian")),
         monkeypatch)
     assert both["support"] == general["support"] == len(table.boolean) + 1
-    assert general["fits"] == general["calls"] == 4082
-    assert both["fits"] <= 666 and 6 * both["fits"] < general["fits"]
+    assert general["fits"] == general["calls"] == 4752
+    assert both["fits"] <= 627 and 6 * both["fits"] < general["fits"]
     assert both["fits"] < both["calls"] < general["calls"]
     assert both["select_rows"] < general["select_rows"]
 
@@ -591,8 +593,8 @@ def test_top_k_sweep_fits_less(monkeypatch):
     uncut = count_sweep(table, replace(config, top_k=10**6), monkeypatch)
     default = count_sweep(table, config, monkeypatch)
     first = count_sweep(table, replace(config, top_k=1), monkeypatch)
-    assert uncut["fits"] == uncut["calls"] == 3314
-    assert default["fits"] <= 1503 and 2 * default["fits"] < uncut["fits"]
+    assert uncut["fits"] == uncut["calls"] == 3696
+    assert default["fits"] <= 1502 and 2 * default["fits"] < uncut["fits"]
     assert first["fits"] < default["fits"]
     assert default["select_rows"] < uncut["select_rows"]
 
@@ -614,18 +616,23 @@ def skip_fits(draw):
 @given(st.lists(skip_fits(), max_size=8), st.integers(1, 4))
 def test_skip_tests_are_subset_closed(fits, top_k):
     # after any sequence of kept fits, both skip tests skip every non-empty
-    # subset of a row set they skip, so the fitter may ask about the
-    # reachable rows before the touch-maximal rows inside them
+    # subset of a row set they skip, with any smaller touch count, so the
+    # sweep may ask about a selection's rows and count before the fitter
+    # asks about the touch-maximal rows and touch number inside them
     for skip in (engine._CoverSkip(N_SKIP_ROWS),
                  engine._TopKSkip(N_SKIP_ROWS, top_k)):
         for other, fit in fits:
             skip.add(other, fit)
+        name = type(skip).__name__
         for r in range(1, 1 << N_SKIP_ROWS):
-            if skip.covered(r):
-                s = r
-                while s:
-                    assert skip.covered(s), (type(skip).__name__, r, s)
-                    s = (s - 1) & r
+            for t in range(1, N_SKIP_ROWS + 1):
+                if skip.covered(r, t):
+                    # every pair of a smaller set or count follows by steps
+                    assert t == 1 or skip.covered(r, t - 1), (name, r, t)
+                    s = r
+                    while s:
+                        assert skip.covered(s, t), (name, r, t, s)
+                        s = (s - 1) & r
 
 
 @pytest.mark.parametrize("corpus", ["cubic_connected_4_10.g6", "mixed_graphs.g6"])

@@ -293,42 +293,29 @@ def touch_maximal_rows(points, direction):
 # two hull edges and the flat line tied on touches
 @example([(0, 0, 1), (1, 1, 0b10), (2, 0, 0b100)])
 def test_skip_hook_sees_every_touch_maximal_line(points):
-    # the hook is asked twice: first with the rows of the highest (upper) or
-    # lowest (lower) point at each x, then with the rows of every feasible
-    # line with the most touches and no other row, so with the fit's
-    # touches; a hook that declines both changes nothing, and one that
-    # accepts at either call returns None
+    # the hook is asked once, with the rows of every feasible line with the
+    # most touches and no other row, and with that touch number, the fit's;
+    # a hook that declines changes nothing, and one that accepts returns None
     for direction in ("upper", "lower"):
-        sign = 1 if direction == "upper" else -1
-        top = {}
-        for x, y, _ in points:
-            top[x] = max(top.get(x, sign * y), sign * y)
-        reachable = 0
-        for x, y, rows in points:
-            if sign * y == top[x]:
-                reachable |= rows
         asked = []
 
-        def decline(rows):
-            asked.append(rows)
+        def decline(rows, touches):
+            asked.append((rows, touches))
             return False
 
         fit = fit_linear_bound(points, direction)
         assert fit_linear_bound(points, direction, decline) == fit
-        first, last = asked
-        assert first == reachable
-        assert last == touch_maximal_rows(points, direction)
-        assert last & ~first == 0
-        assert fit.touched & ~last == 0
-        for accept_at in (1, 2):
-            calls = []
+        assert asked == [(touch_maximal_rows(points, direction),
+                          fit.touch_number)]
+        assert fit.touched & ~asked[0][0] == 0
+        calls = []
 
-            def accept(rows):
-                calls.append(rows)
-                return len(calls) == accept_at
+        def accept(rows, touches):
+            calls.append((rows, touches))
+            return True
 
-            assert fit_linear_bound(points, direction, accept) is None
-            assert calls == asked[:accept_at]
+        assert fit_linear_bound(points, direction, accept) is None
+        assert calls == asked
 
 
 @pytest.mark.parametrize("bad", [0, -1, -6])
